@@ -3,4 +3,4 @@ jump-diffusion systems, in vector and symmetric-matrix state spaces."""
 
 __version__ = "0.1.0"
 
-from . import conditions, engine, generator, geometry, model, psdcone  # noqa: F401
+from . import conditions, engine, geometry, model, psdcone  # noqa: F401

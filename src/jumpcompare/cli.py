@@ -6,8 +6,8 @@ volatile fields (timing goes to stderr), so identical runs produce
 byte-identical files regardless of worker count.
 
 Exit codes are the only cross-process verdict channel:
-0 = holds / no violation found, 1 = violated (or gallery disagreement,
-or spot-check residual above tolerance), 2 = config or usage error.
+0 = holds / no violation found, 1 = violated (or gallery disagreement),
+2 = config or usage error.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from . import conditions, engine, generator
+from . import conditions, engine
 from .conditions import Theorem31Report, Verdict, Witness, check_theorem31
-from .geometry import ConePoint
 from .model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -38,7 +37,6 @@ from .model import (
     SampleDomain,
     SdeModel,
     Tolerances,
-    constant_C,
     lipschitz_certificate,
 )
 from .psdcone import (
@@ -315,7 +313,18 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
         check=check,
     )
     build_problem(cfg)  # surface dimension/order/weight errors at parse time
+    _check_mc(cfg)
     return cfg
+
+
+def _check_mc(cfg: ScenarioConfig) -> None:
+    """Reject Monte Carlo settings the engine cannot run (the bounds of
+    ``engine.mc_comparison`` and ``engine.uniform_grid``) as a config error."""
+    if cfg.mc.paths < 1:
+        raise SchemaError(f"mc.paths: must be >= 1, got {cfg.mc.paths}")
+    span = cfg.T - cfg.t0
+    if not 0.0 < cfg.mc.step <= span * (1.0 + 1e-12):
+        raise SchemaError(f"mc.step: must lie in (0, T - t0] = (0, {span}], got {cfg.mc.step}")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, Any]:
@@ -779,48 +788,9 @@ def run_gallery(
         if seed is not None:
             cfg.mc.seed = seed
             cfg.check.seed = seed
+        _check_mc(cfg)
         reports.append(run_full(cfg, keep_paths=keep_paths))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# residual spot checks
-# ---------------------------------------------------------------------------
-
-
-def run_pide_spotcheck(
-    cfg: ScenarioConfig, eta: float = 1e-3, n_points: Optional[int] = None
-) -> Dict[str, Any]:
-    """Evaluate the stacked-system residual with the smoothed distance as the
-    test function at interior points of the constraint set."""
-    if cfg.kind != "vector":
-        raise SchemaError("pide-spotcheck requires a vector scenario")
-    problem = build_problem(cfg)
-    stacked = generator.stack_models(problem)
-    C = constant_C(stacked.budget, problem.marks)
-    phi = generator.smoothed_dist2_function(problem.m, eta)
-    rng = np.random.default_rng(cfg.check.seed)
-    n = n_points if n_points is not None else min(cfg.check.samples, 1000)
-    box = cfg.check.box
-    worst = -math.inf
-    for _ in range(n):
-        x1 = rng.uniform(10.0 * eta, 0.5 * box, problem.m)
-        x2 = rng.uniform(-0.5 * box, 0.5 * box, problem.m)
-        t = float(rng.uniform(problem.t0, problem.T))
-        res = generator.supersolution_residual(
-            phi, stacked, t, ConePoint(x1=x1, x2=x2), C
-        )
-        worst = max(worst, res)
-    eps = problem.tolerances.resolved_eps_check(False)
-    return {
-        "scenario": cfg.id,
-        "eta": eta,
-        "C": C,
-        "points": n,
-        "max_residual": worst,
-        "tolerance": eps,
-        "within_tolerance": bool(worst <= eps),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +808,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         cfg.mc.seed = args.seed
         cfg.check.seed = args.seed
+    _check_mc(cfg)
     return cfg
 
 
@@ -888,9 +859,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     g = sub.add_parser("gallery", help="run the built-in scenario set")
     add_common(g, needs_config=False)
     g.add_argument("--smoke", action="store_true", help="tiny run for wiring checks")
-    p = sub.add_parser("pide-spotcheck", help="stacked-system residual diagnostics")
-    add_common(p)
-    p.add_argument("--eta", type=float, default=1e-3, help="smoothing width")
 
     args = parser.parse_args(argv)
 
@@ -932,16 +900,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = run_check(cfg)
         elif args.command == "simulate":
             report = run_simulate(cfg, keep_paths=(args.format == "csv"))
-        elif args.command == "pide-spotcheck":
-            result = run_pide_spotcheck(cfg, eta=args.eta)
-            payload = json.dumps(result, sort_keys=True, indent=2)
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                _atomic_write(os.path.join(args.out, f"{cfg.id}.spotcheck.json"),
-                              payload + "\n")
-            else:
-                print(payload)
-            return 0 if result["within_tolerance"] else 1
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return 2

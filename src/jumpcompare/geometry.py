@@ -1,11 +1,8 @@
 """Exact geometry of the orthant-times-free constraint set.
 
 The coupled difference system lives in R^(2m) split as (x1, x2); the
-constraint set is K = {x1 >= 0} x R^m.  Projection, squared distance, its
-gradient, and the almost-everywhere diagonal Hessian all have closed forms.
-The squared distance fails to be twice differentiable exactly on the set
-where some coordinate of x1 is zero; callers get a boundary flag and decide
-policy themselves.
+constraint set is K = {x1 >= 0} x R^m.  Projection, squared distance and
+its gradient all have closed forms.
 """
 
 from __future__ import annotations
@@ -16,11 +13,9 @@ import numpy as np
 
 __all__ = [
     "ConePoint",
-    "HessianDiag",
     "project_onto_K",
     "dist2_K",
     "grad_dist2_K",
-    "hess_dist2_K",
 ]
 
 
@@ -57,19 +52,6 @@ class ConePoint:
         return np.concatenate([self.x1, self.x2])
 
 
-@dataclass(frozen=True)
-class HessianDiag:
-    """Diagonal of the a.e. Hessian of dist2_K; entries are 0 or 2.
-
-    Indices m..2m-1 (the free block) are always 0.  ``boundary_flag`` is set
-    when some x1 coordinate is exactly zero, where the Hessian does not exist;
-    the returned diagonal is then the one-sided value from the interior.
-    """
-
-    diag: np.ndarray
-    boundary_flag: bool
-
-
 def project_onto_K(x: ConePoint) -> ConePoint:
     """Nearest point of K: positive part of the first block, second unchanged."""
     return ConePoint(x1=np.maximum(x.x1, 0.0), x2=x.x2.copy())
@@ -87,14 +69,3 @@ def grad_dist2_K(x: ConePoint) -> np.ndarray:
     out[: x.m] = 2.0 * np.minimum(x.x1, 0.0)
     return out
 
-
-def hess_dist2_K(x: ConePoint) -> HessianDiag:
-    """Diagonal Hessian of dist2_K with a boundary flag.
-
-    Entry k < m is 2 exactly where x1_k < 0 (strict floating-point sign, no
-    tolerance: tolerance handling belongs to the condition checker), else 0.
-    """
-    diag = np.zeros(2 * x.m)
-    diag[: x.m] = np.where(x.x1 < 0.0, 2.0, 0.0)
-    flag = bool(np.any(x.x1 == 0.0))
-    return HessianDiag(diag=diag, boundary_flag=flag)

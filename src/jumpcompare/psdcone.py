@@ -505,8 +505,8 @@ def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
 
     Samples x with controlled spectra (all sign patterns, plus one small
     negative eigenvalue against an O(1) positive rest) in both the standard
-    and random orthogonal bases; near-degenerate samples are flagged and
-    excluded from Violated decisions.
+    and random orthogonal bases.  Near-degenerate samples are excluded from
+    the decision and from ``samples_used``.
     """
     eps = problem.tolerances.resolved_eps_check(False)
     rng = np.random.default_rng((int(problem.sampling.seed) << 8) ^ 0x37)
@@ -518,18 +518,16 @@ def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
 
     witnesses: List[Witness] = []
     samples = 0
-    degenerate_skipped = 0
 
     def probe(t, lam, basis_random: bool, xp):
-        nonlocal samples, degenerate_skipped
+        nonlocal samples
         Q = _random_orthogonal(rng, m) if basis_random else np.eye(m)
         xmat = (Q * lam) @ Q.T
         xmat = 0.5 * (xmat + xmat.T)
         res = eval_theorem37(problem, t, xmat, xp)
-        samples += 1
         if res.degenerate:
-            degenerate_skipped += 1
             return
+        samples += 1
         if res.lhs > res.rhs + eps:
             witnesses.append(
                 Witness(t=t, x=tuple(svec(xmat)), x_prime=tuple(svec(xp)), atom=None,

@@ -300,7 +300,9 @@ def test_criterion_9_determinism_across_workers(tmp_path):
     """Gallery reports are byte-identical across JUMPCOMPARE_THREADS values."""
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    args = ["gallery", "--paths", "2000", "--step", str(2.0**-7)]
+    paths = 4100
+    assert paths > engine._CHUNK  # so the 4-worker run starts a second worker
+    args = ["gallery", "--paths", str(paths), "--step", str(2.0**-7)]
     old = os.environ.get("JUMPCOMPARE_THREADS")
     try:
         os.environ["JUMPCOMPARE_THREADS"] = "1"

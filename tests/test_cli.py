@@ -20,7 +20,6 @@ from jumpcompare.cli import (
     report_to_dict,
     run_full,
     run_gallery,
-    run_pide_spotcheck,
     write_paths_csv,
 )
 from jumpcompare.engine import PathRecords
@@ -216,27 +215,26 @@ class TestMainExitCodes:
         assert "gallery-summary.json" in files
         assert len([f for f in files if f.endswith(".report.json")]) == len(GALLERY_IDS)
 
-    def test_pide_spotcheck_pass_and_fail(self, tmp_path):
-        pass_cfg = [c for c in gallery_configs() if c.id == "corollary33-pass"][0]
-        fail_cfg = [c for c in gallery_configs() if c.id == "jump-monotone-fail"][0]
-        p1 = write_config(tmp_path, _cfg_to_file_dict(pass_cfg), "pass.json")
-        p2 = write_config(tmp_path, _cfg_to_file_dict(fail_cfg), "fail.json")
-        assert main(["pide-spotcheck", p1]) == 0
-        assert main(["pide-spotcheck", p2]) == 1
+    def test_removed_spotcheck_command_is_usage_error(self, tmp_path):
+        path = write_config(tmp_path, minimal_vector_dict())
+        with pytest.raises(SystemExit) as exc:
+            main(["pide-spotcheck", path])
+        assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mc, flags", [
+        ({}, ["--step", "2"]),
+        ({}, ["--step", "-1"]),
+        ({}, ["--paths", "0"]),
+        ({"step": 2}, []),
+        ({"paths": 0}, []),
+    ], ids=["step-flag-2", "step-flag-negative", "paths-flag-0", "step-config-2", "paths-config-0"])
+    def test_bad_mc_settings_exit_two(self, tmp_path, capsys, mc, flags):
+        data = minimal_vector_dict()
+        data["mc"].update(mc)
+        path = write_config(tmp_path, data)
+        assert main(["simulate", path] + flags) == 2
+        assert "config error:" in capsys.readouterr().err
 
-def _cfg_to_file_dict(cfg):
-    return config_to_dict(cfg)
-
-
-class TestSpotcheck:
-    def test_result_payload(self):
-        cfg = [c for c in gallery_configs() if c.id == "corollary34-pass"][0]
-        result = run_pide_spotcheck(cfg, eta=1e-3, n_points=200)
-        assert result["within_tolerance"] is True
-        assert result["max_residual"] <= result["tolerance"]
-
-    def test_vector_only(self):
-        cfg = [c for c in gallery_configs() if c.id == "matrix-pass"][0]
-        with pytest.raises(SchemaError):
-            run_pide_spotcheck(cfg)
+    def test_bad_gallery_override_exits_two(self, capsys):
+        assert main(["gallery", "--paths", "0"]) == 2
+        assert "config error:" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from jumpcompare.geometry import (
     ConePoint,
     dist2_K,
     grad_dist2_K,
-    hess_dist2_K,
     project_onto_K,
 )
 
@@ -117,31 +116,6 @@ class TestGrad:
                 dist2_K(ConePoint.from_vector(z + e)) - dist2_K(ConePoint.from_vector(z - e))
             ) / (2 * step)
             assert g[i] == pytest.approx(fd, abs=1e-8)
-
-
-class TestHess:
-    def test_interior_of_K(self):
-        h = hess_dist2_K(cone([1.0, 2.0], [0.0, 0.0]))
-        assert np.array_equal(h.diag, np.zeros(4))
-        assert not h.boundary_flag
-
-    def test_negative_coordinate(self):
-        h = hess_dist2_K(cone([-1.0], [0.0]))
-        assert np.array_equal(h.diag, [2.0, 0.0])
-        assert not h.boundary_flag
-
-    def test_boundary_flag(self):
-        h = hess_dist2_K(cone([0.0, -1.0], [0.0, 0.0]))
-        assert np.array_equal(h.diag, [0.0, 2.0, 0.0, 0.0])
-        assert h.boundary_flag
-
-    def test_second_block_always_zero(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            m = int(rng.integers(1, 5))
-            h = hess_dist2_K(cone(rng.uniform(-2, 2, m), rng.uniform(-2, 2, m)))
-            assert np.all(h.diag[m:] == 0.0)
-            assert set(np.unique(h.diag)) <= {0.0, 2.0}
 
 
 class TestConePoint:

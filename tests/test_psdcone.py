@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jumpcompare import psdcone
 from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime
 from jumpcompare.model import (
     AffineCoefficients,
@@ -275,6 +276,26 @@ class TestEvalTheorem37:
         v = check_theorem37(p)
         assert v.status == VIOLATED
         assert v.worst_margin < -0.3
+
+    def test_samples_used_excludes_degenerate_probes(self, monkeypatch):
+        p = matrix_pair(2, gap=0.4 * np.eye(2), s_scale=0.4)
+        p = MatrixComparisonProblem(
+            model1=p.model1, model2=p.model2, t0=0.0, T=1.0, x1=p.x1, x2=p.x2,
+            sampling=SampleDomain(box=6.0, count=256, ladder=(1e-9,), seed=5),
+        )
+        calls, degenerate = [0], [0]
+        real = psdcone.eval_theorem37
+
+        def counting(*args):
+            out = real(*args)
+            calls[0] += 1
+            degenerate[0] += out.degenerate
+            return out
+
+        monkeypatch.setattr(psdcone, "eval_theorem37", counting)
+        v = check_theorem37(p)
+        assert 0 < degenerate[0] < calls[0]
+        assert v.samples_used == calls[0] - degenerate[0]
 
     def test_jump_gap_nonnegative_passes(self):
         # gamma1 = gamma2 + c*I with c >= 0 and compensator-adjusted drifts equal
