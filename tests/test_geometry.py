@@ -118,6 +118,55 @@ class TestGrad:
             assert g[i] == pytest.approx(fd, abs=1e-8)
 
 
+def grad_fd_jacobian(x, step=1e-6, side=0):
+    """Finite-difference Jacobian of grad_dist2_K: central (side 0) or one-sided (+1/-1)."""
+    z = x.to_vector()
+    n = z.shape[0]
+    jac = np.zeros((n, n))
+    lo, hi = (-1, 1) if side == 0 else (0, side)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        g_hi = grad_dist2_K(ConePoint.from_vector(z + hi * e))
+        g_lo = grad_dist2_K(ConePoint.from_vector(z + lo * e))
+        jac[:, j] = (g_hi - g_lo) / ((hi - lo) * step)
+    return jac
+
+
+class TestHess:
+    """The a.e. Hessian of dist2_K, read off the derivative of grad_dist2_K."""
+
+    def test_interior_of_K(self):
+        h = grad_fd_jacobian(cone([1.0, 2.0], [0.0, 0.0]))
+        assert np.allclose(h, np.zeros((4, 4)), atol=1e-9)
+
+    def test_negative_coordinate(self):
+        h = grad_fd_jacobian(cone([-1.0], [0.0]))
+        assert np.allclose(h, np.diag([2.0, 0.0]), atol=1e-6)
+
+    def test_boundary_flag(self):
+        # At x1_0 = 0 the Hessian does not exist: the one-sided curvatures
+        # along that coordinate differ (0 from inside K, 2 from outside),
+        # while the coordinate x1_1 < 0 has curvature 2 from either side.
+        x = cone([0.0, -1.0], [0.0, 0.0])
+        inside = grad_fd_jacobian(x, side=1)
+        outside = grad_fd_jacobian(x, side=-1)
+        assert np.allclose(inside, np.diag([0.0, 2.0, 0.0, 0.0]), atol=1e-6)
+        assert np.allclose(outside, np.diag([2.0, 2.0, 0.0, 0.0]), atol=1e-6)
+
+    def test_second_block_always_zero(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            m = int(rng.integers(1, 5))
+            x1 = rng.uniform(-2, 2, m)
+            x1[np.abs(x1) < 1e-3] = 0.5
+            h = grad_fd_jacobian(cone(x1, rng.uniform(-2, 2, m)))
+            assert np.allclose(h[:, m:], 0.0, atol=1e-9)
+            assert np.allclose(h[m:, :], 0.0, atol=1e-9)
+            assert np.allclose(h, np.diag(np.diag(h)), atol=1e-9)
+            assert np.allclose(np.diag(h)[:m], np.where(x1 < 0.0, 2.0, 0.0), atol=1e-6)
+
+
 class TestConePoint:
     def test_pack_round_trip(self):
         z = np.array([1.0, -2.0, 3.0, 4.0])
