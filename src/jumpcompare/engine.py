@@ -7,9 +7,18 @@ pre-jump state.  Exact jump placement removes the O(h) jump-location bias.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, path_index), so a path's driver realization never depends on how many
-paths run, in what order, or on how many workers are active.  Monte Carlo
-reductions (counts, maxima) are commutative and accumulated in fixed chunk
-order, which makes reports bit-identical across worker counts.
+paths run, in what order, or on how many workers are active.  A realization
+is stored sparsely: its jump times, their mark atoms and one Brownian
+increment per segment; the merged time list and the per-segment atoms are
+derived on access.
+
+The Monte Carlo kernel advances a chunk of paths through the uniform grid in
+event rounds.  In step i, round 0 advances every path, each to its first
+jump time in the step or to the grid point; round r >= 1 advances, as one
+batch, every path with at least r jumps in the step, from its r-th jump to
+the next jump or the grid point.  Monte Carlo reductions (counts, maxima)
+are commutative and accumulated in fixed chunk order, which makes reports
+bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -80,39 +89,50 @@ def uniform_grid(t0: float, T: float, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriverRealization:
-    """One realization of the shared noise for one path.
+    """One realization of the shared noise for one path, stored sparsely.
 
-    ``times`` is the sorted union of the uniform grid and the exact jump
-    times; ``dW[i]`` is the d-dimensional Brownian increment over segment
-    (times[i], times[i+1]); ``jump_atoms[i]`` is the mark-atom index applied
-    at the segment end, or -1 when the end is a plain grid point.
+    ``jump_times`` are strictly increasing times in (t0, T] and
+    ``jump_marks`` their mark-atom indices.  The path's time list is the
+    sorted union of the uniform grid and the jump times (a jump time that
+    falls on a grid point is merged with it), and ``dW[i]`` is the
+    d-dimensional Brownian increment over its segment i.  ``times`` and
+    ``jump_atoms`` (the atom applied at each segment end, -1 at a plain grid
+    point) are derived on access.
     """
 
     t0: float
     T: float
     h: float
-    times: np.ndarray
+    jump_times: np.ndarray
+    jump_marks: np.ndarray
     dW: np.ndarray
-    jump_atoms: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        grid = uniform_grid(self.t0, self.T, self.h)
+        return np.union1d(grid, self.jump_times) if self.jump_times.size else grid
+
+    @property
+    def jump_atoms(self) -> np.ndarray:
+        times = self.times
+        atoms = np.full(times.shape[0] - 1, -1, dtype=np.int64)
+        atoms[np.searchsorted(times, self.jump_times) - 1] = self.jump_marks
+        return atoms
 
     @property
     def n_segments(self) -> int:
-        return self.times.shape[0] - 1
+        return self.dW.shape[0]
 
     @property
     def d(self) -> int:
         return self.dW.shape[1]
 
     def jump_events(self) -> List[Tuple[float, int]]:
-        out = []
-        for i in range(self.n_segments):
-            if self.jump_atoms[i] >= 0:
-                out.append((float(self.times[i + 1]), int(self.jump_atoms[i])))
-        return out
+        return list(zip(self.jump_times.tolist(), self.jump_marks.tolist()))
 
     @property
     def jump_count(self) -> int:
-        return int(np.sum(self.jump_atoms >= 0))
+        return int(self.jump_times.shape[0])
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -143,9 +163,8 @@ def sample_drivers(
 
     lam = marks.total_mass
     jump_times: List[float] = []
-    jump_marks: List[int] = []
+    uniforms: List[float] = []
     if lam > 0.0 and marks.n_atoms > 0:
-        cum = np.cumsum(marks.weights) / lam
         t = t0
         while True:
             # clamp away the measure-zero chance of a zero interarrival,
@@ -154,22 +173,22 @@ def sample_drivers(
             if t > T:
                 break
             jump_times.append(t)
-            u = rng.random()
-            jump_marks.append(int(np.searchsorted(cum, u, side="right")))
+            uniforms.append(rng.random())
 
-    if jump_times:
-        times = np.union1d(grid, np.asarray(jump_times))
+    jt = np.asarray(jump_times, dtype=float)
+    if jt.size:
+        cum = np.cumsum(marks.weights) / lam
+        jm = np.searchsorted(cum, np.asarray(uniforms), side="right")
+        # an interarrival too small to move t in floating point repeats a
+        # time; the merged time list keeps one jump there, with the later atom
+        keep = np.diff(jt, append=np.inf) > 0.0
+        jt, jm = jt[keep], jm[keep]
+        times = np.union1d(grid, jt)
     else:
+        jm = np.zeros(0, dtype=np.int64)
         times = grid
-    n_seg = times.shape[0] - 1
-    jump_atoms = np.full(n_seg, -1, dtype=np.int64)
-    for tau, j in zip(jump_times, jump_marks):
-        idx = int(np.searchsorted(times, tau))
-        jump_atoms[idx - 1] = j
-
-    dts = np.diff(times)
-    dW = rng.standard_normal((n_seg, d)) * np.sqrt(dts)[:, None]
-    return DriverRealization(t0=t0, T=T, h=float(h), times=times, dW=dW, jump_atoms=jump_atoms)
+    dW = rng.standard_normal((times.shape[0] - 1, d)) * np.sqrt(np.diff(times))[:, None]
+    return DriverRealization(t0=t0, T=T, h=float(h), jump_times=jt, jump_marks=jm, dW=dW)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +236,7 @@ def simulate_path(
         raise ValueError(f"drivers carry d={drivers.d} increments, model has d={model.d}")
     coeffs = model.coefficients
     times = drivers.times
+    jump_atoms = drivers.jump_atoms
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if x.shape != (model.m,):
         raise ValueError(f"x0 must be a vector of length {model.m}")
@@ -224,11 +244,11 @@ def simulate_path(
     states[0] = x
     # overflow is reported through NonFiniteState, not per-element warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(drivers.n_segments):
+        for i in range(times.shape[0] - 1):
             tl = times[i]
             dt = times[i + 1] - tl
             x = x + _net_drift(model, tl, x) * dt + coeffs.sigma(tl, x) @ drivers.dW[i]
-            atom = int(drivers.jump_atoms[i])
+            atom = int(jump_atoms[i])
             if atom >= 0:
                 x = x + coeffs.gamma(times[i + 1], x, atom)
             if not np.all(np.isfinite(x)):
@@ -326,30 +346,47 @@ class _BatchCoefficients:
     """Row-vectorized coefficient evaluation for one model.
 
     Affine models evaluate in closed form on (paths, m) blocks; black-box
-    models fall back to a row loop with identical semantics.
+    models fall back to a row loop with identical semantics, calling the
+    coefficients at each row's own time.
     """
 
     def __init__(self, model: SdeModel):
         self.model = model
         self.coeffs = model.coefficients
-        self.marks = model.marks
         aff = model.coefficients.affine
         self.affine = aff
         if aff is not None:
             self._M, self._dvec = aff.net_drift_blocks(model.marks)
 
-    def net_drift_rows(self, t: float, X: np.ndarray) -> np.ndarray:
+    def net_drift_rows(self, t, X: np.ndarray, per_path: bool) -> np.ndarray:
         if self.affine is not None:
+            if per_path:
+                # one matrix-vector product per row: BLAS rounds a lone row
+                # (gemv) differently from a block (gemm), and a jump path's
+                # state must not depend on which paths share its round
+                return (X[:, None, :] @ self._M.T)[:, 0] + self._dvec
             return X @ self._M.T + self._dvec
-        return np.stack([_net_drift(self.model, t, X[i]) for i in range(X.shape[0])])
+        return np.stack([_net_drift(self.model, ti, x) for ti, x in zip(_row_times(t, X), X)])
 
-    def sigma_rows(self, t: float, X: np.ndarray) -> np.ndarray:
+    def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
             return self.affine.diffusion_rows(t, X)
-        return np.stack([self.coeffs.sigma(t, X[i]) for i in range(X.shape[0])])
+        return np.stack([self.coeffs.sigma(ti, x) for ti, x in zip(_row_times(t, X), X)])
 
-    def jump_one(self, t: float, x: np.ndarray, j: int) -> np.ndarray:
-        return self.coeffs.gamma(t, x, j)
+    def jump_rows(self, t: np.ndarray, X: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+        """Post-jump states X + gamma(t, X, atom), row by row."""
+        if self.affine is not None:
+            G, g = self.affine.G, self.affine.g
+            return X + ((G[atoms] @ X[..., None])[..., 0] + g[atoms])
+        return np.stack([
+            x + self.coeffs.gamma(ti, x, j)
+            for ti, x, j in zip(t.tolist(), X, atoms.tolist())
+        ])
+
+
+def _row_times(t, X: np.ndarray) -> list:
+    """A scalar time or one time per row, as one float per row of X."""
+    return np.broadcast_to(t, X.shape[:1]).tolist()
 
 
 def componentwise_stat(diff_rows: np.ndarray) -> np.ndarray:
@@ -357,12 +394,74 @@ def componentwise_stat(diff_rows: np.ndarray) -> np.ndarray:
     return diff_rows.max(axis=1)
 
 
-def _euler_rows(
-    bat: _BatchCoefficients, t: float, X: np.ndarray, dt: float, dW: np.ndarray
+def _step_rows(
+    bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray, per_path: bool
 ) -> np.ndarray:
-    drift = bat.net_drift_rows(t, X)
+    """One Euler step of the rows of X from time(s) t over step(s) dt."""
+    drift = bat.net_drift_rows(t, X, per_path)
     sig = bat.sigma_rows(t, X)
     return X + drift * dt + np.einsum("pkd,pd->pk", sig, dW)
+
+
+@dataclass(frozen=True)
+class _Rounds:
+    """The jump sub-steps of a chunk, grouped into event rounds.
+
+    Sub-step q of path ``path[q]`` runs from ``t_left[q]`` to ``t_end[q]``
+    and then applies atom ``atom[q]`` (-1: none, the sub-step ends at the
+    grid point).  Sub-steps are sorted by (uniform step, round, path); round
+    g covers ``start[g]:start[g + 1]`` and lies in uniform step ``step[g]``.
+    """
+
+    path: np.ndarray
+    t_left: np.ndarray
+    t_end: np.ndarray
+    atom: np.ndarray
+    step: np.ndarray
+    start: np.ndarray
+
+
+def _event_rounds(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Rounds:
+    """Split every path's jump steps into sub-steps between consecutive events.
+
+    A step of path p with c jumps takes c + 1 sub-steps: one ending at each
+    jump and a last one ending at the grid point, which is dropped when the
+    last jump falls on the grid point itself.  Round r of the step holds the
+    r-th sub-step of every path that has one.
+    """
+    n_jumps = np.array([drv.jump_times.shape[0] for drv in drivers])
+    jt = np.concatenate([drv.jump_times for drv in drivers])
+    atom = np.concatenate([drv.jump_marks for drv in drivers])
+    path = np.repeat(np.arange(len(drivers)), n_jumps)
+    step = np.searchsorted(grid, jt, side="left") - 1
+    right = grid[step + 1]
+    # first / last jump of its path in its step
+    pos = np.arange(jt.shape[0])
+    first = np.ones(jt.shape[0], dtype=bool)
+    first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
+    last = np.ones(jt.shape[0], dtype=bool)
+    last[:-1] = first[1:]
+    # the sub-step ending at a jump starts at the previous jump of the step,
+    # or at the grid point for the first, and runs in round rnd
+    rnd = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    prev = np.where(first, grid[step], np.roll(jt, 1))
+    # the closing sub-step from the last jump to the grid point
+    close = last & (jt < right)
+
+    path = np.concatenate([path, path[close]])
+    step = np.concatenate([step, step[close]])
+    rnd = np.concatenate([rnd, rnd[close] + 1])
+    order = np.lexsort((path, rnd, step))
+    key = (step * (int(rnd.max(initial=0)) + 1) + rnd)[order]
+    _, start = np.unique(key, return_index=True)
+    return _Rounds(
+        path=path[order],
+        t_left=np.concatenate([prev, jt[close]])[order],
+        t_end=np.concatenate([jt, right[close]])[order],
+        atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[order],
+        step=step[order][start],
+        start=np.append(start, order.shape[0]),
+    )
 
 
 def _run_chunk(
@@ -374,94 +473,66 @@ def _run_chunk(
     eps_path: float,
 ):
     K = len(drivers)
-    m = batches[0].model.m
     X = [np.tile(np.asarray(x0, dtype=float), (K, 1)) for x0 in starts]
     coupled = len(batches) == 2 and stat_fn is not None
 
-    offsets = np.zeros(K, dtype=np.int64)
-    total = 0
-    for p, drv in enumerate(drivers):
-        offsets[p] = total
-        total += drv.n_segments
-    dW_flat = (
-        np.concatenate([drv.dW for drv in drivers], axis=0)
-        if K
-        else np.zeros((0, batches[0].model.d))
-    )
-    cur = np.zeros(K, dtype=np.int64)
-
-    # map each jump to the uniform step containing it
-    jumps_by_step: dict = {}
-    for p, drv in enumerate(drivers):
-        seen = -1
-        for i in range(drv.n_segments):
-            if drv.jump_atoms[i] >= 0:
-                tau = drv.times[i + 1]
-                step = int(np.searchsorted(grid, tau, side="left")) - 1
-                if step != seen:
-                    jumps_by_step.setdefault(step, []).append(p)
-                    seen = step
+    dW_flat = np.concatenate([drv.dW for drv in drivers], axis=0)
+    seg_counts = np.array([drv.dW.shape[0] for drv in drivers])
+    nxt = np.cumsum(seg_counts) - seg_counts  # next dW row of each path
+    ev = _event_rounds(drivers, grid)
+    # rounds of uniform step i: first_round[i] up to first_round[i + 1]
+    first_round = np.searchsorted(ev.step, np.arange(grid.shape[0])).tolist()
 
     failed = np.zeros(K, dtype=bool)
+    first_t = np.full(K, np.nan)
     if coupled:
         run_signed = stat_fn(X[1] - X[0])
-        first_t = np.full(K, np.nan)
-        crossed = run_signed > eps_path
-        first_t[crossed] = grid[0]
+        first_t[run_signed > eps_path] = grid[0]
     else:
         run_signed = np.zeros(K)
-        first_t = np.full(K, np.nan)
 
     all_idx = np.arange(K)
-    n_steps = grid.shape[0] - 1
     # overflow / NaN on exploding paths is expected and handled through the
     # failed flag, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
+        for i in range(grid.shape[0] - 1):
             tl = float(grid[i])
             tr = float(grid[i + 1])
-            dt = tr - tl
-            jp = jumps_by_step.get(i)
-            if jp:
-                mask = np.ones(K, dtype=bool)
-                mask[jp] = False
-                idx = np.flatnonzero(mask)
-            else:
-                idx = all_idx
+            rounds = range(first_round[i], first_round[i + 1])
+            idx = all_idx
+            if rounds:
+                # a path that jumps in this step takes its first sub-step in
+                # the step's first round; the others take one block step
+                plain = np.ones(K, dtype=bool)
+                plain[ev.path[ev.start[rounds[0]]:ev.start[rounds[0] + 1]]] = False
+                idx = np.flatnonzero(plain)
             if idx.size:
-                rows = offsets[idx] + cur[idx]
-                dWi = dW_flat[rows]
+                dWi = dW_flat[nxt[idx]]
                 for mi, bat in enumerate(batches):
-                    X[mi][idx] = _euler_rows(bat, tl, X[mi][idx], dt, dWi)
-                cur[idx] += 1
-            if jp:
-                for p in jp:
-                    drv = drivers[p]
-                    off = offsets[p]
-                    while True:
-                        s = int(cur[p])
-                        t_left = float(drv.times[s])
-                        t_end = float(drv.times[s + 1])
-                        sdt = t_end - t_left
-                        dwrow = dW_flat[off + s][None, :]
-                        for mi, bat in enumerate(batches):
-                            X[mi][p] = _euler_rows(
-                                bat, t_left, X[mi][p][None, :], sdt, dwrow
-                            )[0]
-                        atom = int(drv.jump_atoms[s])
-                        if atom >= 0:
-                            for mi, bat in enumerate(batches):
-                                X[mi][p] = X[mi][p] + bat.jump_one(t_end, X[mi][p], atom)
-                        cur[p] += 1
-                        if coupled and not failed[p]:
-                            val = stat_fn((X[1][p] - X[0][p])[None, :])[0]
-                            if np.isfinite(val):
-                                if val > run_signed[p]:
-                                    run_signed[p] = val
-                                if val > eps_path and np.isnan(first_t[p]):
-                                    first_t[p] = t_end
-                        if t_end >= tr:
-                            break
+                    X[mi][idx] = _step_rows(bat, tl, X[mi][idx], tr - tl, dWi, False)
+                nxt[idx] += 1
+            for q in rounds:
+                sl = slice(ev.start[q], ev.start[q + 1])
+                p, t_left, t_end, atom = ev.path[sl], ev.t_left[sl], ev.t_end[sl], ev.atom[sl]
+                dWr = dW_flat[nxt[p]]
+                dt = (t_end - t_left)[:, None]
+                jumps = atom >= 0
+                any_jump = bool(jumps.any())
+                for mi, bat in enumerate(batches):
+                    Xr = _step_rows(bat, t_left, X[mi][p], dt, dWr, True)
+                    if any_jump:
+                        Xr[jumps] = bat.jump_rows(t_end[jumps], Xr[jumps], atom[jumps])
+                    X[mi][p] = Xr
+                nxt[p] += 1
+                if coupled:
+                    live = ~failed[p]
+                    p, t_end = p[live], t_end[live]
+                    if p.size:
+                        val = stat_fn(X[1][p] - X[0][p])
+                        ok = np.isfinite(val)
+                        run_signed[p] = np.where(ok & (val > run_signed[p]), val, run_signed[p])
+                        newly = ok & (val > eps_path) & np.isnan(first_t[p])
+                        first_t[p[newly]] = t_end[newly]
             # end-of-step bookkeeping
             fin = np.ones(K, dtype=bool)
             for XM in X:
@@ -476,8 +547,7 @@ def _run_chunk(
 
     viol = np.maximum(run_signed, 0.0)
     viol[failed] = np.nan
-    terminals = [XM for XM in X]
-    return viol, first_t, failed, terminals
+    return viol, first_t, failed, X
 
 
 def _chunk_ranges(n: int) -> List[range]:
@@ -562,6 +632,8 @@ def sample_terminal_states(
     model: SdeModel, x0, t0: float, T: float, paths: int, h: float, seed: int
 ) -> np.ndarray:
     """Terminal states X_T of independent paths, for distributional checks."""
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
     grid = uniform_grid(t0, T, h)
     bat = (_BatchCoefficients(model),)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))

@@ -213,6 +213,25 @@ def random_problem(
     return _assemble(spec, seed), chosen
 
 
+def dense_jump_problem(seed: int, *, mass: float = 16.0,
+                       kind: Optional[str] = None) -> ComparisonProblem:
+    """An m = 3, d = 2 pair whose three atoms carry total mark mass ``mass``.
+
+    The jump linear parts are shrunk by 4 so that so many jumps do not make
+    the paths explode; ``kind`` mutates one ingredient as in random_problem.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.5, 3)
+    marks = MarkMeasure.from_atoms(
+        [([e], float(wj)) for e, wj in zip((0.5, -0.7, 0.2), w * mass / w.sum())])
+    spec = _passing_ingredients(rng, 3, 2, marks)
+    spec.G1 *= 0.25
+    spec.G2 *= 0.25
+    if kind is not None:
+        _apply_failure(spec, rng, kind)
+    return _assemble(spec, seed)
+
+
 def strip_affine(problem: ComparisonProblem) -> ComparisonProblem:
     """Same problem with the affine blocks hidden (forces the sampled path)."""
 

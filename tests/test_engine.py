@@ -1,5 +1,6 @@
 """Engine tests: drivers, path integration, coupling, Monte Carlo."""
 
+import hashlib
 import math
 import os
 
@@ -29,7 +30,7 @@ from jumpcompare.model import (
     Tolerances,
 )
 
-from suitegen import random_problem
+from suitegen import dense_jump_problem, random_problem, strip_affine
 
 
 def affine_model(B, c, V, U, G, g, marks, mu=1.0):
@@ -138,6 +139,31 @@ class TestDrivers:
         assert drv.times[0] == 0.0 and drv.times[-1] == 1.0
         for tau, _ in drv.jump_events():
             assert tau in drv.times
+
+    @pytest.mark.parametrize("atoms,h,seed,path,d,digests", [
+        ([([0.5], 6.0), ([-0.7], 10.0)], 2.0**-4, 7, 3, 2, (
+            "d025ac53b185b4e2f63d5ebbcd09869731b8563959fc37838e637cfb684c4d1b",
+            "3a93b94a94135df27660f09983ece580d63bce3292fb19ff0c954f535555f89c",
+            "3f782fb523683c02fd46d92d64942cbf0e79f56e63c7a56a6199b12eba08f7c8",
+            "d095ac433b73222c59f161d21302c76cd8564060dc65347f885b993881c43608")),
+        ([([1.0], 1.0)], 2.0**-9, 20260, 2047, 1, (
+            "5a6bcfa82089323816953be40995d9b090a06590b0b1ef2e2c71040333cbd59b",
+            "d05af3ef4c5451c7ba877e8600150300f15dad935f9c96e994601125e8a5143f",
+            "499777c7164881f293351ae94fcf150885d0d71f18d9b3a822120ece5f44cb2b",
+            "9716e4fd3f4951dcf841c06cba94451579d8fb5a65e43309185362b49ce21d58")),
+    ], ids=["mass16", "gallery-mass1"])
+    def test_stream_is_pinned(self, atoms, h, seed, path, d, digests):
+        # sha256 of what the Philox stream of one (seed, path) key yields; a
+        # change to the draw order or to how a draw is turned into times,
+        # atoms or increments changes every report
+        drv = sample_drivers(MarkMeasure.from_atoms(atoms), (0.0, 1.0), h, seed, path, d=d)
+        got = (
+            drv.times.tobytes(),
+            drv.dW.tobytes(),
+            drv.jump_atoms.astype(np.int64).tobytes(),
+            repr(drv.jump_events()).encode(),
+        )
+        assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests
 
     def test_brownian_variance_scaling(self):
         marks = MarkMeasure.from_atoms([([1.0], 1.0)])
@@ -330,6 +356,11 @@ class TestMonteCarlo:
         assert rep.failed == 16
         assert rep.violating == 0
 
+    def test_terminal_states_reject_zero_paths(self):
+        model = scalar_model(bslope=-1.0, sigma=0.5)
+        with pytest.raises(ValueError, match="paths must be >= 1"):
+            sample_terminal_states(model, [1.0], 0.0, 1.0, 0, 2.0**-4, seed=1)
+
     def test_martingale_of_compensated_jumps(self):
         # no drift, no diffusion, constant jump amplitude: compensated form
         # makes X_T - x0 mean-zero
@@ -352,3 +383,65 @@ class TestPerPathRecords:
         # difference is exactly -t: first crossing happens just after eps
         for ft in rep.per_path.first_violation_time:
             assert eps <= ft <= eps + 2.0**-5
+
+
+def _run_pair_chunk(problem, drivers, grid, stat_fn=engine.componentwise_stat):
+    batches = tuple(engine._BatchCoefficients(m) for m in (problem.model1, problem.model2))
+    return engine._run_chunk(batches, (problem.x1, problem.x2), drivers, grid, stat_fn, 0.1)
+
+
+class TestEventRounds:
+    @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "blackbox"])
+    def test_dense_jumps_match_reference(self, blackbox):
+        problem = dense_jump_problem(8, kind="jump-row-gap")
+        if blackbox:
+            problem = strip_affine(problem)
+        h = 2.0**-4
+        grid = uniform_grid(problem.t0, problem.T, h)
+        drivers = [sample_drivers(problem.marks, problem.horizon, h, 5, p, d=problem.d)
+                   for p in range(24)]
+        # some path has three jumps in one step, so rounds r >= 2 run
+        per_step = [np.bincount(np.searchsorted(grid, drv.jump_times) - 1) for drv in drivers]
+        assert max(c.max(initial=0) for c in per_step) >= 3
+
+        viol, _, failed, terminals = _run_pair_chunk(problem, drivers, grid)
+        assert not failed.any()
+        assert viol.max() > 0.0
+        for p, drv in enumerate(drivers):
+            t1, t2 = simulate_coupled(problem, drv)
+            assert viol[p] == pytest.approx(violation_stat((t1, t2)), abs=1e-10)
+            assert np.allclose(terminals[0][p], t1.terminal(), rtol=0.0, atol=1e-10)
+            assert np.allclose(terminals[1][p], t2.terminal(), rtol=0.0, atol=1e-10)
+
+    def test_jump_on_grid_point_is_merged(self):
+        marks = MarkMeasure.from_atoms([([1.0], 2.0)])
+        m1 = scalar_model(b=0.3, bslope=-0.5, sigma=0.4, marks=marks, jumps=[(0.5, 0.3)])
+        m2 = scalar_model(b=0.1, bslope=-0.5, sigma=0.4, marks=marks, jumps=[(0.5, -0.2)])
+        problem = pair_problem(m1, m2, [0.2], [0.0])
+        grid = uniform_grid(0.0, 1.0, 0.25)
+        # jumps on the grid point 0.5, inside (0.5, 0.75] and on T: the time
+        # list is 0, 0.25, 0.5, 0.6, 0.75, 1 and has five segments
+        drv = engine.DriverRealization(
+            t0=0.0, T=1.0, h=0.25, jump_times=np.array([0.5, 0.6, 1.0]),
+            jump_marks=np.zeros(3, dtype=np.int64), dW=np.arange(1.0, 6.0)[:, None] / 4.0,
+        )
+        assert np.array_equal(drv.times, [0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
+        assert drv.n_segments == drv.times.shape[0] - 1 == 5
+        assert drv.jump_atoms.tolist() == [-1, 0, 0, -1, 0]
+
+        rows = []
+
+        def stat(diff):
+            rows.append(diff.shape[0])
+            return engine.componentwise_stat(diff)
+
+        # one path: a sixth dW row would be out of range, and a skipped last
+        # row would leave the terminal state off the reference
+        viol, _, _, terminals = _run_pair_chunk(problem, [drv], grid, stat)
+        t1, t2 = simulate_coupled(problem, drv)
+        assert viol[0] == pytest.approx(violation_stat((t1, t2)), abs=1e-12)
+        assert terminals[0][0] == pytest.approx(t1.terminal(), abs=1e-12)
+        assert terminals[1][0] == pytest.approx(t2.terminal(), abs=1e-12)
+        # a row at the start and after each of the 4 steps, plus one per
+        # sub-step: one in each step ending on a jump, two in (0.5, 0.75]
+        assert sum(rows) == 5 + 4
