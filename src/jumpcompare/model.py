@@ -160,6 +160,13 @@ class RegularityBudget:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rho", _frozen(rho))
 
+    def join(self, other: "RegularityBudget") -> "RegularityBudget":
+        """Componentwise max of two budgets: one (mu, rho) covering both."""
+        return RegularityBudget(
+            mu=max(self.mu, other.mu),
+            rho=np.maximum(self.rho, other.rho) if self.rho.size else self.rho,
+        )
+
     def jump_second_moment(self, marks: MarkMeasure) -> float:
         """Exact value of the mark integral of rho^2 over the atoms."""
         if self.rho.shape[0] != marks.n_atoms:
@@ -459,12 +466,8 @@ class ComparisonProblem:
         return self.model1.is_affine and self.model2.is_affine
 
     def shared_budget(self) -> RegularityBudget:
-        """Componentwise max of the two budgets: one (mu, rho) covering both models."""
-        b1, b2 = self.model1.budget, self.model2.budget
-        return RegularityBudget(
-            mu=max(b1.mu, b2.mu),
-            rho=np.maximum(b1.rho, b2.rho) if b1.rho.size else b1.rho,
-        )
+        """One (mu, rho) covering both models."""
+        return self.model1.budget.join(self.model2.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -517,36 +520,12 @@ def validate_model(model: SdeModel) -> None:
             raise DimensionMismatch(f"jump output shape {g0.shape} != ({coeffs.m},) at atom {j}")
 
 
-def operator_norm(mat, rel_tol: float = 1e-10, max_iter: int = 20_000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Deterministic seeded start vector; stops when the Rayleigh quotient is
-    stationary to ``rel_tol``.  Exact 0 for the zero matrix.
-    """
+def operator_norm(mat) -> float:
+    """Largest singular value by LAPACK SVD; exact 0 for an empty matrix."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
-    if a.size == 0 or not np.any(a):
+    if a.size == 0:
         return 0.0
-    gram = a.T @ a
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    cur = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # start vector fell in the null space; redraw deterministically
-            v = rng.standard_normal(gram.shape[0])
-            v /= np.linalg.norm(v)
-            prev = -1.0
-            continue
-        v = w / nw
-        cur = float(v @ (gram @ v))
-        if prev >= 0.0 and abs(cur - prev) <= rel_tol * max(cur, 1e-300):
-            break
-        prev = cur
-    return math.sqrt(max(cur, 0.0))
+    return float(np.linalg.norm(a, 2))
 
 
 def lipschitz_certificate(affine: AffineCoefficients, marks: MarkMeasure) -> RegularityBudget:

@@ -1,7 +1,7 @@
 """Symmetric-matrix geometry and the matrix-valued comparison condition.
 
-Spectral machinery (cyclic Jacobi eigensolver, positive/negative spectral
-splits, squared distance to the PSD cone, its gradient, and the
+Spectral machinery (the LAPACK symmetric eigensolver, positive/negative
+spectral splits, squared distance to the PSD cone, its gradient, and the
 divided-difference Hessian quadratic form) plus the pointwise matrix
 inequality checker and the svec-embedded Monte Carlo runner.
 
@@ -38,7 +38,6 @@ from .model import (
 )
 
 __all__ = [
-    "NoConvergence",
     "SymMatrix",
     "EigDecomp",
     "HessQuadForm",
@@ -61,15 +60,6 @@ __all__ = [
     "matrix_certificate",
     "spectral_violation_stat",
 ]
-
-
-class NoConvergence(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass dropped below
-    tolerance; carries the remaining residual."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"eigensolver did not converge; off-diagonal residual {residual:g}")
-        self.residual = float(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -178,63 +168,15 @@ class EigDecomp:
     lam: np.ndarray
 
 
-def eig_sym(y, *, tol_factor: float = 1e-13, max_sweeps: int = 50) -> EigDecomp:
-    """Cyclic Jacobi eigendecomposition.
+def eig_sym(y) -> EigDecomp:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Rotations sweep the strict upper triangle until the off-diagonal
-    Frobenius mass drops below tol_factor times the input norm.  Chosen for
-    determinism and adequacy at small orders; raises NoConvergence with the
-    residual if the budget of sweeps runs out.
+    Eigenvalues come back ascending.  Inside a repeated eigenspace the basis
+    is whatever LAPACK picks; every spectral function built on it here is
+    invariant to that choice.
     """
-    A = _as_full(y).copy()
-    n = A.shape[0]
-    Q = np.eye(n)
-    base = float(np.linalg.norm(A))
-    if n == 1 or base == 0.0:
-        lam = np.diag(A).copy()
-        order = np.argsort(lam, kind="stable")
-        return EigDecomp(Q=Q[:, order], lam=lam[order])
-    threshold = tol_factor * base
-
-    def off_mass() -> float:
-        return float(np.linalg.norm(A - np.diag(np.diag(A))))
-
-    converged = off_mass() <= threshold
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                qp = Q[:, p].copy()
-                qq = Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-        converged = off_mass() <= threshold
-    if not converged:
-        raise NoConvergence(off_mass())
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigDecomp(Q=Q[:, order], lam=lam[order])
+    lam, Q = np.linalg.eigh(_as_full(y))
+    return EigDecomp(Q=Q, lam=lam)
 
 
 def psd_split(y) -> Tuple[SymMatrix, SymMatrix]:
@@ -425,11 +367,8 @@ class MatrixComparisonProblem:
         return (self.t0, self.T)
 
     def shared_budget(self) -> RegularityBudget:
-        b1, b2 = self.model1.budget, self.model2.budget
-        return RegularityBudget(
-            mu=max(b1.mu, b2.mu),
-            rho=np.maximum(b1.rho, b2.rho) if b1.rho.size else b1.rho,
-        )
+        """One (mu, rho) covering both models."""
+        return self.model1.budget.join(self.model2.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +388,11 @@ def eval_theorem37(
 ) -> Theorem37Value:
     """Pointwise matrix inequality at (t, x, x') under the trace inner product.
 
-    The drift gap pairs with -4 times the negative spectral part of x; the
-    diffusion gap enters through the Hessian quadratic form evaluated at x;
-    jump gaps enter through exact atom sums of cone-distance differences.
+    The left-hand side is the generator of dist2_psd, the convention of the
+    vector inequality (``conditions.ii_prime_terms``), which it equals at
+    m = 1: the drift gap pairs with -2 times the negative spectral part of x,
+    the diffusion gap enters through half the Hessian quadratic form at x,
+    and jump gaps through exact atom sums of cone-distance differences.
     """
     c1 = problem.model1.coefficients
     c2 = problem.model2.coefficients
@@ -468,13 +409,13 @@ def eval_theorem37(
     b_gap = np.asarray(c1.b(t, x_plus + xpf), dtype=float) - np.asarray(
         c2.b(t, xpf), dtype=float
     )
-    lhs = -4.0 * float(np.trace(x_minus @ b_gap))
+    lhs = -2.0 * float(np.trace(x_minus @ b_gap))
 
     s_gap = np.asarray(c1.sigma(t, xf + xpf), dtype=float) - np.asarray(
         c2.sigma(t, xpf), dtype=float
     )
     hq = hess_quadform_psd(xf, 0.5 * (s_gap + s_gap.T))
-    lhs += hq.value
+    lhs += 0.5 * hq.value
 
     jump = 0.0
     for j in range(marks.n_atoms):
@@ -487,7 +428,7 @@ def eval_theorem37(
         dgap = 0.5 * (dgap + dgap.T)
         z = xf + dgap
         jump += w * (dist2_psd(z) - xm_norm2 + 2.0 * float(np.trace(x_minus @ dgap)))
-    lhs += 2.0 * jump
+    lhs += jump
 
     cstar = constant_Cstar(problem.shared_budget(), marks)
     rhs = cstar * xm_norm2

@@ -129,6 +129,11 @@ class TestOperatorNorm:
         # [[0,1],[0,0]] has singular values {1, 0}
         assert operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
 
+    def test_near_repeated_top_singular_value(self):
+        # a power iteration that stops when the Rayleigh quotient stalls
+        # returns about 0.9999912 here, below the true norm
+        assert operator_norm(np.diag([1.0, 0.99999, 0.5])) == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_svd(self, seed):
         rng = np.random.default_rng(seed)
@@ -161,6 +166,17 @@ class TestLipschitzCertificate:
         assert budget.mu >= 1.0 - 1e-10
         assert budget.mu == pytest.approx(1.0, abs=1e-9)
         assert budget.rho[0] == pytest.approx(0.5, abs=1e-10)
+
+    def test_mu_covers_near_repeated_spectrum(self):
+        # the certified budget must not fall below the true Lipschitz arm
+        B = np.diag([1.0, 0.99999, 0.5])
+        V = np.zeros((3, 1, 3))
+        V[:, 0, :] = [[0.2, 0.0, 0.1], [0.0, 0.3, 0.0], [0.1, 0.0, 0.2]]
+        aff = AffineCoefficients(B=B, c=np.zeros(3), V=V, U=np.zeros((3, 1)),
+                                 G=np.zeros((0, 3, 3)), g=np.zeros((0, 3)))
+        budget = lipschitz_certificate(aff, MarkMeasure.from_atoms([], dimension=1))
+        V_stacked = V.reshape(3, 3)
+        assert budget.mu >= np.linalg.norm(B, 2) + np.linalg.norm(V_stacked, 2)
 
     def test_nilpotent_jump(self):
         marks = MarkMeasure.from_atoms([([1.0], 1.0)])

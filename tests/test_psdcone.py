@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jumpcompare import psdcone
-from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime
+from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime, ii_prime_terms
 from jumpcompare.model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -244,6 +244,21 @@ class TestHessQuadForm:
         out = hess_quadform_psd(-np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert out.value == pytest.approx(2.0 * 2.0, abs=1e-12)  # 2 * fro(H)^2
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rotation_invariance_with_repeated_eigenvalue(self, seed):
+        # the eigenbasis inside the repeated eigenspace of y is arbitrary;
+        # dist2 and its Hessian form must not depend on that choice
+        rng = np.random.default_rng(200 + seed)
+        y = np.diag([-1.0, -1.0, 2.0])
+        H = rand_sym(rng, 3, 1.0)
+        Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = Q * np.sign(np.diag(R))
+        y_rot, H_rot = Q @ y @ Q.T, Q @ H @ Q.T
+        out, out_rot = hess_quadform_psd(y, H), hess_quadform_psd(y_rot, H_rot)
+        assert not out_rot.degenerate
+        assert out_rot.value == pytest.approx(out.value, rel=1e-12)
+        assert dist2_psd(y_rot) == pytest.approx(dist2_psd(y), rel=1e-12)
+
 
 class TestEvalTheorem37:
     def test_psd_x_equal_gaps_zero(self):
@@ -275,7 +290,7 @@ class TestEvalTheorem37:
                         x2=0.5 * np.eye(2))
         v = check_theorem37(p)
         assert v.status == VIOLATED
-        assert v.worst_margin < -0.3
+        assert v.worst_margin < -0.15
 
     def test_samples_used_excludes_degenerate_probes(self, monkeypatch):
         p = matrix_pair(2, gap=0.4 * np.eye(2), s_scale=0.4)
@@ -337,6 +352,69 @@ class TestScalarReduction:
         p_vec = self.build_scalar_vector_problem(c1, c2, sigma)
         v_vec = check_ii_prime(p_vec)
         assert (v_mat.status == VIOLATED) == (v_vec.status == VIOLATED)
+
+    @staticmethod
+    def scalar_twin(model, i, budget=None):
+        """Entry (i, i) of a scalar-linear matrix model with diagonal offsets,
+        as a one-dimensional affine model."""
+        lin = model.coefficients.linear
+        aff = AffineCoefficients(
+            B=[[lin.b.scale]], c=[lin.b.offset[i, i]],
+            V=[[[lin.sigma.scale]]], U=[[lin.sigma.offset[i, i]]],
+            G=np.array([j.scale for j in lin.jumps]).reshape(-1, 1, 1),
+            g=np.array([j.offset[i, i] for j in lin.jumps]).reshape(-1, 1),
+        )
+        if budget is None:
+            budget = lipschitz_certificate(aff, model.marks)
+        return SdeModel(CoefficientTriple.from_affine(aff), model.marks, budget)
+
+    def scalar_problem(self, p, i, budget=None):
+        return ComparisonProblem(
+            model1=self.scalar_twin(p.model1, i, budget),
+            model2=self.scalar_twin(p.model2, i, budget),
+            t0=p.t0, T=p.T, x1=[p.x1[i, i]], x2=[p.x2[i, i]],
+        )
+
+    @staticmethod
+    def jump_pair(offsets1, offsets2):
+        marks = MarkMeasure.from_atoms([([1.0], 0.7), ([-0.5], 1.3)])
+        jumps1 = ((0.4, np.diag(offsets1[0])), (-0.2, np.diag(offsets1[1])))
+        jumps2 = ((0.3, np.diag(offsets2[0])), (-0.2, np.diag(offsets2[1])))
+        return marks, jumps1, jumps2
+
+    def test_m1_values_match_vector_terms(self):
+        # jumps on two atoms and a state-dependent diffusion: the matrix
+        # inequality at m = 1 is the vector one, value for value
+        marks, jumps1, jumps2 = self.jump_pair(([0.3], [-0.6]), ([0.1], [-0.1]))
+        p_mat = matrix_pair(1, gap=[[0.25]], s_scale=0.6, s_off=[[0.2]], marks=marks,
+                            jumps1=jumps1, jumps2=jumps2, x1=[[1.0]], x2=[[0.0]])
+        p_vec = self.scalar_problem(p_mat, 0)
+        for x, xp in ((-0.3, 0.2), (-1.0, -0.5), (-0.05, 1.0), (0.4, 0.1)):
+            mat = eval_theorem37(p_mat, 0.3, [[x]], [[xp]])
+            vec = ii_prime_terms(p_vec, 0.3, [x], [xp])
+            assert not mat.degenerate
+            assert mat.lhs == pytest.approx(vec["lhs"], rel=1e-12, abs=1e-12)
+            assert mat.rhs == pytest.approx(vec["rhs"], rel=1e-12, abs=1e-12)
+
+    def test_diagonal_problem_splits_into_scalar_problems(self):
+        # diagonal state, diagonal offsets: the matrix value is the sum of
+        # the m scalar values under the matrix problem's budget
+        m = 3
+        marks, jumps1, jumps2 = self.jump_pair(
+            ([0.3, -0.2, 0.5], [-0.4, 0.1, 0.0]), ([0.1, 0.2, -0.3], [-0.1, 0.4, 0.2])
+        )
+        p_mat = matrix_pair(m, gap=np.diag([0.25, -0.5, 0.1]), s_scale=0.6,
+                            s_off=np.diag([0.2, -0.1, 0.4]), marks=marks,
+                            jumps1=jumps1, jumps2=jumps2)
+        budget = p_mat.shared_budget()
+        scalars = [self.scalar_problem(p_mat, i, budget) for i in range(m)]
+        for x, xp in (([-0.3, 0.4, -1.2], [0.2, -0.5, 0.7]),
+                      ([-0.05, -1.0, 0.3], [1.0, 0.1, -2.0])):
+            mat = eval_theorem37(p_mat, 0.3, np.diag(x), np.diag(xp))
+            parts = [ii_prime_terms(sp, 0.3, [x[i]], [xp[i]]) for i, sp in enumerate(scalars)]
+            assert not mat.degenerate
+            assert mat.lhs == pytest.approx(sum(t["lhs"] for t in parts), rel=1e-12, abs=1e-12)
+            assert mat.rhs == pytest.approx(sum(t["rhs"] for t in parts), rel=1e-12, abs=1e-12)
 
     def test_dist2_psd_reduces_to_scalar_hinge(self):
         for v in (-2.5, -0.3, 0.0, 1.7):
