@@ -3,7 +3,7 @@
 Configs are strict JSON (unknown keys rejected, dimensions cross-checked).
 Reports serialize canonically: sorted keys, shortest-round-trip floats, no
 volatile fields (timing goes to stderr), so identical runs produce
-byte-identical files regardless of worker count.
+byte-identical files.
 
 Exit codes are the only cross-process verdict channel:
 0 = holds / no violation found, 1 = violated (or gallery disagreement),
@@ -478,10 +478,6 @@ class RunReport:
             return self.check.overall == conditions.VIOLATED
         return self.check.status == conditions.VIOLATED
 
-    @property
-    def attention_needed(self) -> bool:
-        return self.agreement is False
-
 
 def _witness_to_dict(w: Witness) -> Dict[str, Any]:
     return {
@@ -855,7 +851,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     add_common(sub.add_parser("check", help="run the condition checker"))
     add_common(sub.add_parser("simulate", help="run the coupled Monte Carlo"))
-    add_common(sub.add_parser("matrix-check", help="run the matrix condition checker"))
     g = sub.add_parser("gallery", help="run the built-in scenario set")
     add_common(g, needs_config=False)
     g.add_argument("--smoke", action="store_true", help="tiny run for wiring checks")
@@ -893,10 +888,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = parse_config(args.config)
         cfg = _apply_overrides(cfg, args)
         if args.command == "check":
-            report = run_check(cfg)
-        elif args.command == "matrix-check":
-            if cfg.kind != "matrix":
-                raise SchemaError("matrix-check requires a matrix scenario")
             report = run_check(cfg)
         elif args.command == "simulate":
             report = run_simulate(cfg, keep_paths=(args.format == "csv"))

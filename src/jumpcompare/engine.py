@@ -7,7 +7,7 @@ pre-jump state.  Exact jump placement removes the O(h) jump-location bias.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, path_index), so a path's driver realization never depends on how many
-paths run, in what order, or on how many workers are active.  A realization
+paths run or how they are split into chunks.  A realization
 is stored sparsely: its jump times, their mark atoms and one Brownian
 increment per segment; the merged time list and the per-segment atoms are
 derived on access.
@@ -16,18 +16,15 @@ The Monte Carlo kernel advances a chunk of paths through the uniform grid in
 event rounds.  In step i, round 0 advances every path, each to its first
 jump time in the step or to the grid point; round r >= 1 advances, as one
 batch, every path with at least r jumps in the step, from its r-th jump to
-the next jump or the grid point.  Monte Carlo reductions (counts, maxima)
-are commutative and accumulated in fixed chunk order, which makes reports
-bit-identical across worker counts.
+the next jump or the grid point.  Chunks run one after another, in path
+order, and per-path results are concatenated before any reduction.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +46,10 @@ __all__ = [
     "sample_terminal_states",
     "default_eps_path",
     "wilson_interval",
-    "worker_count",
 ]
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 2048  # fixed: chunk boundaries must not depend on worker count
+_CHUNK = 2048  # paths per chunk; bounds the working memory of one _run_chunk call
 
 
 class InvalidStep(ValueError):
@@ -205,9 +201,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
     def terminal(self) -> np.ndarray:
         return self.states[-1]
 
@@ -303,17 +296,6 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> Tuple[float
     lo = 0.0 if k == 0 else max(0.0, center - half)  # exact at the boundaries
     hi = 1.0 if k == n else min(1.0, center + half)
     return (lo, hi)
-
-
-def worker_count() -> int:
-    """Worker cap from JUMPCOMPARE_THREADS (default 1). Never affects results."""
-    raw = os.environ.get("JUMPCOMPARE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, min(int(raw), 64))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -550,8 +532,25 @@ def _run_chunk(
     return viol, first_t, failed, X
 
 
-def _chunk_ranges(n: int) -> List[range]:
-    return [range(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _chunks(
+    batches: Sequence[_BatchCoefficients],
+    starts: Sequence[np.ndarray],
+    grid: np.ndarray,
+    paths: int,
+    h: float,
+    seed: int,
+    stat_fn: Optional[Callable[[np.ndarray], np.ndarray]],
+    eps_path: float,
+) -> Iterator[tuple]:
+    """Yield ``_run_chunk``'s results for paths 0..paths-1, in blocks of _CHUNK."""
+    model = batches[0].model  # the models of a problem share their marks and d
+    horizon = (float(grid[0]), float(grid[-1]))
+    for lo in range(0, paths, _CHUNK):
+        drivers = [
+            sample_drivers(model.marks, horizon, h, seed, p, d=model.d)
+            for p in range(lo, min(lo + _CHUNK, paths))
+        ]
+        yield _run_chunk(batches, starts, drivers, grid, stat_fn, eps_path)
 
 
 def mc_comparison(
@@ -568,8 +567,9 @@ def mc_comparison(
     A path violates iff its violation statistic exceeds eps_path (default
     5*sqrt(h)*(1+|x1|+|x2|)); non-finite paths are counted as failed, not as
     violations.  The report includes the Wilson 95% interval for the
-    violation probability and is deterministic in (problem, paths, h, seed)
-    regardless of worker count.
+    violation probability and is deterministic in (problem, paths, h, seed):
+    each path's noise is keyed by (seed, path_index), so the split into
+    chunks does not change it.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -581,27 +581,9 @@ def mc_comparison(
     stat = stat_fn if stat_fn is not None else componentwise_stat
     batches = (_BatchCoefficients(problem.model1), _BatchCoefficients(problem.model2))
     starts = (problem.x1, problem.x2)
-    marks = problem.marks
-
-    def run(rng_block: range):
-        drivers = [
-            sample_drivers(marks, problem.horizon, h, seed, p, d=problem.d)
-            for p in rng_block
-        ]
-        viol, first_t, failed, _ = _run_chunk(batches, starts, drivers, grid, stat, eps_path)
-        return viol, first_t, failed
-
-    blocks = _chunk_ranges(paths)
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
-
-    viol = np.concatenate([r[0] for r in results])
-    first_t = np.concatenate([r[1] for r in results])
-    failed = np.concatenate([r[2] for r in results])
+    # keep each chunk's per-path records and drop its terminal states
+    records = [c[:3] for c in _chunks(batches, starts, grid, paths, h, seed, stat, eps_path)]
+    viol, first_t, failed = (np.concatenate(r) for r in zip(*records))
 
     ok = ~failed
     violating = int(np.sum(ok & (viol > eps_path)))
@@ -635,21 +617,6 @@ def sample_terminal_states(
     if paths < 1:
         raise ValueError("paths must be >= 1")
     grid = uniform_grid(t0, T, h)
-    bat = (_BatchCoefficients(model),)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def run(rng_block: range):
-        drivers = [
-            sample_drivers(model.marks, (t0, T), h, seed, p, d=model.d) for p in rng_block
-        ]
-        _, _, _, terminals = _run_chunk(bat, (x0,), drivers, grid, None, 0.0)
-        return terminals[0]
-
-    blocks = _chunk_ranges(paths)
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(run, blocks))
-    else:
-        outs = [run(b) for b in blocks]
-    return np.concatenate(outs, axis=0)
+    chunks = _chunks((_BatchCoefficients(model),), (x0,), grid, paths, h, seed, None, 0.0)
+    return np.concatenate([X[0] for *_, X in chunks], axis=0)

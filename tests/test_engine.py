@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -313,20 +312,34 @@ class TestMonteCarlo:
             ref = violation_stat(simulate_coupled(problem, drv))
             assert rep.per_path.violation[p] == pytest.approx(ref, abs=1e-10)
 
-    def test_thread_count_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
         problem, _ = random_problem(34, failing=True)
-        old = os.environ.get("JUMPCOMPARE_THREADS")
-        try:
-            os.environ["JUMPCOMPARE_THREADS"] = "1"
-            rep1 = mc_comparison(problem, 5000, 2.0**-5, seed=9)
-            os.environ["JUMPCOMPARE_THREADS"] = "4"
-            rep2 = mc_comparison(problem, 5000, 2.0**-5, seed=9)
-        finally:
-            if old is None:
-                os.environ.pop("JUMPCOMPARE_THREADS", None)
-            else:
-                os.environ["JUMPCOMPARE_THREADS"] = old
-        assert rep1 == rep2
+        h, seed, paths = 2.0**-5, 9, 5000
+        calls = []
+        run_chunk = engine._run_chunk
+
+        def counting_run_chunk(*args):
+            calls.append(len(args[2]))
+            return run_chunk(*args)
+
+        def run():
+            rep = mc_comparison(problem, paths, h, seed, keep_paths=True)
+            terminal = sample_terminal_states(
+                problem.model1, problem.x1, problem.t0, problem.T, paths, h, seed
+            )
+            return rep, terminal
+
+        monkeypatch.setattr(engine, "_run_chunk", counting_run_chunk)
+        rep1, term1 = run()
+        monkeypatch.setattr(engine, "_CHUNK", 1000)
+        rep2, term2 = run()
+        # 2048 + 2048 + 904 paths per run, then 5 chunks of 1000
+        assert calls == [2048, 2048, 904] * 2 + [1000] * 10
+        for field in ("violation", "first_violation_time", "failed"):
+            a, b = getattr(rep1.per_path, field), getattr(rep2.per_path, field)
+            assert a.tobytes() == b.tobytes(), field
+        assert rep1.violating > 0
+        assert term1.tobytes() == term2.tobytes()
 
     def test_eps_path_default_formula(self):
         m1 = scalar_model(b=0.0)

@@ -9,7 +9,9 @@ from jumpcompare.model import (
     AffineCoefficients,
     CoefficientTriple,
     ComparisonProblem,
+    DimensionMismatch,
     MarkMeasure,
+    ModelError,
     SampleDomain,
     SdeModel,
     Tolerances,
@@ -106,6 +108,15 @@ class TestEigSym:
             m = int(rng.integers(2, 7))
             y = rand_sym(rng, m, scale=2.0)
             assert np.allclose(eig_sym(y).lam, np.linalg.eigvalsh(y), atol=1e-10)
+
+    @pytest.mark.parametrize("y, error, match", [
+        (np.ones((2, 3)), DimensionMismatch, "square"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), ModelError, "not symmetric"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ModelError, "finite"),
+    ], ids=["non-square", "non-symmetric", "non-finite"])
+    def test_bad_input_raises(self, y, error, match):
+        with pytest.raises(error, match=match):
+            eig_sym(y)
 
 
 class TestSplit:
