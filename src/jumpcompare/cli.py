@@ -586,15 +586,13 @@ def write_paths_csv(path: str, records: engine.PathRecords) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_check_only(cfg: ScenarioConfig) -> Union[Theorem31Report, Verdict]:
-    problem = build_problem(cfg)
+def _run_check(cfg: ScenarioConfig, problem) -> Union[Theorem31Report, Verdict]:
     if cfg.kind == "vector":
         return check_theorem31(problem)
     return check_theorem37(problem)
 
 
-def _run_mc_only(cfg: ScenarioConfig, keep_paths: bool = False) -> engine.McReport:
-    problem = build_problem(cfg)
+def _run_mc(cfg: ScenarioConfig, problem, keep_paths: bool) -> engine.McReport:
     if cfg.kind == "vector":
         return engine.mc_comparison(
             problem, cfg.mc.paths, cfg.mc.step, cfg.mc.seed, keep_paths=keep_paths
@@ -606,7 +604,7 @@ def _run_mc_only(cfg: ScenarioConfig, keep_paths: bool = False) -> engine.McRepo
 
 def run_check(cfg: ScenarioConfig) -> RunReport:
     start = time.perf_counter()
-    check = _run_check_only(cfg)
+    check = _run_check(cfg, build_problem(cfg))
     return RunReport(
         scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg),
         check=check, wall_clock_s=time.perf_counter() - start,
@@ -615,7 +613,7 @@ def run_check(cfg: ScenarioConfig) -> RunReport:
 
 def run_simulate(cfg: ScenarioConfig, keep_paths: bool = False) -> RunReport:
     start = time.perf_counter()
-    mc = _run_mc_only(cfg, keep_paths=keep_paths)
+    mc = _run_mc(cfg, build_problem(cfg), keep_paths)
     return RunReport(
         scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg),
         mc=mc, low_power=cfg.mc.paths < LOW_POWER_PATHS,
@@ -626,19 +624,15 @@ def run_simulate(cfg: ScenarioConfig, keep_paths: bool = False) -> RunReport:
 def run_full(cfg: ScenarioConfig, keep_paths: bool = False) -> RunReport:
     """Checker plus simulation plus the agreement flag between them."""
     start = time.perf_counter()
-    check = _run_check_only(cfg)
-    mc = _run_mc_only(cfg, keep_paths=keep_paths)
-    if isinstance(check, Theorem31Report):
-        violated = check.overall == conditions.VIOLATED
-    else:
-        violated = check.status == conditions.VIOLATED
-    agreement = violated == (mc.violating > 0)
-    return RunReport(
+    problem = build_problem(cfg)
+    report = RunReport(
         scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg),
-        check=check, mc=mc, agreement=agreement,
+        check=_run_check(cfg, problem), mc=_run_mc(cfg, problem, keep_paths),
         low_power=cfg.mc.paths < LOW_POWER_PATHS,
-        wall_clock_s=time.perf_counter() - start,
     )
+    report.agreement = report.check_violated == (report.mc.violating > 0)
+    report.wall_clock_s = time.perf_counter() - start
+    return report
 
 
 # ---------------------------------------------------------------------------

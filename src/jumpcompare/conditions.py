@@ -6,9 +6,10 @@ Two complementary routes are implemented and cross-checked:
   decoupling (a), the jump-monotonicity inequality (b), and the
   compensator-adjusted drift order with quasimonotone coupling (c);
 * the single integro-differential inequality ("ii-prime") that the battery is
-  equivalent to, evaluated pointwise with exact mark-atom integrals and
-  sampled over sign patterns and a magnitude ladder biased toward the origin,
-  where violations of the necessary conditions concentrate.
+  equivalent to: ``geometry.generator`` over the orthant, sampled over sign
+  patterns and a magnitude ladder biased toward the origin, where violations
+  of the necessary conditions concentrate.  ``judge_probes`` is the one
+  probe-judging loop, shared with the matrix check (``psdcone``).
 
 On affine coefficient families the battery is decided exactly (verdict
 ``holds``); black-box coefficients are only ever sampled, so the strongest
@@ -23,10 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    ComparisonProblem,
-    constant_Cstar,
-)
+from .geometry import GeneratorValue, Orthant, generator
+from .model import ComparisonProblem
 
 __all__ = [
     "HOLDS",
@@ -41,8 +40,8 @@ __all__ = [
     "check_condition_a",
     "check_condition_b",
     "check_condition_c",
-    "eval_ii_prime",
     "ii_prime_terms",
+    "judge_probes",
     "check_ii_prime",
     "check_theorem31",
     "check_corollary_1d",
@@ -471,58 +470,9 @@ def check_condition_c(problem: ComparisonProblem) -> List[Verdict]:
 # ---------------------------------------------------------------------------
 
 
-def ii_prime_terms(problem: ComparisonProblem, t: float, x, x_prime) -> dict:
-    """The four left-hand-side terms and the right-hand side, exactly.
-
-    Mark integrals are exact atom sums.  The drift term pairs the negative
-    part of x with the drift gap evaluated at (positive part of x) + x';
-    the diffusion and jump gaps are evaluated at x + x'.
-    """
-    c1 = problem.model1.coefficients
-    c2 = problem.model2.coefficients
-    marks = problem.marks
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.atleast_1d(np.asarray(x_prime, dtype=float))
-    xm = np.maximum(-x, 0.0)
-    xpos = np.maximum(x, 0.0)
-    neg = x < 0.0
-
-    b_gap = c1.b(t, xpos + xp) - c2.b(t, xp)
-    drift = -2.0 * float(xm @ b_gap)
-
-    s_gap = c1.sigma(t, x + xp) - c2.sigma(t, xp)
-    diffusion = float(np.sum(s_gap[neg] ** 2)) if np.any(neg) else 0.0
-
-    jump_neg = 0.0
-    jump_pos = 0.0
-    for j in range(marks.n_atoms):
-        w = float(marks.weights[j])
-        if w == 0.0:
-            continue
-        dg = c1.gamma(t, x + xp, j) - c2.gamma(t, xp, j)
-        y = x + dg
-        yneg2 = np.minimum(y, 0.0) ** 2
-        bracket = yneg2 - x**2 - 2.0 * x * dg
-        jump_neg += w * float(np.sum(bracket[neg]))
-        jump_pos += w * float(np.sum(yneg2[~neg]))
-
-    cstar = constant_Cstar(problem.shared_budget(), marks)
-    rhs = cstar * float(xm @ xm)
-    return {
-        "drift": drift,
-        "diffusion": diffusion,
-        "jump_neg": jump_neg,
-        "jump_pos": jump_pos,
-        "lhs": drift + diffusion + jump_neg + jump_pos,
-        "rhs": rhs,
-        "cstar": cstar,
-    }
-
-
-def eval_ii_prime(problem: ComparisonProblem, t: float, x, x_prime) -> Tuple[float, float]:
-    """Left- and right-hand side of the pointwise inequality at (t, x, x')."""
-    terms = ii_prime_terms(problem, t, x, x_prime)
-    return terms["lhs"], terms["rhs"]
+def ii_prime_terms(problem: ComparisonProblem, t: float, x, x_prime) -> GeneratorValue:
+    """The pointwise inequality at (t, x, x'): the orthant's generator."""
+    return generator(Orthant, problem, t, x, x_prime)
 
 
 def _ii_prime_probes(problem: ComparisonProblem, rng: np.random.Generator):
@@ -562,23 +512,34 @@ def _ii_prime_probes(problem: ComparisonProblem, rng: np.random.Generator):
                     yield _draw_t(problem, rng), x, xp
 
 
-def check_ii_prime(problem: ComparisonProblem) -> Verdict:
-    """Sampled check of the pointwise inequality over the probe ladder."""
-    eps = problem.tolerances.resolved_eps_check(problem.is_affine)
-    rng = _rng_for(problem, 0x11)
+def judge_probes(problem, probes, evaluate, eps: float, coords, kind: str) -> Verdict:
+    """Evaluate ``evaluate(problem, t, x, x')`` at each probe and judge it.
+
+    Degenerate values are skipped and not counted in ``samples_used``; a
+    probe with lhs > rhs + eps is a witness, its points written by ``coords``.
+    """
     witnesses: List[Witness] = []
     samples = 0
-    for t, x, xp in _ii_prime_probes(problem, rng):
-        lhs, rhs = eval_ii_prime(problem, t, x, xp)
+    for t, x, xp in probes:
+        res = evaluate(problem, t, x, xp)
+        if res.degenerate:
+            continue
         samples += 1
-        if lhs > rhs + eps:
+        if res.lhs > res.rhs + eps:
             witnesses.append(
-                Witness(t=t, x=tuple(x), x_prime=tuple(xp), atom=None,
-                        margin=float(rhs - lhs), kind="ii-prime")
+                Witness(t=t, x=coords(x), x_prime=coords(xp), atom=None,
+                        margin=float(res.rhs - res.lhs), kind=kind)
             )
     if witnesses:
         return Verdict.from_witnesses(witnesses, samples)
     return Verdict.clean(samples)
+
+
+def check_ii_prime(problem: ComparisonProblem) -> Verdict:
+    """Sampled check of the pointwise inequality over the probe ladder."""
+    eps = problem.tolerances.resolved_eps_check(problem.is_affine)
+    probes = _ii_prime_probes(problem, _rng_for(problem, 0x11))
+    return judge_probes(problem, probes, ii_prime_terms, eps, tuple, "ii-prime")
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +578,6 @@ class Theorem31Report:
             out.extend(v.witnesses)
         return sorted(out, key=lambda w: w.margin)
 
-    @property
-    def worst_margin(self) -> float:
-        ws = self.all_witnesses()
-        return ws[0].margin if ws else float("inf")
-
 
 def check_theorem31(problem: ComparisonProblem) -> Theorem31Report:
     """Run the full battery and the pointwise inequality; combine verdicts."""
@@ -652,8 +608,9 @@ def check_theorem31(problem: ComparisonProblem) -> Theorem31Report:
     )
 
 
-def _gamma_gap_sup(problem: ComparisonProblem, rng: np.random.Generator, n: int = 64) -> float:
-    """Sampled sup of |gamma1 - gamma2| over atoms and the box (structure probe)."""
+def _jump_sup(problem: ComparisonProblem, rng: np.random.Generator, size, n: int = 64) -> float:
+    """Sampled sup over live atoms and the box of ``size(gamma1, gamma2)``
+    (structure probe)."""
     c1, c2 = problem.model1.coefficients, problem.model2.coefficients
     marks = problem.marks
     box = problem.sampling.box
@@ -664,23 +621,7 @@ def _gamma_gap_sup(problem: ComparisonProblem, rng: np.random.Generator, n: int 
         for j in range(marks.n_atoms):
             if marks.weights[j] <= 0.0:
                 continue
-            worst = max(worst, float(np.linalg.norm(c1.gamma(t, x, j) - c2.gamma(t, x, j))))
-    return worst
-
-
-def _gamma_abs_sup(problem: ComparisonProblem, rng: np.random.Generator, n: int = 64) -> float:
-    c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-    marks = problem.marks
-    box = problem.sampling.box
-    worst = 0.0
-    for _ in range(n):
-        x = rng.uniform(-box, box, problem.m)
-        t = _draw_t(problem, rng)
-        for j in range(marks.n_atoms):
-            if marks.weights[j] <= 0.0:
-                continue
-            worst = max(worst, float(np.linalg.norm(c1.gamma(t, x, j))))
-            worst = max(worst, float(np.linalg.norm(c2.gamma(t, x, j))))
+            worst = max(worst, float(size(c1.gamma(t, x, j), c2.gamma(t, x, j))))
     return worst
 
 
@@ -715,7 +656,7 @@ def check_corollary_1d(problem: ComparisonProblem, variant: str) -> Verdict:
             )
             if not same:
                 raise VariantPreconditionError("variant 3.4 requires gamma1 == gamma2")
-        elif _gamma_gap_sup(problem, rng) > eps:
+        elif _jump_sup(problem, rng, lambda g1, g2: np.linalg.norm(g1 - g2)) > eps:
             raise VariantPreconditionError("variant 3.4 requires gamma1 == gamma2")
     if variant == "3.5":
         if problem.is_affine:
@@ -727,7 +668,8 @@ def check_corollary_1d(problem: ComparisonProblem, variant: str) -> Verdict:
             )
             if not zero:
                 raise VariantPreconditionError("variant 3.5 requires gamma == 0")
-        elif _gamma_abs_sup(problem, rng) > eps:
+        elif _jump_sup(problem, rng,
+                       lambda g1, g2: max(np.linalg.norm(g1), np.linalg.norm(g2))) > eps:
             raise VariantPreconditionError("variant 3.5 requires gamma == 0")
 
     verdicts: List[Verdict] = [check_sigma_equal(problem)]

@@ -13,6 +13,7 @@ pure function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -465,6 +466,11 @@ class ComparisonProblem:
     def shared_budget(self) -> RegularityBudget:
         """One (mu, rho) covering both models."""
         return self.model1.budget.join(self.model2.budget)
+
+    @functools.cached_property
+    def cstar(self) -> float:
+        """C* of the shared budget, computed once per problem."""
+        return constant_Cstar(self.shared_budget(), self.marks)
 
 
 # ---------------------------------------------------------------------------

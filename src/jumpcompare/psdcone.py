@@ -1,27 +1,32 @@
-"""Symmetric-matrix geometry and the matrix-valued comparison condition.
+"""The PSD cone and the matrix-valued comparison condition.
 
 Spectral machinery (the LAPACK symmetric eigensolver, positive/negative
 spectral splits, squared distance to the PSD cone, its gradient, and the
-divided-difference Hessian quadratic form) plus the pointwise matrix
-inequality checker and the svec-embedded Monte Carlo runner.
+divided-difference Hessian quadratic form), the cone ``PsdCone`` that
+``geometry.generator`` evaluates the pointwise inequality over (Theorem
+3.7), the matrix probe generator judged by ``conditions.judge_probes``, and
+the svec-embedded Monte Carlo runner.
 
 The Hessian quadratic form uses the spectral divided-difference formula for
-the separable spectral function lambda -> (negative part)^2, with a
-central-difference fallback and a degeneracy flag near zero eigenvalues,
-where the squared distance stops being twice differentiable.
+the separable spectral function lambda -> (negative part)^2 (Lewis,
+"Derivatives of spectral functions", 1996), with a central-difference
+fallback and a degeneracy flag near zero eigenvalues, where the squared
+distance stops being twice differentiable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import engine
-from .conditions import Verdict, Witness
+from .conditions import Verdict, judge_probes
+from .geometry import GeneratorValue, generator
 from .model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -38,10 +43,9 @@ from .model import (
 )
 
 __all__ = [
-    "SymMatrix",
     "EigDecomp",
     "HessQuadForm",
-    "Theorem37Value",
+    "PsdCone",
     "MatrixLinearMap",
     "MatrixLinearBlocks",
     "MatrixCoefficients",
@@ -63,48 +67,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# storage and embeddings
+# embeddings
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric matrix with structurally symmetric packed storage
-    (upper triangle, row-major, diagonal included)."""
-
-    order: int
-    packed: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = int(self.order)
-        packed = np.atleast_1d(np.asarray(self.packed, dtype=float))
-        if packed.shape != (n * (n + 1) // 2,):
-            raise DimensionMismatch(
-                f"packed storage must have length {n * (n + 1) // 2}, got {packed.shape}"
-            )
-        if not np.all(np.isfinite(packed)):
-            raise ModelError("symmetric matrix entries must be finite")
-        packed = packed.copy()
-        packed.setflags(write=False)
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "packed", packed)
-
-    @classmethod
-    def from_full(cls, arr, rtol: float = 1e-8) -> "SymMatrix":
-        sym = _symmetrized(arr, rtol)
-        return cls(order=sym.shape[0], packed=sym[np.triu_indices(sym.shape[0])])
-
-    def full(self) -> np.ndarray:
-        n = self.order
-        out = np.zeros((n, n))
-        iu = np.triu_indices(n)
-        out[iu] = self.packed
-        out.T[iu] = self.packed
-        return out
-
-    def __array__(self, dtype=None):
-        out = self.full()
-        return out.astype(dtype) if dtype is not None else out
 
 
 def _symmetrized(arr, rtol: float = 1e-8) -> np.ndarray:
@@ -122,14 +86,10 @@ def _symmetrized(arr, rtol: float = 1e-8) -> np.ndarray:
     return sym
 
 
-def _as_full(y) -> np.ndarray:
-    return y.full() if isinstance(y, SymMatrix) else _symmetrized(y)
-
-
 def svec(Y) -> np.ndarray:
     """Isometric embedding of a symmetric matrix onto the orthonormal basis
     of diagonal units and scaled off-diagonal pairs (off-diagonals x sqrt2)."""
-    Yf = _as_full(Y)
+    Yf = _symmetrized(Y)
     n = Yf.shape[0]
     iu = np.triu_indices(n, k=1)
     return np.concatenate([np.diag(Yf), math.sqrt(2.0) * Yf[iu]])
@@ -180,21 +140,16 @@ def eig_sym(y) -> EigDecomp:
     is whatever LAPACK picks; every spectral function built on it here is
     invariant to that choice.
     """
-    lam, Q = np.linalg.eigh(_as_full(y))
+    lam, Q = np.linalg.eigh(_symmetrized(y))
     return EigDecomp(Q=Q, lam=lam)
 
 
-def psd_split(y) -> Tuple[SymMatrix, SymMatrix]:
+def psd_split(y) -> Tuple[np.ndarray, np.ndarray]:
     """Spectral split y = y_plus - y_minus with both parts PSD."""
     dec = eig_sym(y)
-    lam_plus = np.maximum(dec.lam, 0.0)
-    lam_minus = np.maximum(-dec.lam, 0.0)
-    yp = (dec.Q * lam_plus) @ dec.Q.T
-    ym = (dec.Q * lam_minus) @ dec.Q.T
-    return (
-        SymMatrix.from_full(0.5 * (yp + yp.T)),
-        SymMatrix.from_full(0.5 * (ym + ym.T)),
-    )
+    yp = (dec.Q * np.maximum(dec.lam, 0.0)) @ dec.Q.T
+    ym = (dec.Q * np.maximum(-dec.lam, 0.0)) @ dec.Q.T
+    return 0.5 * (yp + yp.T), 0.5 * (ym + ym.T)
 
 
 def dist2_psd(y) -> float:
@@ -205,10 +160,10 @@ def dist2_psd(y) -> float:
     return float(np.dot(neg, neg))
 
 
-def grad_dist2_psd(y) -> SymMatrix:
+def grad_dist2_psd(y) -> np.ndarray:
     """Gradient of dist2_psd: -2 times the negative spectral part."""
     _, ym = psd_split(y)
-    return SymMatrix.from_full(-2.0 * ym.full())
+    return -2.0 * ym
 
 
 @dataclass(frozen=True)
@@ -221,35 +176,76 @@ class HessQuadForm:
     degenerate: bool
 
 
-def hess_quadform_psd(y, H, eta_sep: float = 1e-8) -> HessQuadForm:
-    """Second-derivative quadratic form of dist2_psd at y applied to (H, H).
+class _PsdPoint:
+    """dist2_psd data at a symmetric x from one eigendecomposition: the
+    negative spectral part, dist^2, and the Hessian quadratic form, which
+    is flagged degenerate when an eigenvalue lies within eta_sep of zero."""
 
-    In the eigenbasis: sum_i phi''(lam_i) Ht_ii^2 plus the off-diagonal
-    divided differences of phi'(lam) = -2 lam^-, with phi''(lam_i) used for
-    coincident eigenvalues.  Near-zero eigenvalues (|lam| <= eta_sep) trigger
-    the central-difference fallback and set the degenerate flag.
-    """
-    yf = _as_full(y)
-    Hf = _as_full(H)
-    dec = eig_sym(yf)
-    lam = dec.lam
-    if lam.size and float(np.min(np.abs(lam))) <= eta_sep:
-        hnorm = float(np.linalg.norm(Hf))
-        s = 1e-4 * (1.0 + float(np.linalg.norm(yf))) / max(hnorm, 1e-12)
-        val = (dist2_psd(yf + s * Hf) - 2.0 * dist2_psd(yf) + dist2_psd(yf - s * Hf)) / (s * s)
-        return HessQuadForm(value=float(val), degenerate=True)
-    Ht = dec.Q.T @ Hf @ dec.Q
-    phi1 = 2.0 * np.minimum(lam, 0.0)  # derivative of (negative part)^2
-    phi2 = np.where(lam < 0.0, 2.0, 0.0)
-    den = lam[:, None] - lam[None, :]
-    num = phi1[:, None] - phi1[None, :]
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(lam))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(den) > scale, num / np.where(den == 0.0, 1.0, den), 0.0)
-    D = np.where(np.abs(den) > scale, ratio, np.broadcast_to(phi2[:, None], den.shape))
-    off = ~np.eye(lam.size, dtype=bool)
-    val = float(np.sum(phi2 * np.diag(Ht) ** 2) + np.sum((D * Ht**2)[off]))
-    return HessQuadForm(value=val, degenerate=False)
+    def __init__(self, x: np.ndarray, eta_sep: float = 1e-8):
+        self.x = x
+        self.dec = eig_sym(x)
+        lam = self.dec.lam
+        lam_minus = np.maximum(-lam, 0.0)
+        minus = (self.dec.Q * lam_minus) @ self.dec.Q.T
+        self.minus = 0.5 * (minus + minus.T)
+        self.plus = x + self.minus
+        self.dist2 = float(np.dot(lam_minus, lam_minus))
+        self.degenerate = bool(lam.size and float(np.min(np.abs(lam))) <= eta_sep)
+
+    def hess(self, H: np.ndarray) -> HessQuadForm:
+        """Second-derivative quadratic form of dist2_psd at x applied to (H, H).
+
+        In the eigenbasis: sum_i phi''(lam_i) Ht_ii^2 plus the off-diagonal
+        divided differences of phi'(lam) = -2 lam^-, with phi''(lam_i) used
+        for coincident eigenvalues.  A degenerate point takes the
+        central-difference fallback instead.
+        """
+        lam = self.dec.lam
+        if self.degenerate:
+            y = self.x
+            s = 1e-4 * (1.0 + float(np.linalg.norm(y))) / max(float(np.linalg.norm(H)), 1e-12)
+            val = (dist2_psd(y + s * H) - 2.0 * self.dist2 + dist2_psd(y - s * H)) / (s * s)
+            return HessQuadForm(value=float(val), degenerate=True)
+        Ht = self.dec.Q.T @ H @ self.dec.Q
+        phi1 = 2.0 * np.minimum(lam, 0.0)  # derivative of (negative part)^2
+        phi2 = np.where(lam < 0.0, 2.0, 0.0)
+        den = lam[:, None] - lam[None, :]
+        num = phi1[:, None] - phi1[None, :]
+        scale = 1e-12 * (1.0 + float(np.max(np.abs(lam))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(np.abs(den) > scale, num / np.where(den == 0.0, 1.0, den), 0.0)
+        D = np.where(np.abs(den) > scale, ratio, np.broadcast_to(phi2[:, None], den.shape))
+        off = ~np.eye(lam.size, dtype=bool)
+        val = float(np.sum(phi2 * np.diag(Ht) ** 2) + np.sum((D * Ht**2)[off]))
+        return HessQuadForm(value=val, degenerate=False)
+
+    def half_hess(self, H: np.ndarray) -> float:
+        return 0.5 * self.hess(H).value
+
+
+def hess_quadform_psd(y, H, eta_sep: float = 1e-8) -> HessQuadForm:
+    """Second-derivative quadratic form of dist2_psd at y applied to (H, H);
+    flagged degenerate when an eigenvalue of y is within eta_sep of zero."""
+    return _PsdPoint(_symmetrized(y), eta_sep).hess(_symmetrized(H))
+
+
+class PsdCone:
+    """The cone of PSD matrices among symmetric matrices, trace inner product."""
+
+    asarray = staticmethod(_symmetrized)
+    dist2 = staticmethod(dist2_psd)
+
+    @staticmethod
+    def point(x) -> _PsdPoint:
+        return _PsdPoint(_symmetrized(x))
+
+    @staticmethod
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.trace(a @ b))
+
+    @staticmethod
+    def sym(g: np.ndarray) -> np.ndarray:
+        return 0.5 * (g + g.T)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ class MatrixLinearMap:
     offset: np.ndarray
 
     def __post_init__(self) -> None:
-        off = _as_full(self.offset)
+        off = _symmetrized(self.offset)
         off.setflags(write=False)
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", off)
@@ -346,8 +342,8 @@ class MatrixComparisonProblem:
             raise DimensionMismatch("matrix models must share the mark measure")
         if not (0.0 <= self.t0 < self.T):
             raise ModelError("horizon must satisfy 0 <= t0 < T")
-        x1 = _as_full(self.x1)
-        x2 = _as_full(self.x2)
+        x1 = _symmetrized(self.x1)
+        x2 = _symmetrized(self.x2)
         if x1.shape != (self.model1.m,) * 2 or x2.shape != (self.model1.m,) * 2:
             raise DimensionMismatch("initial states must be symmetric m x m matrices")
         diff = x1 - x2
@@ -367,13 +363,14 @@ class MatrixComparisonProblem:
     def marks(self) -> MarkMeasure:
         return self.model1.marks
 
-    @property
-    def horizon(self) -> Tuple[float, float]:
-        return (self.t0, self.T)
-
     def shared_budget(self) -> RegularityBudget:
         """One (mu, rho) covering both models."""
         return self.model1.budget.join(self.model2.budget)
+
+    @functools.cached_property
+    def cstar(self) -> float:
+        """C* of the shared budget, computed once per problem."""
+        return constant_Cstar(self.shared_budget(), self.marks)
 
 
 # ---------------------------------------------------------------------------
@@ -381,63 +378,15 @@ class MatrixComparisonProblem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Theorem37Value:
-    lhs: float
-    rhs: float
-    degenerate: bool
-
-
 def eval_theorem37(
     problem: MatrixComparisonProblem, t: float, x, x_prime
-) -> Theorem37Value:
-    """Pointwise matrix inequality at (t, x, x') under the trace inner product.
+) -> GeneratorValue:
+    """Pointwise matrix inequality at (t, x, x'): the PSD cone's generator.
 
-    The left-hand side is the generator of dist2_psd, the convention of the
-    vector inequality (``conditions.ii_prime_terms``), which it equals at
-    m = 1: the drift gap pairs with -2 times the negative spectral part of x,
-    the diffusion gap enters through half the Hessian quadratic form at x,
-    and jump gaps through exact atom sums of cone-distance differences.
+    Under the trace inner product it has the convention of the vector
+    inequality (``conditions.ii_prime_terms``), which it equals at m = 1.
     """
-    c1 = problem.model1.coefficients
-    c2 = problem.model2.coefficients
-    marks = problem.marks
-    xf = _as_full(x)
-    xpf = _as_full(x_prime)
-    dec = eig_sym(xf)
-    lam_minus = np.maximum(-dec.lam, 0.0)
-    x_minus = (dec.Q * lam_minus) @ dec.Q.T
-    x_minus = 0.5 * (x_minus + x_minus.T)
-    x_plus = xf + x_minus
-    xm_norm2 = float(np.dot(lam_minus, lam_minus))
-
-    b_gap = np.asarray(c1.b(t, x_plus + xpf), dtype=float) - np.asarray(
-        c2.b(t, xpf), dtype=float
-    )
-    lhs = -2.0 * float(np.trace(x_minus @ b_gap))
-
-    s_gap = np.asarray(c1.sigma(t, xf + xpf), dtype=float) - np.asarray(
-        c2.sigma(t, xpf), dtype=float
-    )
-    hq = hess_quadform_psd(xf, 0.5 * (s_gap + s_gap.T))
-    lhs += 0.5 * hq.value
-
-    jump = 0.0
-    for j in range(marks.n_atoms):
-        w = float(marks.weights[j])
-        if w == 0.0:
-            continue
-        dgap = np.asarray(c1.gamma(t, xf + xpf, j), dtype=float) - np.asarray(
-            c2.gamma(t, xpf, j), dtype=float
-        )
-        dgap = 0.5 * (dgap + dgap.T)
-        z = xf + dgap
-        jump += w * (dist2_psd(z) - xm_norm2 + 2.0 * float(np.trace(x_minus @ dgap)))
-    lhs += jump
-
-    cstar = constant_Cstar(problem.shared_budget(), marks)
-    rhs = cstar * xm_norm2
-    return Theorem37Value(lhs=float(lhs), rhs=float(rhs), degenerate=hq.degenerate)
+    return generator(PsdCone, problem, t, x, x_prime)
 
 
 def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -446,69 +395,51 @@ def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
-    """Sampled check of the matrix inequality over eigenvalue ladders.
-
-    Samples x with controlled spectra (all sign patterns, plus one small
-    negative eigenvalue against an O(1) positive rest) in both the standard
-    and random orthogonal bases.  Near-degenerate samples are excluded from
-    the decision and from ``samples_used``.
-    """
-    eps = problem.tolerances.resolved_eps_check(False)
-    rng = np.random.default_rng((int(problem.sampling.seed) << 8) ^ 0x37)
+def _theorem37_probes(problem: MatrixComparisonProblem, rng: np.random.Generator):
+    """Probe generator over eigenvalue ladders: all sign patterns, plus one
+    small negative eigenvalue against an O(1) positive rest, in the standard
+    and in random orthogonal bases."""
     m = problem.m
     box = problem.sampling.box
     scales = problem.sampling.scales()
     patterns = [np.array(p, dtype=float) for p in itertools.product((-1.0, 1.0), repeat=m)]
     reps = max(2, problem.sampling.count // max(1, len(patterns) * len(scales) * 2))
 
-    witnesses: List[Witness] = []
-    samples = 0
+    def sym_uniform():
+        A = rng.uniform(-box, box, (m, m))
+        return 0.5 * (A + A.T)
 
-    def probe(t, lam, basis_random: bool, xp):
-        nonlocal samples
+    def probe(lam, basis_random: bool, xp):
+        t = float(rng.uniform(problem.t0, problem.T))
         Q = _random_orthogonal(rng, m) if basis_random else np.eye(m)
         xmat = (Q * lam) @ Q.T
-        xmat = 0.5 * (xmat + xmat.T)
-        res = eval_theorem37(problem, t, xmat, xp)
-        if res.degenerate:
-            return
-        samples += 1
-        if res.lhs > res.rhs + eps:
-            witnesses.append(
-                Witness(t=t, x=tuple(svec(xmat)), x_prime=tuple(svec(xp)), atom=None,
-                        margin=float(res.rhs - res.lhs), kind="theorem37")
-            )
+        return t, 0.5 * (xmat + xmat.T), xp
 
     for pattern in patterns:
         for scale in scales:
             for r in range(reps):
                 lam = scale * pattern * rng.uniform(0.5, 1.0, m)
-                xp = (
-                    np.zeros((m, m))
-                    if r == 0
-                    else 0.5 * (lambda A: A + A.T)(rng.uniform(-box, box, (m, m)))
-                )
-                t = float(rng.uniform(problem.t0, problem.T))
-                probe(t, lam, basis_random=(r % 2 == 1), xp=xp)
-    # one small negative eigenvalue against an O(1) positive rest
+                xp = np.zeros((m, m)) if r == 0 else sym_uniform()
+                yield probe(lam, r % 2 == 1, xp)
     for k in range(m):
         for scale in scales:
             for mag in (1.0, box):
                 lam = mag * rng.uniform(0.5, 1.0, m)
                 lam[k] = -scale
                 for use_zero_xp in (True, False):
-                    xp = (
-                        np.zeros((m, m))
-                        if use_zero_xp
-                        else 0.5 * (lambda A: A + A.T)(rng.uniform(-box, box, (m, m)))
-                    )
-                    t = float(rng.uniform(problem.t0, problem.T))
-                    probe(t, lam, basis_random=use_zero_xp, xp=xp)
+                    xp = np.zeros((m, m)) if use_zero_xp else sym_uniform()
+                    yield probe(lam, use_zero_xp, xp)
 
-    if witnesses:
-        return Verdict.from_witnesses(witnesses, samples)
-    return Verdict.clean(samples)
+
+def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
+    """Sampled check of the matrix inequality over eigenvalue ladders.
+    Near-degenerate samples are excluded from the decision and from
+    ``samples_used``."""
+    eps = problem.tolerances.resolved_eps_check(False)
+    rng = np.random.default_rng((int(problem.sampling.seed) << 8) ^ 0x37)
+    probes = _theorem37_probes(problem, rng)
+    return judge_probes(problem, probes, eval_theorem37, eps,
+                        lambda y: tuple(svec(y)), "theorem37")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from jumpcompare.conditions import (
     check_corollary_1d,
     check_theorem31,
 )
-from jumpcompare.geometry import ConePoint, dist2_K, grad_dist2_K, project_onto_K
+from jumpcompare.geometry import Orthant
 from jumpcompare.model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -189,31 +189,26 @@ def test_engine_weak_error_monotone():
 
 
 def test_criterion_6_cone_geometry():
-    """10^3 random points: idempotence, residual identity, FD gradient."""
+    """10^3 random points: idempotence, residual identity, FD gradient, a.e. Hessian."""
     rng = np.random.default_rng(61)
     checked_fd = 0
     for _ in range(1000):
-        m = int(rng.integers(1, 4))
-        x = ConePoint(x1=rng.uniform(-4, 4, m), x2=rng.uniform(-4, 4, m))
-        p = project_onto_K(x)
-        pp = project_onto_K(p)
-        assert np.array_equal(p.x1, pp.x1) and np.array_equal(p.x2, pp.x2)
-        resid = float(np.sum((x.x1 - p.x1) ** 2) + np.sum((x.x2 - p.x2) ** 2))
-        assert abs(dist2_K(x) - resid) <= 1e-12
-        if np.min(np.abs(x.x1)) > 1e-3:
-            g = grad_dist2_K(x)
-            z = x.to_vector()
+        m = int(rng.integers(1, 5))
+        x = rng.uniform(-4, 4, m)
+        pt = Orthant.point(x)
+        assert np.array_equal(Orthant.point(pt.plus).plus, pt.plus)
+        assert abs(pt.dist2 - float(np.sum((x - pt.plus) ** 2))) <= 1e-12
+        if np.min(np.abs(x)) > 1e-3:
             step = 1e-5
-            for i in range(2 * m):
-                e = np.zeros(2 * m)
-                e[i] = step
-                fd = (dist2_K(ConePoint.from_vector(z + e))
-                      - dist2_K(ConePoint.from_vector(z - e))) / (2 * step)
-                assert abs(g[i] - fd) <= 1e-6
+            for i, e in enumerate(step * np.eye(m)):
+                fd = (Orthant.dist2(x + e) - Orthant.dist2(x - e)) / (2 * step)
+                assert abs(-2.0 * pt.minus[i] - fd) <= 1e-6
+                fd2 = (Orthant.dist2(x + e) - 2.0 * pt.dist2 + Orthant.dist2(x - e)) / step**2
+                assert abs(2.0 * pt.half_hess(np.eye(m)[:, i:i + 1]) - fd2) <= 1e-3
             checked_fd += 1
     assert checked_fd > 100
     print(f"\nACCEPTANCE 6 cone-geometry: PASS "
-          f"(1000 points, {checked_fd} off-boundary FD gradient checks)")
+          f"(1000 points, {checked_fd} off-boundary FD gradient and Hessian checks)")
 
 
 def test_criterion_7_psd_module():
@@ -225,10 +220,10 @@ def test_criterion_7_psd_module():
         y = 0.5 * (A + A.T)
         yp, ym = psd_split(y)
         tol = 1e-10 * (1.0 + np.linalg.norm(y))
-        assert np.linalg.norm(yp.full() - ym.full() - y) <= tol
-        assert abs(np.trace(yp.full() @ ym.full())) <= tol
-        assert np.linalg.eigvalsh(yp.full()).min() >= -1e-10
-        assert np.linalg.eigvalsh(ym.full()).min() >= -1e-10
+        assert np.linalg.norm(yp - ym - y) <= tol
+        assert abs(np.trace(yp @ ym)) <= tol
+        assert np.linalg.eigvalsh(yp).min() >= -1e-10
+        assert np.linalg.eigvalsh(ym).min() >= -1e-10
 
     # well-separated spectra: |lam| and pairwise gaps at least 0.3
     hess_checked = 0
@@ -276,7 +271,7 @@ def test_criterion_7_psd_module():
         H /= np.linalg.norm(H)
         s = 1e-5
         fd = (dist2_psd(y + s * H) - dist2_psd(y - s * H)) / (2 * s)
-        inner = float(np.trace(grad_dist2_psd(y).full() @ H))
+        inner = float(np.trace(grad_dist2_psd(y) @ H))
         worst_grad = max(worst_grad, abs(inner - fd))
         assert abs(inner - fd) <= 1e-6
         grad_checked += 1

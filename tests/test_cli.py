@@ -18,6 +18,7 @@ from jumpcompare.cli import (
     main,
     parse_config,
     report_to_dict,
+    run_check,
     run_full,
     run_gallery,
     write_paths_csv,
@@ -151,9 +152,44 @@ class TestReports:
         assert "\r" not in raw
 
 
+H0 = ("holds", 0, 0)
+CLEAN = ("no-violation-found", 528, 0)
+# (status, samples_used, witness count) of every sub-verdict of each gallery
+# check report; a vector entry is sigma_equal, cond_a, cond_b, cond_c, ii_prime
+GALLERY_CHECKS = {
+    "corollary33-pass": (H0, [H0], [H0], [H0], CLEAN),
+    "corollary34-pass": (H0, [H0], [H0], [H0], CLEAN),
+    "corollary35-pass": (H0, [H0], [H0], [H0], CLEAN),
+    "example36": (H0, [H0], [H0], [H0], CLEAN),
+    "jump-monotone-fail": (H0, [H0], [("violated", 0, 1)], [H0], ("violated", 528, 8)),
+    "drift-order-fail": (H0, [H0, H0], [H0, H0], [("violated", 0, 1), H0],
+                         ("violated", 582, 8)),
+    "sigma-gap-fail": (("violated", 3, 1), [H0], [H0], [H0], ("violated", 528, 8)),
+    "sigma-coupling-fail": (H0, [("violated", 0, 1), H0], [H0, H0], [H0, H0],
+                            ("violated", 582, 8)),
+    "matrix-pass": ("no-violation-found", 288, 0),
+    "matrix-drift-fail": ("violated", 288, 8),
+}
+
+
 class TestGallery:
     def test_ids_and_order(self):
         assert tuple(c.id for c in gallery_configs()) == GALLERY_IDS
+
+    @pytest.mark.parametrize("cfg", gallery_configs(), ids=GALLERY_IDS)
+    def test_check_verdicts_pinned(self, cfg):
+        check = report_to_dict(run_check(cfg))["check"]
+
+        def summary(v):
+            return (v["status"], v["samples_used"], len(v["witnesses"]))
+
+        if cfg.kind == "matrix":
+            got = summary(check["verdict"])
+        else:
+            got = (summary(check["sigma_equal"]),
+                   *([summary(v) for v in check[k]] for k in ("cond_a", "cond_b", "cond_c")),
+                   summary(check["ii_prime"]))
+        assert got == GALLERY_CHECKS[cfg.id]
 
     def test_smoke_mode_flags_low_power(self):
         reports = run_gallery(smoke=True)

@@ -17,7 +17,6 @@ from jumpcompare.conditions import (
     check_ii_prime,
     check_sigma_equal,
     check_theorem31,
-    eval_ii_prime,
     ii_prime_terms,
 )
 from jumpcompare.model import (
@@ -219,10 +218,10 @@ class TestConditionC:
 class TestEvalIiPrime:
     def test_single_drift_term(self):
         p = scalar_pair(c1=1.0, c2=0.0)
-        lhs, rhs = eval_ii_prime(p, 0.0, [-1.0], [0.0])
-        assert lhs == pytest.approx(-2.0, abs=1e-12)
+        val = ii_prime_terms(p, 0.0, [-1.0], [0.0])
+        assert val.lhs == pytest.approx(-2.0, abs=1e-12)
         cstar = constant_Cstar(p.shared_budget(), p.marks)
-        assert rhs == pytest.approx(cstar, abs=1e-12)
+        assert val.rhs == pytest.approx(cstar, abs=1e-12)
 
     def test_zero_on_nonnegative_orthant_with_equal_gaps(self):
         p = scalar_pair(B1=0.3, c1=0.1, V1=0.2, U1=0.1, G1=0.5, g1=0.2,
@@ -231,18 +230,17 @@ class TestEvalIiPrime:
         for _ in range(50):
             x = rng.uniform(0.0, 3.0, 1)
             xp = rng.uniform(-3.0, 3.0, 1)
-            lhs, _ = eval_ii_prime(p, 0.5, x, xp)
-            assert lhs == pytest.approx(0.0, abs=1e-12)
+            assert ii_prime_terms(p, 0.5, x, xp).lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_reversed_drift_fails_at_small_negative_x(self):
         p = scalar_pair(c1=0.0, c2=1.0)
         cstar = constant_Cstar(p.shared_budget(), p.marks)
         for eps in (1e-6, 1e-4, 1e-2):
-            lhs, rhs = eval_ii_prime(p, 0.0, [-eps], [0.0])
-            assert lhs == pytest.approx(2.0 * eps, abs=1e-12)
-            assert rhs == pytest.approx(cstar * eps * eps, rel=1e-12)
+            val = ii_prime_terms(p, 0.0, [-eps], [0.0])
+            assert val.lhs == pytest.approx(2.0 * eps, abs=1e-12)
+            assert val.rhs == pytest.approx(cstar * eps * eps, rel=1e-12)
             if eps < 2.0 / cstar:
-                assert lhs > rhs
+                assert val.lhs > val.rhs
 
     def test_drift_term_homogeneous_in_negative_part(self):
         # fixing the coefficient gap, the drift term scales linearly on x <= 0
@@ -251,9 +249,9 @@ class TestEvalIiPrime:
         for _ in range(20):
             x = -np.abs(rng.uniform(0.1, 1.0, p.m))
             xp = rng.uniform(-2.0, 2.0, p.m)
-            base = ii_prime_terms(p, 0.3, x, xp)["drift"]
+            base = ii_prime_terms(p, 0.3, x, xp).drift
             for lam in (0.5, 2.0, 7.0):
-                scaled = ii_prime_terms(p, 0.3, lam * x, xp)["drift"]
+                scaled = ii_prime_terms(p, 0.3, lam * x, xp).drift
                 assert scaled == pytest.approx(lam * base, rel=1e-9, abs=1e-12)
 
 
@@ -273,6 +271,21 @@ class TestCheckIiPrime:
         p = scalar_pair(U1=1.0, U2=0.2)
         v = check_ii_prime(p)
         assert v.status == VIOLATED
+
+    def test_cstar_computed_once_per_run(self, monkeypatch):
+        p, _ = random_problem(5, failing=True)
+        calls = [0]
+        real = ComparisonProblem.shared_budget
+
+        def counting(self):
+            calls[0] += 1
+            return real(self)
+
+        monkeypatch.setattr(ComparisonProblem, "shared_budget", counting)
+        v = check_ii_prime(p)
+        assert v.samples_used > 1
+        assert calls[0] == 1
+        assert p.cstar == constant_Cstar(real(p), p.marks)
 
 
 class TestTheorem31Report:
@@ -329,6 +342,22 @@ class TestCorollary1d:
         p = scalar_pair(G1=0.5, g1=0.5, G2=0.5, g2=0.5)
         with pytest.raises(VariantPreconditionError):
             check_corollary_1d(p, "3.5")
+
+    @pytest.mark.parametrize("variant,jumps,raises", [
+        ("3.4", dict(G1=0.5, g1=0.8, G2=0.5, g2=0.2), True),
+        ("3.4", dict(G1=0.5, g1=0.3, G2=0.5, g2=0.3), False),
+        ("3.5", dict(G1=0.5, g1=0.5, G2=0.5, g2=0.5), True),
+        ("3.5", dict(G1=0.0, g1=0.0, G2=0.0, g2=0.0), False),
+    ], ids=["3.4-gap", "3.4-shared", "3.5-jumps", "3.5-zero"])
+    def test_variant_preconditions_sampled_for_black_box(self, variant, jumps, raises):
+        # black-box coefficients reach the sampled sup over the box, not the
+        # affine blocks
+        p = strip_affine(scalar_pair(B1=0.1, c1=0.7, B2=0.1, c2=0.2, **jumps))
+        if raises:
+            with pytest.raises(VariantPreconditionError):
+                check_corollary_1d(p, variant)
+        else:
+            assert check_corollary_1d(p, variant).status in (HOLDS, NO_VIOLATION)
 
     def test_no_jump_variant_drift_order(self):
         p = scalar_pair(B1=-0.2, c1=1.0, V1=0.3, U1=0.0,

@@ -24,7 +24,6 @@ from jumpcompare.psdcone import (
     MatrixLinearMap,
     MatrixModel,
     OrderError,
-    SymMatrix,
     check_theorem37,
     dist2_psd,
     eig_sym,
@@ -122,20 +121,20 @@ class TestEigSym:
 class TestSplit:
     def test_diagonal_split(self):
         yp, ym = psd_split(np.diag([1.0, -2.0]))
-        assert np.allclose(yp.full(), np.diag([1.0, 0.0]), atol=1e-12)
-        assert np.allclose(ym.full(), np.diag([0.0, 2.0]), atol=1e-12)
+        assert np.allclose(yp, np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(ym, np.diag([0.0, 2.0]), atol=1e-12)
 
     def test_psd_input_unchanged(self):
         y = np.array([[2.0, 0.5], [0.5, 1.0]])
         yp, ym = psd_split(y)
-        assert np.allclose(yp.full(), y, atol=1e-12)
-        assert np.allclose(ym.full(), 0.0, atol=1e-12)
+        assert np.allclose(yp, y, atol=1e-12)
+        assert np.allclose(ym, 0.0, atol=1e-12)
 
     def test_exchange_matrix_by_hand(self):
         # eigenvectors (1, +-1)/sqrt(2)
         yp, ym = psd_split(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(yp.full(), 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
-        assert np.allclose(ym.full(), 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
+        assert np.allclose(yp, 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
+        assert np.allclose(ym, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_split_identities(self, seed):
@@ -144,10 +143,10 @@ class TestSplit:
         y = rand_sym(rng, m, scale=2.5)
         yp, ym = psd_split(y)
         tol = 1e-10 * (1.0 + np.linalg.norm(y))
-        assert np.linalg.norm(yp.full() - ym.full() - y) <= tol
-        assert abs(np.trace(yp.full() @ ym.full())) <= tol
-        assert np.linalg.eigvalsh(yp.full()).min() >= -1e-10
-        assert np.linalg.eigvalsh(ym.full()).min() >= -1e-10
+        assert np.linalg.norm(yp - ym - y) <= tol
+        assert abs(np.trace(yp @ ym)) <= tol
+        assert np.linalg.eigvalsh(yp).min() >= -1e-10
+        assert np.linalg.eigvalsh(ym).min() >= -1e-10
 
 
 class TestDist2:
@@ -181,18 +180,18 @@ class TestDist2:
             y = rand_sym(rng, m, 2.0)
             yp, _ = psd_split(y)
             assert dist2_psd(y) == pytest.approx(
-                np.linalg.norm(y - yp.full()) ** 2, abs=1e-10 * (1 + np.linalg.norm(y))
+                np.linalg.norm(y - yp) ** 2, abs=1e-10 * (1 + np.linalg.norm(y))
             )
 
 
 class TestGrad:
     def test_psd_zero(self):
         g = grad_dist2_psd(np.array([[1.0, 0.2], [0.2, 2.0]]))
-        assert np.allclose(g.full(), 0.0, atol=1e-12)
+        assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_closed_form(self):
         g = grad_dist2_psd(np.diag([1.0, -2.0]))
-        assert np.allclose(g.full(), np.diag([0.0, -4.0]), atol=1e-12)
+        assert np.allclose(g, np.diag([0.0, -4.0]), atol=1e-12)
 
     def test_directional_fd(self):
         rng = np.random.default_rng(31)
@@ -204,7 +203,7 @@ class TestGrad:
             H = rand_sym(rng, m, 1.0)
             s = 1e-5
             fd = (dist2_psd(y + s * H) - dist2_psd(y - s * H)) / (2 * s)
-            inner = float(np.trace(grad_dist2_psd(y).full() @ H))
+            inner = float(np.trace(grad_dist2_psd(y) @ H))
             assert inner == pytest.approx(fd, abs=1e-6)
 
 
@@ -323,6 +322,23 @@ class TestEvalTheorem37:
         assert 0 < degenerate[0] < calls[0]
         assert v.samples_used == calls[0] - degenerate[0]
 
+    def test_one_eigen_solve_of_x_per_probe(self, monkeypatch):
+        p = matrix_pair(3, gap=np.diag([0.5, -0.2, 0.1]), s_scale=0.4,
+                        s_off=[[0.1, 0.2, 0.0], [0.2, 0.0, 0.1], [0.0, 0.1, 0.3]])
+        x = np.diag([1.0, -0.5, 2.0])
+        x[0, 1] = x[1, 0] = 0.3
+        calls = []
+        real = psdcone.eig_sym
+
+        def counting(y):
+            calls.append(np.asarray(y, dtype=float).copy())
+            return real(y)
+
+        monkeypatch.setattr(psdcone, "eig_sym", counting)
+        out = eval_theorem37(p, 0.2, x, np.eye(3))
+        assert not out.degenerate and out.diffusion > 0.0
+        assert sum(np.array_equal(y, x) for y in calls) == 1
+
     def test_jump_gap_nonnegative_passes(self):
         # gamma1 = gamma2 + c*I with c >= 0 and compensator-adjusted drifts equal
         marks = MarkMeasure.from_atoms([([1.0], 1.0)])
@@ -337,6 +353,9 @@ class TestEvalTheorem37:
                                     x1=np.eye(m), x2=np.zeros((m, m)),
                                     sampling=SampleDomain(box=6.0, count=256, seed=5))
         assert check_theorem37(p).status == NO_VIOLATION
+
+
+TERMS = ("drift", "diffusion", "jump", "lhs", "rhs")
 
 
 class TestScalarReduction:
@@ -400,12 +419,13 @@ class TestScalarReduction:
         p_mat = matrix_pair(1, gap=[[0.25]], s_scale=0.6, s_off=[[0.2]], marks=marks,
                             jumps1=jumps1, jumps2=jumps2, x1=[[1.0]], x2=[[0.0]])
         p_vec = self.scalar_problem(p_mat, 0)
+        assert p_mat.cstar == p_vec.cstar
         for x, xp in ((-0.3, 0.2), (-1.0, -0.5), (-0.05, 1.0), (0.4, 0.1)):
             mat = eval_theorem37(p_mat, 0.3, [[x]], [[xp]])
             vec = ii_prime_terms(p_vec, 0.3, [x], [xp])
             assert not mat.degenerate
-            assert mat.lhs == pytest.approx(vec["lhs"], rel=1e-12, abs=1e-12)
-            assert mat.rhs == pytest.approx(vec["rhs"], rel=1e-12, abs=1e-12)
+            for term in TERMS:
+                assert getattr(mat, term) == getattr(vec, term), term
 
     def test_diagonal_problem_splits_into_scalar_problems(self):
         # diagonal state, diagonal offsets: the matrix value is the sum of
@@ -424,15 +444,16 @@ class TestScalarReduction:
             mat = eval_theorem37(p_mat, 0.3, np.diag(x), np.diag(xp))
             parts = [ii_prime_terms(sp, 0.3, [x[i]], [xp[i]]) for i, sp in enumerate(scalars)]
             assert not mat.degenerate
-            assert mat.lhs == pytest.approx(sum(t["lhs"] for t in parts), rel=1e-12, abs=1e-12)
-            assert mat.rhs == pytest.approx(sum(t["rhs"] for t in parts), rel=1e-12, abs=1e-12)
+            for term in TERMS:
+                assert getattr(mat, term) == pytest.approx(
+                    sum(getattr(t, term) for t in parts), rel=1e-12, abs=1e-12), term
 
     def test_dist2_psd_reduces_to_scalar_hinge(self):
         for v in (-2.5, -0.3, 0.0, 1.7):
             assert dist2_psd(np.array([[v]])) == pytest.approx(min(v, 0.0) ** 2, abs=1e-14)
             yp, ym = psd_split(np.array([[v]]))
-            assert yp.full()[0, 0] == pytest.approx(max(v, 0.0), abs=1e-14)
-            assert ym.full()[0, 0] == pytest.approx(max(-v, 0.0), abs=1e-14)
+            assert yp[0, 0] == pytest.approx(max(v, 0.0), abs=1e-14)
+            assert ym[0, 0] == pytest.approx(max(-v, 0.0), abs=1e-14)
 
 
 class TestSvec:
@@ -483,8 +504,8 @@ class TestMatrixProblemValidation:
             matrix_pair(2, gap=np.zeros((2, 2)), x1=np.zeros((2, 2)), x2=np.eye(2))
 
     def test_symmetry_enforced(self):
-        with pytest.raises(Exception):
-            SymMatrix.from_full(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ModelError, match="not symmetric"):
+            matrix_pair(2, gap=np.zeros((2, 2)), x1=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_coefficients_preserve_symmetry(self):
         # sample test: symmetric inputs give symmetric outputs
