@@ -7,10 +7,12 @@ pre-jump state.  Exact jump placement removes the O(h) jump-location bias.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, path_index), so a path's driver realization never depends on how many
-paths run or how they are split into chunks.  A realization
-is stored sparsely: its jump times, their mark atoms and one Brownian
-increment per segment; the merged time list and the per-segment atoms are
-derived on access.
+paths run or how they are split into chunks.  One Philox generator (per
+thread) serves every path: it is re-keyed to (seed, path_index) with a zero
+counter before each path's draws instead of being built anew, which yields
+the same stream.  A realization is stored sparsely: its jump times, their
+mark atoms and one Brownian increment per segment; the merged time list and
+the per-segment atoms are derived on access.
 
 The Monte Carlo kernel advances a chunk of paths through the uniform grid in
 event rounds.  In step i, round 0 advances every path, each to its first
@@ -22,7 +24,9 @@ order, and per-path results are concatenated before any reduction.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -83,6 +87,40 @@ def uniform_grid(t0: float, T: float, h: float) -> np.ndarray:
     return grid
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_steps(t0: float, T: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``uniform_grid(t0, T, h)`` and the square roots of its step lengths,
+    computed once per horizon and step and shared read-only."""
+    grid = uniform_grid(t0, T, h)
+    sqrt_dt = np.sqrt(np.diff(grid))
+    grid.setflags(write=False)
+    sqrt_dt.setflags(write=False)
+    return grid, sqrt_dt
+
+
+def _jump_slots(grid: np.ndarray, jump_times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the strictly increasing ``jump_times`` sit in the time list
+    merged from them and the grid: each one's index there, and whether it
+    adds a point (False for a jump on a grid point, which is not repeated)."""
+    pos = np.searchsorted(grid, jump_times)
+    new = grid[np.minimum(pos, grid.shape[0] - 1)] != jump_times
+    return pos + np.cumsum(new) - new, new
+
+
+def _merged_times(grid: np.ndarray, jump_times: np.ndarray) -> np.ndarray:
+    """The grid with the jump times inserted in order, without a sort."""
+    if not jump_times.size:
+        return grid
+    idx, new = _jump_slots(grid, jump_times)
+    idx = idx[new]
+    times = np.empty(grid.shape[0] + idx.shape[0])
+    from_grid = np.ones(times.shape[0], dtype=bool)
+    from_grid[idx] = False
+    times[idx] = jump_times[new]
+    times[from_grid] = grid
+    return times
+
+
 @dataclass(frozen=True)
 class DriverRealization:
     """One realization of the shared noise for one path, stored sparsely.
@@ -93,7 +131,8 @@ class DriverRealization:
     falls on a grid point is merged with it), and ``dW[i]`` is the
     d-dimensional Brownian increment over its segment i.  ``times`` and
     ``jump_atoms`` (the atom applied at each segment end, -1 at a plain grid
-    point) are derived on access.
+    point) are derived on access; without jumps ``times`` is the shared
+    read-only grid.
     """
 
     t0: float
@@ -105,14 +144,14 @@ class DriverRealization:
 
     @property
     def times(self) -> np.ndarray:
-        grid = uniform_grid(self.t0, self.T, self.h)
-        return np.union1d(grid, self.jump_times) if self.jump_times.size else grid
+        return _merged_times(_grid_steps(self.t0, self.T, self.h)[0], self.jump_times)
 
     @property
     def jump_atoms(self) -> np.ndarray:
-        times = self.times
-        atoms = np.full(times.shape[0] - 1, -1, dtype=np.int64)
-        atoms[np.searchsorted(times, self.jump_times) - 1] = self.jump_marks
+        grid = _grid_steps(self.t0, self.T, self.h)[0]
+        idx, new = _jump_slots(grid, self.jump_times)
+        atoms = np.full(grid.shape[0] - 1 + np.count_nonzero(new), -1, dtype=np.int64)
+        atoms[idx - 1] = self.jump_marks
         return atoms
 
     @property
@@ -131,9 +170,31 @@ class DriverRealization:
         return int(self.jump_times.shape[0])
 
 
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_rngs = threading.local()
+
+
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
+    """This thread's generator, re-keyed to the start of stream (seed, path_index).
+
+    Setting the Philox state (key, zero counter, empty buffer) gives the draws
+    of ``Generator(Philox(key=(seed, path_index)))`` without building one.  The
+    generator is made on first use, so importing the package does not load
+    ``numpy.random``.
+    """
+    rng = getattr(_rngs, "rng", None)
+    if rng is None:
+        rng = _rngs.rng = np.random.Generator(np.random.Philox(0))
     key = np.array([int(seed) & _MASK64, int(path_index) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def sample_drivers(
@@ -154,7 +215,7 @@ def sample_drivers(
     share randomness regardless of evaluation order.
     """
     t0, T = float(horizon[0]), float(horizon[1])
-    grid = uniform_grid(t0, T, h)
+    grid, sqrt_dt = _grid_steps(t0, T, float(h))
     rng = _path_rng(seed, path_index)
 
     lam = marks.total_mass
@@ -168,22 +229,24 @@ def sample_drivers(
             t = t + max(rng.standard_exponential(), 5e-324) / lam
             if t > T:
                 break
-            jump_times.append(t)
-            uniforms.append(rng.random())
+            u = rng.random()
+            if jump_times and jump_times[-1] == t:
+                # an interarrival too small to move t in floating point
+                # repeats a time; keep one jump there, with the later atom
+                uniforms[-1] = u
+            else:
+                jump_times.append(t)
+                uniforms.append(u)
 
-    jt = np.asarray(jump_times, dtype=float)
-    if jt.size:
-        cum = np.cumsum(marks.weights) / lam
-        jm = np.searchsorted(cum, np.asarray(uniforms), side="right")
-        # an interarrival too small to move t in floating point repeats a
-        # time; the merged time list keeps one jump there, with the later atom
-        keep = np.diff(jt, append=np.inf) > 0.0
-        jt, jm = jt[keep], jm[keep]
-        times = np.union1d(grid, jt)
+    if jump_times:
+        jt = np.array(jump_times)
+        jm = np.searchsorted(np.cumsum(marks.weights) / lam, uniforms, side="right")
+        times = _merged_times(grid, jt)
+        sqrt_dt = np.sqrt(times[1:] - times[:-1])
     else:
-        jm = np.zeros(0, dtype=np.int64)
-        times = grid
-    dW = rng.standard_normal((times.shape[0] - 1, d)) * np.sqrt(np.diff(times))[:, None]
+        jt, jm = np.zeros(0), np.zeros(0, dtype=np.int64)
+    dW = rng.standard_normal((sqrt_dt.shape[0], d))
+    dW *= sqrt_dt[:, None]
     return DriverRealization(t0=t0, T=T, h=float(h), jump_times=jt, jump_marks=jm, dW=dW)
 
 
@@ -372,8 +435,24 @@ def _row_times(t, X: np.ndarray) -> list:
 
 
 def componentwise_stat(diff_rows: np.ndarray) -> np.ndarray:
-    """Per-path signed violation measure: max coordinate of X2 - X1."""
-    return diff_rows.max(axis=1)
+    """Per-path signed violation measure: max coordinate of X2 - X1.
+
+    Bit for bit ``diff_rows.max(axis=1)`` (NaN and signed zeros included),
+    folded column by column: a reduction over a short row axis costs far
+    more per row than one ufunc call per column.
+    """
+    out = diff_rows[:, 0].copy()
+    for j in range(1, diff_rows.shape[1]):
+        np.maximum(out, diff_rows[:, j], out=out)
+    return out
+
+
+def _finite_rows(X: np.ndarray) -> np.ndarray:
+    """``np.isfinite(X).all(axis=1)``, folded column by column."""
+    out = np.isfinite(X[:, 0])
+    for j in range(1, X.shape[1]):
+        out &= np.isfinite(X[:, j])
+    return out
 
 
 def _step_rows(
@@ -473,7 +552,6 @@ def _run_chunk(
     else:
         run_signed = np.zeros(K)
 
-    all_idx = np.arange(K)
     # overflow / NaN on exploding paths is expected and handled through the
     # failed flag, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,22 +559,28 @@ def _run_chunk(
             tl = float(grid[i])
             tr = float(grid[i + 1])
             rounds = range(first_round[i], first_round[i + 1])
-            idx = all_idx
-            if rounds:
+            if not rounds:
+                # no path jumps in this step: one block step of every path
+                # (np.take: a row gather several times cheaper than dW_flat[nxt])
+                dWi = np.take(dW_flat, nxt, axis=0)
+                for mi, bat in enumerate(batches):
+                    X[mi] = _step_rows(bat, tl, X[mi], tr - tl, dWi, False)
+                nxt += 1
+            else:
                 # a path that jumps in this step takes its first sub-step in
                 # the step's first round; the others take one block step
                 plain = np.ones(K, dtype=bool)
                 plain[ev.path[ev.start[rounds[0]]:ev.start[rounds[0] + 1]]] = False
                 idx = np.flatnonzero(plain)
-            if idx.size:
-                dWi = dW_flat[nxt[idx]]
-                for mi, bat in enumerate(batches):
-                    X[mi][idx] = _step_rows(bat, tl, X[mi][idx], tr - tl, dWi, False)
-                nxt[idx] += 1
+                if idx.size:
+                    dWi = np.take(dW_flat, nxt[idx], axis=0)
+                    for mi, bat in enumerate(batches):
+                        X[mi][idx] = _step_rows(bat, tl, X[mi][idx], tr - tl, dWi, False)
+                    nxt[idx] += 1
             for q in rounds:
                 sl = slice(ev.start[q], ev.start[q + 1])
                 p, t_left, t_end, atom = ev.path[sl], ev.t_left[sl], ev.t_end[sl], ev.atom[sl]
-                dWr = dW_flat[nxt[p]]
+                dWr = np.take(dW_flat, nxt[p], axis=0)
                 dt = (t_end - t_left)[:, None]
                 jumps = atom >= 0
                 any_jump = bool(jumps.any())
@@ -516,10 +600,8 @@ def _run_chunk(
                         newly = ok & (val > eps_path) & np.isnan(first_t[p])
                         first_t[p[newly]] = t_end[newly]
             # end-of-step bookkeeping
-            fin = np.ones(K, dtype=bool)
             for XM in X:
-                fin &= np.isfinite(XM).all(axis=1)
-            failed |= ~fin
+                failed |= ~_finite_rows(XM)
             if coupled:
                 s = stat_fn(X[1] - X[0])
                 ok = np.isfinite(s) & ~failed

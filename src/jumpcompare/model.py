@@ -127,8 +127,9 @@ class MarkMeasure:
     def n_atoms(self) -> int:
         return int(self.weights.shape[0])
 
-    @property
+    @functools.cached_property
     def total_mass(self) -> float:
+        """Sum of the weights, computed on first read and kept."""
         return float(np.sum(self.weights))
 
     def atom(self, j: int) -> Tuple[np.ndarray, float]:

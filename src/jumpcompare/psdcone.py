@@ -109,14 +109,14 @@ def unsvec(v, m: int) -> np.ndarray:
 
 
 def _unsvec_rows(rows: np.ndarray, m: int) -> np.ndarray:
-    K = rows.shape[0]
-    out = np.zeros((K, m, m))
-    idx = np.arange(m)
-    out[:, idx, idx] = rows[:, :m]
-    iu = np.triu_indices(m, k=1)
+    """``unsvec`` of every row, filled one entry column at a time (cheaper
+    than fancy-index scatters for the short rows of small m)."""
+    out = np.empty((rows.shape[0], m, m))
+    for i in range(m):
+        out[:, i, i] = rows[:, i]
     off = rows[:, m:] / math.sqrt(2.0)
-    out[:, iu[0], iu[1]] = off
-    out[:, iu[1], iu[0]] = off
+    for k, (i, j) in enumerate(zip(*np.triu_indices(m, k=1))):
+        out[:, i, j] = out[:, j, i] = off[:, k]
     return out
 
 
@@ -452,7 +452,7 @@ def spectral_violation_stat(m: int) -> Callable[[np.ndarray], np.ndarray]:
     eigenvalue of the un-embedded difference (equals -lambda_min(X1 - X2))."""
 
     def stat(rows: np.ndarray) -> np.ndarray:
-        fin = np.isfinite(rows).all(axis=1)
+        fin = engine._finite_rows(rows)
         safe = np.where(fin[:, None], rows, 0.0)
         Y = _unsvec_rows(safe, m)
         w = np.linalg.eigvalsh(Y)

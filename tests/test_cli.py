@@ -1,7 +1,10 @@
 """Config parsing, report serialization, exit codes, gallery wiring."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,6 +212,32 @@ class TestGallery:
         assert report.check_violated is False
 
 
+PINNED_GALLERY_300 = {
+    "corollary33-pass.report.json":
+        "7d8357a6f7ec2948558edcc4f898f2680a7afb871853ab1cef2154fbc46350d2",
+    "corollary34-pass.report.json":
+        "21beba824c4ebb0d522dc6ec1fb405967d5022a9651adf5197427b466eed8487",
+    "corollary35-pass.report.json":
+        "36b7e4dd62545cb1dbd4e87f3a90c116c1a292e54b4b4ebbf4f278aee2a56ace",
+    "drift-order-fail.report.json":
+        "8887686a974739b1b051b238168f84bbed8f2788536463d3543752252f5bdd20",
+    "example36.report.json":
+        "97fd026ab4e12679e2ccf9f548d95ac857b049d4a07d21dc201762762c36f7a4",
+    "gallery-summary.json":
+        "c6e5e19045a18345ad7b67c7cfe7833db9e5aba986bdf53b1a66f5ef11e71216",
+    "jump-monotone-fail.report.json":
+        "44374203dd7936988e231198288b9400db673e76bdeb66358ba10e83d76745f0",
+    "matrix-drift-fail.report.json":
+        "fe89a1d318339e885ff58150d606e62d3b6f1fee88ac639ea643b0b970491843",
+    "matrix-pass.report.json":
+        "9c91efd20d54f525ac56a83d9aef702802ddb2566373e3880a52e994c28ccfab",
+    "sigma-coupling-fail.report.json":
+        "293515f1d99e6bbc820f29f1c10b5fa785075d5741ee7cf938d8e9f3da416b24",
+    "sigma-gap-fail.report.json":
+        "a7b517d2dc40e0a588f521eedc6c306c58207968a7d9844928e8c32bb2cb3be9",
+}
+
+
 class TestMainExitCodes:
     def test_check_pass_exits_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_vector_dict())
@@ -251,6 +280,26 @@ class TestMainExitCodes:
         cfg = [c for c in gallery_configs() if c.id == scenario][0]
         path = write_config(tmp_path, config_to_dict(cfg))
         assert main(["check", path]) == code
+
+    def test_gallery_reports_are_pinned(self, tmp_path):
+        # sha256 of every file a short gallery run writes (300 paths, h = 2^-6):
+        # an engine or checker change that moves one report bit fails here.
+        # Exit code 1: at 300 paths some scenario's simulation disagrees.
+        out = tmp_path / "g"
+        assert main(["gallery", "--paths", "300", "--step", "0.015625", "--out", str(out)]) == 1
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in sorted(os.listdir(out))}
+        assert got == PINNED_GALLERY_300
+
+    def test_import_does_not_load_numpy_random(self):
+        # the driver generator is built on first use, so start-up does not
+        # pay for importing numpy.random
+        import jumpcompare
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jumpcompare.__file__)))
+        probe = "import sys, jumpcompare.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert out.stdout.strip() == "False"
 
     def test_gallery_smoke_completes(self, tmp_path):
         code = main(["gallery", "--smoke", "--out", str(tmp_path / "g")])

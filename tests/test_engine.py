@@ -1,6 +1,7 @@
 """Engine tests: drivers, path integration, coupling, Monte Carlo."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,87 @@ class TestDrivers:
         )
         assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests
 
+    def test_repeated_and_grid_point_jump_times_are_merged(self):
+        # near t = 2^53 the spacing of doubles is 2, so most interarrivals
+        # leave t unchanged (one jump kept, with the later atom) and some
+        # land on the grid points 2^53 + 16 k (merged with them)
+        marks = MarkMeasure.from_atoms([([1.0], 0.7), ([2.0], 0.4)])
+        t0 = 2.0**53
+        drv = sample_drivers(marks, (t0, t0 + 64.0), 16.0, seed=5, path_index=0, d=2)
+        grid = uniform_grid(t0, t0 + 64.0, 16.0)
+        assert t0 < drv.jump_times[0] and np.all(np.diff(drv.jump_times) > 0)
+        assert np.isin(drv.jump_times, grid).sum() == 4
+        # 4 grid steps, split once more by each of the jumps off the grid
+        assert drv.n_segments == drv.times.shape[0] - 1 == 4 + (drv.jump_count - 4)
+        got = (drv.times.tobytes(), drv.dW.tobytes(),
+               drv.jump_atoms.astype(np.int64).tobytes(), repr(drv.jump_events()).encode())
+        assert tuple(hashlib.sha256(b).hexdigest() for b in got) == (
+            "56b42677a3c13d1935372f8b6f96de1e473f2a99ffbad6896a62dfacb8e53e63",
+            "4168b3138f86993c5c7ed9d2b175996909c05bc97fdbbcedfc9c366a8918f162",
+            "27a10cb525a5c3ef330797c8721a407ba5d11fabed7372f2ddec1657967ffaaa",
+            "dd3af2e795758d358d5730bd49fcac78810a9e0f3c5ab3fff885b2082acee26d",
+        )
+
+    def test_rekeyed_generator_keeps_no_state(self, monkeypatch):
+        # one generator is re-keyed per path; what it drew for an earlier
+        # key, including a half-used 32-bit buffer, must not leak into the
+        # next key's stream
+        def sample(rng):
+            # 64-bit draws as sample_drivers makes them, then 32-bit ones,
+            # which read the generator's half-word buffer
+            return (rng.standard_exponential(), rng.random(),
+                    rng.standard_normal((3, 2)).tobytes(),
+                    rng.random(3, dtype=np.float32).tobytes())
+
+        def draws(seed, path):
+            return sample(engine._path_rng(seed, path))
+
+        def fresh(seed, path):
+            key = np.array([seed & engine._MASK64, path & engine._MASK64], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        first = draws(42, 5)
+        draws(7, 9)
+        assert draws(42, 5) == first
+        # leftovers of another key: a used counter, a part-read buffer and a
+        # pending half word
+        left = fresh(3, 3)
+        left.random(dtype=np.float32)
+        left.random()
+        for seed, path in ((42, 5), (7, 9), (2**63 + 11, 2**40)):
+            engine._path_rng(1, 1).bit_generator.state = left.bit_generator.state
+            assert draws(seed, path) == sample(fresh(seed, path))
+
+        # the same through sample_drivers, with and without jumps
+        cases = [(ONE_ATOM, 2.0**-5), (MarkMeasure.from_atoms([], dimension=1), 2.0**-4)]
+        keys = ((42, 5), (7, 9), (42, 5), (2**63 + 11, 2**40))
+
+        def realize(marks, h):
+            out = []
+            for seed, path in keys:
+                drv = sample_drivers(marks, (0.0, 1.0), h, seed, path, d=2)
+                out.append((drv.jump_times.tobytes(), drv.jump_marks.tobytes(),
+                            drv.dW.tobytes()))
+            return out
+
+        rekeyed = [realize(*case) for case in cases]
+        assert all(r[0] == r[2] for r in rekeyed)
+        # under ONE_ATOM the first three keys jump and the last does not
+        assert [len(jt) > 0 for jt, _, _ in rekeyed[0]] == [True, True, True, False]
+        monkeypatch.setattr(engine, "_path_rng", fresh)
+        assert [realize(*case) for case in cases] == rekeyed
+
+    def test_total_mass_is_summed_once(self, monkeypatch):
+        marks = MarkMeasure.from_atoms([([1.0], 0.1), ([-1.0], 0.2), ([2.0], 0.7)])
+        mass = marks.total_mass
+        assert mass == float(np.sum(marks.weights))
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("total_mass summed the weights again")
+
+        monkeypatch.setattr(np, "sum", no_sum)
+        assert marks.total_mass == mass
+
     def test_brownian_variance_scaling(self):
         marks = MarkMeasure.from_atoms([([1.0], 1.0)])
         total_sq = 0.0
@@ -176,6 +258,24 @@ class TestDrivers:
         ratio = total_sq / total_dt
         n_eff = 400 * 17 * d
         assert abs(ratio - 1.0) <= 4.0 * math.sqrt(2.0 / n_eff)
+
+
+class TestRowReductions:
+    # every row over {nan, +-inf, +-0, 1.5}^m: the column-wise folds must
+    # give the bits of the row-axis reductions they replace
+    VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_componentwise_stat_is_row_max(self, m):
+        rows = np.array(list(itertools.product(self.VALUES, repeat=m)))
+        got = engine.componentwise_stat(rows)
+        assert got.tobytes() == rows.max(axis=1).tobytes()
+        assert not np.shares_memory(got, rows)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_finite_rows_is_row_all(self, m):
+        rows = np.array(list(itertools.product(self.VALUES, repeat=m)))
+        assert np.array_equal(engine._finite_rows(rows), np.isfinite(rows).all(axis=1))
 
 
 class TestSimulatePath:

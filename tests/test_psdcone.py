@@ -471,6 +471,13 @@ class TestSvec:
                 float(np.trace(y @ z)), rel=1e-10, abs=1e-12
             )
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_unsvec_rows_is_unsvec_per_row(self, m):
+        rows = np.random.default_rng(m).standard_normal((7, m * (m + 1) // 2))
+        rows[2, 0], rows[3, -1], rows[4, m - 1] = np.nan, -np.inf, -0.0
+        want = np.stack([unsvec(r, m) for r in rows])
+        assert psdcone._unsvec_rows(rows, m).tobytes() == want.tobytes()
+
 
 class TestMatrixMc:
     def test_identical_models_zero(self):
