@@ -224,11 +224,15 @@ def sample_drivers(
     if lam > 0.0 and marks.n_atoms > 0:
         t = t0
         while True:
-            # clamp away the measure-zero chance of a zero interarrival,
-            # which would alias a jump onto an existing grid point
-            t = t + max(rng.standard_exponential(), 5e-324) / lam
+            t = t + rng.standard_exponential() / lam
             if t > T:
                 break
+            if t == t0:
+                # an interarrival too small to move t0 in floating point (a
+                # zero one, or any below half the spacing of doubles at a
+                # large t0) would put the jump on the start; it goes to the
+                # next double, and the arrivals after it count from there
+                t = float(np.nextafter(t0, math.inf))
             u = rng.random()
             if jump_times and jump_times[-1] == t:
                 # an interarrival too small to move t in floating point

@@ -259,8 +259,18 @@ class AffineCoefficients:
     def jump(self, t: float, x: np.ndarray, j: int) -> np.ndarray:
         return self.G[j] @ x + self.g[j]
 
+    @functools.cached_property
+    def _diffusion_is_U(self) -> bool:
+        """V = 0, and U holds no -0.0: then einsum(V, X) + U is U bit for bit
+        at every finite row (0 * x + (-0.0) can give +0.0).  A non-finite row
+        may get inf where the sum gives NaN."""
+        return not self.V.any() and not np.any(np.signbit(self.U) & (self.U == 0.0))
+
     # batch evaluation over rows of X, used by the vectorized engine
     def diffusion_rows(self, t: float, X: np.ndarray) -> np.ndarray:
+        if self._diffusion_is_U:
+            # a constant diffusion: every row is U, a read-only broadcast
+            return np.broadcast_to(self.U, (X.shape[0],) + self.U.shape)
         return np.einsum("kaj,pj->pka", self.V, X) + self.U
 
     def net_drift_blocks(self, marks: MarkMeasure) -> Tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,18 @@ divided-difference Hessian quadratic form), the cone ``PsdCone`` that
 3.7), the matrix probe generator judged by ``conditions.judge_probes``, and
 the svec-embedded Monte Carlo runner.
 
+The Monte Carlo measures a violation as the largest eigenvalue of the
+coupled difference at every grid step.  For m = 2 that statistic is the
+closed-form arithmetic reference LAPACK applies to a 2 x 2 matrix
+(``dsyevd`` runs ``dsterf``'s split test and ``dlae2``), evaluated on whole
+arrays of rows, without one LAPACK call per row.  Its bits are those of
+``numpy.linalg.eigvalsh`` where numpy links reference LAPACK's ``dsterf``
+and ``dlae2`` as compiled in the OpenBLAS 0.3.31 that numpy 2.4's wheels
+bundle.  Another LAPACK (MKL, Accelerate, or one compiled with FMA
+contraction) may round the last bit differently.  Rows whose largest entry
+is below 2^-405 or above 2^485 in size, which LAPACK rescales first, and
+zero rows still go through ``eigvalsh``; so does every row for m != 2.
+
 The Hessian quadratic form uses the spectral divided-difference formula for
 the separable spectral function lambda -> (negative part)^2 (Lewis,
 "Derivatives of spectral functions", 1996), with a central-difference
@@ -447,20 +459,81 @@ def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _eigvalsh_max(rows: np.ndarray, m: int) -> np.ndarray:
+    """Largest eigenvalue of each un-svec'd row by LAPACK; NaN for a
+    non-finite row."""
+    fin = engine._finite_rows(rows)
+    safe = np.where(fin[:, None], rows, 0.0)
+    out = np.linalg.eigvalsh(_unsvec_rows(safe, m))[:, -1].copy()
+    out[~fin] = np.nan
+    return out
+
+
+# dsterf rescales a tridiagonal whose largest |entry| is below 2^-405
+# (sqrt(safe minimum) / eps^2) and dsyevd a matrix whose largest |entry| is
+# above 2^485 (sqrt(eps / safe minimum), eps = 2^-52 there); in between
+# neither rescales, and the 2 x 2 eigenvalues are the unscaled arithmetic below
+_NO_SCALE_MIN = 2.0**-405
+_NO_SCALE_MAX = 2.0**485
+_EPS = 2.0**-53  # dsterf's eps (relative machine precision)
+
+
+def _lambda_max_2x2(rows: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each 2 x 2 un-svec'd row, with the bits of
+    ``eigvalsh`` on a reference LAPACK (see the module docstring); NaN for a
+    non-finite row.
+
+    ``eigvalsh`` runs LAPACK ``dsyevd``: for n = 2 its tridiagonal reduction
+    keeps d = (a, c) and e = b, and ``dsterf`` either splits the matrix
+    (|e| <= sqrt|a| sqrt|c| eps, or e^2 <= eps^2 |a c| once e is squared),
+    leaving the diagonal, or hands (a, sqrt(e^2), c) to ``dlae2``; the pair
+    is then sorted ascending.  Rows with their largest |entry| outside the
+    range where neither routine rescales, zero rows included, go through
+    ``eigvalsh`` itself.
+    """
+    a, c = rows[:, 0], rows[:, 1]
+    b = rows[:, 2] / math.sqrt(2.0)  # the division _unsvec_rows makes
+    abs_a, abs_c = np.abs(a), np.abs(c)
+    anrm = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)  # NaN stays NaN
+    with np.errstate(all="ignore"):  # split, zero or non-finite rows are replaced below
+        e2 = b * b
+        split = (np.abs(b) <= (np.sqrt(abs_a) * np.sqrt(abs_c)) * _EPS) | (
+            e2 <= (_EPS * _EPS) * np.abs(a * c))
+        # dlae2(a, rte, c): dsterf passes a and c in either order, and the
+        # arithmetic is symmetric in them; rt1 is the root of larger
+        # magnitude and rt2 the other
+        rte = np.sqrt(e2)
+        sm = a + c
+        adf = np.abs(a - c)
+        ab = rte + rte
+        big = np.maximum(adf, ab)
+        rt = big * np.sqrt(1.0 + (np.minimum(adf, ab) / big) ** 2)
+        rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))  # 0.5 * rt when sm = 0
+        a_big = abs_a > abs_c
+        acmx, acmn = np.where(a_big, a, c), np.where(a_big, c, a)
+        rt2 = (acmx / rt1) * acmn - (rte / rt1) * rte
+        # dlasrt then sorts the pair; two equal values here have equal bits
+        # (a zero matrix is among the rescaled rows)
+        out = np.where(split, np.maximum(a, c), np.maximum(rt1, rt2))
+    rescaled = ~((anrm >= _NO_SCALE_MIN) & (anrm <= _NO_SCALE_MAX))
+    if rescaled.any():
+        out[rescaled] = _eigvalsh_max(rows[rescaled], 2)
+    return out
+
+
 def spectral_violation_stat(m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Per-path signed violation measure on svec rows of X2 - X1: the largest
-    eigenvalue of the un-embedded difference (equals -lambda_min(X1 - X2))."""
+    eigenvalue of the un-embedded difference (equals -lambda_min(X1 - X2)).
 
-    def stat(rows: np.ndarray) -> np.ndarray:
-        fin = engine._finite_rows(rows)
-        safe = np.where(fin[:, None], rows, 0.0)
-        Y = _unsvec_rows(safe, m)
-        w = np.linalg.eigvalsh(Y)
-        out = w[:, -1].copy()
-        out[~fin] = np.nan
-        return out
-
-    return stat
+    For m = 2 it is computed in closed form with the arithmetic reference
+    LAPACK's ``dsyevd`` applies to a 2 x 2 matrix, so on such a LAPACK its
+    bits are those of ``numpy.linalg.eigvalsh`` without a LAPACK call per
+    row (see ``_lambda_max_2x2``); for any other m it is ``eigvalsh``.  A
+    non-finite row gives NaN.
+    """
+    if m == 2:
+        return _lambda_max_2x2
+    return functools.partial(_eigvalsh_max, m=m)
 
 
 def _svec_affine(blocks: MatrixLinearBlocks, m: int) -> AffineCoefficients:

@@ -237,6 +237,30 @@ PINNED_GALLERY_300 = {
         "a7b517d2dc40e0a588f521eedc6c306c58207968a7d9844928e8c32bb2cb3be9",
 }
 
+# sha256 of the per-path CSV files of the same run with --format csv
+PINNED_PATHS_300 = {
+    "corollary33-pass.paths.csv":
+        "b91c5f1ef12b077ad533b1145e80710fef1a85c55aef1b0aab4792df5f11dbe0",
+    "corollary34-pass.paths.csv":
+        "b91c5f1ef12b077ad533b1145e80710fef1a85c55aef1b0aab4792df5f11dbe0",
+    "corollary35-pass.paths.csv":
+        "b91c5f1ef12b077ad533b1145e80710fef1a85c55aef1b0aab4792df5f11dbe0",
+    "drift-order-fail.paths.csv":
+        "4a06cd60126dc685d4be537b6fe8cd3b52a624e06166dc2e547c27b29246a893",
+    "example36.paths.csv":
+        "b91c5f1ef12b077ad533b1145e80710fef1a85c55aef1b0aab4792df5f11dbe0",
+    "jump-monotone-fail.paths.csv":
+        "5fefdee9357d9f93ac73f631457bcd7c3b4a6db7018c1a3d2c189a565ad1e199",
+    "matrix-drift-fail.paths.csv":
+        "6791d8ac3df42cf5cad51161badd4dd59c04a9b80e6f441613b4e30afef7037c",
+    "matrix-pass.paths.csv":
+        "b91c5f1ef12b077ad533b1145e80710fef1a85c55aef1b0aab4792df5f11dbe0",
+    "sigma-coupling-fail.paths.csv":
+        "2c70e17e05589520c65a7437bcb22f2cd165c96e73312ce8df2a13c80eae2239",
+    "sigma-gap-fail.paths.csv":
+        "4365114b2e5e1a7aa769ce509c0acd9022daf081a3af0334a858ab531e53dbec",
+}
+
 
 class TestMainExitCodes:
     def test_check_pass_exits_zero(self, tmp_path, capsys):
@@ -290,6 +314,17 @@ class TestMainExitCodes:
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in sorted(os.listdir(out))}
         assert got == PINNED_GALLERY_300
+
+    def test_gallery_per_path_csv_is_pinned(self, tmp_path):
+        # the per-path records of the same run: a change that moves one
+        # path's violation or first violation time, even where the reports'
+        # aggregates stay put, fails here
+        out = tmp_path / "g"
+        main(["gallery", "--paths", "300", "--step", "0.015625", "--format", "csv",
+              "--out", str(out)])
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in sorted(os.listdir(out)) if f.endswith(".paths.csv")}
+        assert got == PINNED_PATHS_300
 
     def test_import_does_not_load_numpy_random(self):
         # the driver generator is built on first use, so start-up does not

@@ -186,6 +186,25 @@ class TestDrivers:
             "dd3af2e795758d358d5730bd49fcac78810a9e0f3c5ab3fff885b2082acee26d",
         )
 
+    def test_no_jump_lands_on_t0(self):
+        # near t0 = 2^53 a first interarrival below 1 leaves t at t0; that
+        # jump goes to the next double, t0 + 2, and the later ones follow it
+        marks = MarkMeasure.from_atoms([([1.0], 0.7), ([2.0], 0.4)])
+        t0 = 2.0**53
+        horizon = (t0, t0 + 64.0)
+        for p in range(50):
+            drv = sample_drivers(marks, horizon, 16.0, seed=5, path_index=p, d=1)
+            assert drv.jump_times[0] > t0
+            assert drv.n_segments == drv.times.shape[0] - 1
+        # unit jumps, no diffusion, net drift -1.1: X_T is -1.1 * 64 plus one
+        # per jump; a jump left on t0 would not be applied, and every later
+        # Brownian row of its path would be read one segment off
+        model = scalar_model(marks=marks, jumps=[(0.0, 1.0), (0.0, 1.0)])
+        drv = sample_drivers(marks, horizon, 16.0, seed=14, path_index=0, d=1)
+        assert drv.jump_times[0] == t0 + 2.0 and drv.jump_count == 28
+        x_T = sample_terminal_states(model, [0.0], *horizon, 1, 16.0, seed=14)
+        assert x_T[0, 0] == pytest.approx(-1.1 * 64.0 + 28, abs=1e-9)
+
     def test_rekeyed_generator_keeps_no_state(self, monkeypatch):
         # one generator is re-keyed per path; what it drew for an earlier
         # key, including a half-used 32-bit buffer, must not leak into the
@@ -483,6 +502,62 @@ class TestMonteCarlo:
         mean = float(np.mean(terms))
         se = float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
         assert abs(mean) <= 3.0 * se + 1e-3
+
+
+def _evaluated_diffusion(self, t, X):
+    """The affine diffusion as its formula, evaluated at every row."""
+    return np.einsum("kaj,pj->pka", self.V, X) + self.U
+
+
+class TestConstantDiffusion:
+    """With V = 0 the affine diffusion is U for every row instead of
+    einsum(V, X) + U; the results must be those of the evaluation."""
+
+    @staticmethod
+    def _models(d, U):
+        # x -> 1e80 x on a jump: a path with four or more jumps overflows;
+        # B cancels the compensator of G, so the net drift stays small
+        marks = MarkMeasure.from_atoms([([1.0], 2.5)])
+        G, g = 1e80 * np.eye(2)[None], np.array([[0.2, -0.1]])
+        B = 2.5 * G[0] + [[-0.3, 0.1], [0.05, -0.2]]
+        V = np.zeros((2, d, 2))
+        m1 = affine_model(B, [0.4, 0.1], V, U, G, g, marks)
+        m2 = affine_model(B, [0.2, 0.3], V, U, G, g, marks)
+        return m1, m2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("neg_zero", [False, True], ids=["U", "U-negzero"])
+    def test_matches_the_evaluated_diffusion(self, d, neg_zero, monkeypatch):
+        U = np.random.default_rng(d).standard_normal((2, d))
+        U[1, 0] = -0.0 if neg_zero else 0.0
+        m1, m2 = self._models(d, U)
+        problem = pair_problem(m1, m2, [0.5, 0.5], [0.0, 0.2])
+        h, paths = 2.0**-5, 300
+
+        X = np.random.default_rng(7).standard_normal((50, 2))
+        aff = m1.coefficients.affine
+        sig = aff.diffusion_rows(0.0, X)
+        assert sig.tobytes() == _evaluated_diffusion(aff, 0.0, X).tobytes()
+        # the shared U is a read-only view; a -0.0 in U keeps the evaluation
+        assert sig.flags.writeable == neg_zero
+
+        def run():
+            rep = mc_comparison(problem, paths, h, seed=3, keep_paths=True)
+            terms = sample_terminal_states(m1, problem.x1, 0.0, 1.0, paths, h, seed=3)
+            return rep, terms
+
+        fast, fast_terms = run()
+        monkeypatch.setattr(AffineCoefficients, "diffusion_rows", _evaluated_diffusion)
+        ref, ref_terms = run()
+        assert 0 < fast.failed < paths
+        for field in ("violation", "first_violation_time", "failed"):
+            a, b = getattr(fast.per_path, field), getattr(ref.per_path, field)
+            assert a.tobytes() == b.tobytes(), field
+        # an overflowed row may hold inf where the evaluation made NaN
+        finite = np.isfinite(ref_terms).all(axis=1)
+        assert np.array_equal(np.isfinite(fast_terms).all(axis=1), finite)
+        assert 0 < finite.sum() < paths
+        assert fast_terms[finite].tobytes() == ref_terms[finite].tobytes()
 
 
 class TestPerPathRecords:

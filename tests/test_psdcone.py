@@ -479,6 +479,100 @@ class TestSvec:
         assert psdcone._unsvec_rows(rows, m).tobytes() == want.tobytes()
 
 
+def _stress_rows_2x2(rng: np.random.Generator, n: int) -> np.ndarray:
+    """svec rows (a, c, sqrt2 b) of 2 x 2 matrices at the edges of the
+    closed-form spectral statistic."""
+    rows = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (n, 1))
+    k = n // 8
+    a, c = rows[:, 0], rows[:, 1]
+    part = [slice(i * k, (i + 1) * k) for i in range(7)]
+    c[part[0]] = a[part[0]]  # a = c
+    c[part[1]] = -a[part[1]]  # a = -c, so a + c = 0
+    rows[part[2], 2] = 0.0  # b = 0
+    # |b| a few ulps either side of dsterf's split bound sqrt|a| sqrt|c| eps
+    s = part[3]
+    bound = np.sqrt(np.abs(a[s])) * np.sqrt(np.abs(c[s])) * 2.0**-53
+    ulps = rng.integers(-3, 4, k)
+    rows[s, 2] = np.sqrt(2.0) * np.sign(rng.standard_normal(k)) * (
+        bound * (1.0 + ulps * 2.0**-52))
+    # |a - c| = |2 b|, dlae2's tie between its two branches
+    s = part[4]
+    rows[s, 2] = np.sqrt(2.0) * (a[s] - c[s]) / 2.0
+    # an off-diagonal whose square is subnormal or zero next to a normal diagonal
+    s = part[5]
+    rows[s, 2] = 10.0 ** rng.uniform(-320.0, -150.0, k) * np.sign(rng.standard_normal(k))
+    a[s] = np.sign(a[s]) * 10.0 ** rng.uniform(-10.0, 10.0, k)
+    # the largest |entry| a few ulps either side of a rescaling limit
+    s = part[6]
+    limit = np.where(rng.random(k) < 0.5, 2.0**-405, 2.0**485)
+    a[s] = np.sign(a[s]) * limit * (1.0 + rng.integers(-2, 3, k) * 2.0**-52)
+    rows[s, 1:] = rows[s, 1:] * (limit / np.abs(rows[s, 1:]).max(axis=1))[:, None] * 0.5
+    # signed zeros anywhere
+    zero = rng.random((n, 3)) < 0.05
+    rows[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    # non-finite rows
+    bad = rng.choice(n, 64, replace=False)
+    rows[bad[:32], rng.integers(0, 3, 32)] = np.inf * np.sign(rng.standard_normal(32))
+    rows[bad[32:], rng.integers(0, 3, 32)] = np.nan
+    return rows
+
+
+def _numpy_lapack() -> str:
+    """The LAPACK numpy was built against, as numpy reports it."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return "unknown"
+    return f"{lapack.get('name')} {lapack.get('version')}"
+
+
+class TestSpectralStat:
+    @staticmethod
+    def eigvalsh_max(rows, m):
+        # the top eigenvalue of each un-svec'd row by LAPACK, NaN for a
+        # non-finite row (_unsvec_rows is unsvec per row, see TestSvec)
+        fin = np.isfinite(rows).all(axis=1)
+        w = np.linalg.eigvalsh(psdcone._unsvec_rows(np.where(fin[:, None], rows, 0.0), m))
+        return np.where(fin, w[:, -1], np.nan)
+
+    def test_m2_closed_form_is_eigvalsh_bit_for_bit(self):
+        stat = psdcone.spectral_violation_stat(2)
+        n = 0
+        for seed in range(4):
+            rows = _stress_rows_2x2(np.random.default_rng(seed), 2**18)
+            got, want = stat(rows), self.eigvalsh_max(rows, 2)
+            bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            # the closed form is reference LAPACK's arithmetic; on another
+            # LAPACK a last-bit difference here is a build difference
+            assert bad.size == 0, (f"{bad.size} rows differ from eigvalsh on LAPACK "
+                                   f"{_numpy_lapack()}", rows[bad[:3]], got[bad[:3]],
+                                   want[bad[:3]])
+            n += rows.shape[0]
+        assert n >= 10**6
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lapack_calls(self, m, monkeypatch):
+        # m = 2 calls eigvalsh only for rows LAPACK would rescale or that are
+        # not finite; every other m always calls it
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        rows = np.random.default_rng(m).standard_normal((100, m * (m + 1) // 2))
+        want = self.eigvalsh_max(rows, m)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stat = psdcone.spectral_violation_stat(m)
+        assert stat(rows).tobytes() == want.tobytes()
+        assert calls == ([] if m == 2 else [100])
+        rows[7] *= 1e-130
+        rows[9, 0] = np.nan
+        stat(rows)
+        assert calls == ([2] if m == 2 else [100, 100])
+
+
 class TestMatrixMc:
     def test_identical_models_zero(self):
         p = matrix_pair(2, gap=np.zeros((2, 2)), x1=0.7 * np.eye(2), x2=0.7 * np.eye(2))
