@@ -1,6 +1,8 @@
 """Scenario configuration, the built-in gallery, batch execution, reporting.
 
-Configs are strict JSON (unknown keys rejected, dimensions cross-checked).
+Configs are strict JSON: unknown keys are rejected, and dimensions are
+cross-checked (a vector config's ``m`` and ``d`` must be its models', and
+every matrix offset must be m x m).
 Reports serialize canonically: sorted keys, shortest-round-trip floats, no
 volatile fields (timing goes to stderr), so identical runs produce
 byte-identical files.
@@ -28,6 +30,7 @@ from . import __version__
 from . import conditions, engine
 from .conditions import Theorem31Report, Verdict, Witness, check_theorem31
 from .model import (
+    DEFAULT_LADDER,
     AffineCoefficients,
     CoefficientTriple,
     ComparisonProblem,
@@ -42,7 +45,6 @@ from .model import (
 from .psdcone import (
     MatrixComparisonProblem,
     MatrixCoefficients,
-    MatrixLinearBlocks,
     MatrixLinearMap,
     MatrixModel,
     check_theorem37,
@@ -104,6 +106,12 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# The ``mc`` and ``check`` blocks of a config are written once, as the fields
+# of McConfig and CheckConfig: each field is an optional key of its block,
+# parsed by the ``_FIELD_PARSERS`` entry of its type and echoed by
+# ``config_to_dict``.  Only an Optional field accepts null.
+
+
 @dataclass
 class McConfig:
     paths: int = DEFAULT_PATHS
@@ -114,9 +122,9 @@ class McConfig:
 
 @dataclass
 class CheckConfig:
-    samples: int = 512
-    box: float = 10.0
-    ladder: List[float] = field(default_factory=lambda: [1e-6, 1e-4, 1e-2, 1e-1, 1.0])
+    samples: int = SampleDomain.count
+    box: float = SampleDomain.box
+    ladder: List[float] = field(default_factory=lambda: list(DEFAULT_LADDER))
     seed: int = 0
     eps_check: Optional[float] = None
 
@@ -182,6 +190,23 @@ def _tensor3(v: Any, path: str) -> List[List[List[float]]]:
     if not isinstance(v, list):
         raise SchemaError(f"{path}: expected a rank-3 array")
     return [_matrix(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
+# keyed by a config-block field's annotation, a string under postponed evaluation
+_FIELD_PARSERS = {"int": _intval, "float": _num, "Optional[float]": _num,
+                  "List[float]": _num_list}
+
+
+def _block(cls, data: Any, path: str):
+    """Parse a flat config block into the dataclass ``cls`` (see McConfig)."""
+    block = _expect_dict(data, path)
+    fields = dataclasses.fields(cls)
+    _take(block, path, required=[], optional=[f.name for f in fields])
+    out = cls()
+    for f in fields:
+        if f.name in block and not (block[f.name] is None and f.type.startswith("Optional[")):
+            setattr(out, f.name, _FIELD_PARSERS[f.type](block[f.name], f"{path}.{f.name}"))
+    return out
 
 
 def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> ScenarioConfig:
@@ -267,35 +292,6 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
         x1 = _matrix(init["x1"], "$.initial.x1")
         x2 = _matrix(init["x2"], "$.initial.x2")
 
-    mc = McConfig()
-    if "mc" in top:
-        mcd = _expect_dict(top["mc"], "$.mc")
-        _take(mcd, "$.mc", required=[], optional=["paths", "step", "seed", "eps_path"])
-        if "paths" in mcd:
-            mc.paths = _intval(mcd["paths"], "$.mc.paths")
-        if "step" in mcd:
-            mc.step = _num(mcd["step"], "$.mc.step")
-        if "seed" in mcd:
-            mc.seed = _intval(mcd["seed"], "$.mc.seed")
-        if "eps_path" in mcd and mcd["eps_path"] is not None:
-            mc.eps_path = _num(mcd["eps_path"], "$.mc.eps_path")
-
-    check = CheckConfig()
-    if "check" in top:
-        chd = _expect_dict(top["check"], "$.check")
-        _take(chd, "$.check", required=[],
-              optional=["samples", "box", "ladder", "seed", "eps_check"])
-        if "samples" in chd:
-            check.samples = _intval(chd["samples"], "$.check.samples")
-        if "box" in chd:
-            check.box = _num(chd["box"], "$.check.box")
-        if "ladder" in chd:
-            check.ladder = _num_list(chd["ladder"], "$.check.ladder")
-        if "seed" in chd:
-            check.seed = _intval(chd["seed"], "$.check.seed")
-        if "eps_check" in chd and chd["eps_check"] is not None:
-            check.eps_check = _num(chd["eps_check"], "$.check.eps_check")
-
     cfg = ScenarioConfig(
         id=str(top.get("id", default_id)),
         kind=kind,
@@ -309,8 +305,8 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
         model2=model2,
         x1=x1,
         x2=x2,
-        mc=mc,
-        check=check,
+        mc=_block(McConfig, top.get("mc", {}), "$.mc"),
+        check=_block(CheckConfig, top.get("check", {}), "$.check"),
     )
     build_problem(cfg)  # surface dimension/order/weight errors at parse time
     _check_mc(cfg)
@@ -338,19 +334,8 @@ def config_to_dict(cfg: ScenarioConfig) -> Dict[str, Any]:
         "model1": cfg.model1,
         "model2": cfg.model2,
         "initial": {"x1": cfg.x1, "x2": cfg.x2},
-        "mc": {
-            "paths": cfg.mc.paths,
-            "step": cfg.mc.step,
-            "seed": cfg.mc.seed,
-            "eps_path": cfg.mc.eps_path,
-        },
-        "check": {
-            "samples": cfg.check.samples,
-            "box": cfg.check.box,
-            "ladder": cfg.check.ladder,
-            "seed": cfg.check.seed,
-            "eps_check": cfg.check.eps_check,
-        },
+        "mc": dataclasses.asdict(cfg.mc),
+        "check": dataclasses.asdict(cfg.check),
     }
 
 
@@ -379,78 +364,52 @@ def parse_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _marks_from_config(cfg: ScenarioConfig) -> MarkMeasure:
-    atoms = [(a["e"], a["w"]) for a in cfg.atoms]
-    return MarkMeasure.from_atoms(atoms, dimension=cfg.marks_dimension)
+def _sde_model(block: Dict[str, Any], marks: MarkMeasure) -> SdeModel:
+    affine = AffineCoefficients(
+        B=block["B"], c=block["c"], V=block["V"], U=block["U"],
+        G=[jm["G"] for jm in block["jumps"]], g=[jm["g"] for jm in block["jumps"]],
+    )
+    return SdeModel(CoefficientTriple.from_affine(affine), marks,
+                    lipschitz_certificate(affine, marks))
+
+
+def _matrix_model(block: Dict[str, Any], marks: MarkMeasure) -> MatrixModel:
+    def linear(lm: Dict[str, Any]) -> MatrixLinearMap:
+        return MatrixLinearMap(lm["scale"], np.array(lm["offset"]))
+
+    coeffs = MatrixCoefficients(drift=linear(block["b"]), diffusion=linear(block["sigma"]),
+                                jumps=tuple(linear(jm) for jm in block["jumps"]))
+    return MatrixModel(coeffs, marks, matrix_certificate(coeffs, marks))
 
 
 def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixComparisonProblem]:
     """Instantiate the typed problem; model-level validation errors surface
-    as SchemaError (except ordering, which keeps its own type)."""
+    as SchemaError (except ordering, which keeps its own type), and so does
+    an ``m`` or ``d`` that differs from the models'."""
     try:
-        marks = _marks_from_config(cfg)
-        sampling = SampleDomain(
-            box=cfg.check.box, count=cfg.check.samples,
-            ladder=tuple(cfg.check.ladder), seed=cfg.check.seed,
-        )
-        tolerances = Tolerances(eps_check=cfg.check.eps_check, eps_path=cfg.mc.eps_path)
+        marks = MarkMeasure.from_atoms([(a["e"], a["w"]) for a in cfg.atoms],
+                                       dimension=cfg.marks_dimension)
         if cfg.kind == "vector":
-            models = []
-            for block in (cfg.model1, cfg.model2):
-                n_atoms = len(block["jumps"])
-                affine = AffineCoefficients(
-                    B=np.array(block["B"], dtype=float),
-                    c=np.array(block["c"], dtype=float),
-                    V=np.array(block["V"], dtype=float),
-                    U=np.array(block["U"], dtype=float),
-                    G=np.array([jm["G"] for jm in block["jumps"]], dtype=float).reshape(
-                        n_atoms, cfg.m, cfg.m
-                    ),
-                    g=np.array([jm["g"] for jm in block["jumps"]], dtype=float).reshape(
-                        n_atoms, cfg.m
-                    ),
-                )
-                budget = lipschitz_certificate(affine, marks)
-                models.append(
-                    SdeModel(
-                        coefficients=CoefficientTriple.from_affine(affine),
-                        marks=marks,
-                        budget=budget,
-                    )
-                )
-            return ComparisonProblem(
-                model1=models[0], model2=models[1], t0=cfg.t0, T=cfg.T,
-                x1=np.array(cfg.x1, dtype=float), x2=np.array(cfg.x2, dtype=float),
-                sampling=sampling, tolerances=tolerances,
-            )
-        # matrix
-        models_m = []
-        for block in (cfg.model1, cfg.model2):
-            blocks = MatrixLinearBlocks(
-                b=MatrixLinearMap(block["b"]["scale"], np.array(block["b"]["offset"])),
-                sigma=MatrixLinearMap(block["sigma"]["scale"], np.array(block["sigma"]["offset"])),
-                jumps=tuple(
-                    MatrixLinearMap(jm["scale"], np.array(jm["offset"]))
-                    for jm in block["jumps"]
-                ),
-            )
-            budget = matrix_certificate(blocks, marks)
-            models_m.append(
-                MatrixModel(
-                    coefficients=MatrixCoefficients.from_linear(cfg.m, blocks),
-                    marks=marks,
-                    budget=budget,
-                )
-            )
-        return MatrixComparisonProblem(
-            model1=models_m[0], model2=models_m[1], t0=cfg.t0, T=cfg.T,
+            problem_type, model = ComparisonProblem, _sde_model
+        else:
+            problem_type, model = MatrixComparisonProblem, _matrix_model
+        problem = problem_type(
+            model1=model(cfg.model1, marks), model2=model(cfg.model2, marks),
+            t0=cfg.t0, T=cfg.T,
             x1=np.array(cfg.x1, dtype=float), x2=np.array(cfg.x2, dtype=float),
-            sampling=sampling, tolerances=tolerances,
+            sampling=SampleDomain(box=cfg.check.box, count=cfg.check.samples,
+                                  ladder=tuple(cfg.check.ladder), seed=cfg.check.seed),
+            tolerances=Tolerances(eps_check=cfg.check.eps_check, eps_path=cfg.mc.eps_path),
         )
     except OrderError:
         raise
-    except ModelError as exc:
+    except ValueError as exc:  # a ModelError, or numpy on rows of unequal length
         raise SchemaError(str(exc)) from exc
+    dims = (problem.m, problem.d if cfg.kind == "vector" else 1)
+    if dims != (cfg.m, cfg.d):
+        raise SchemaError(f"$.m, $.d: the config says ({cfg.m}, {cfg.d}), "
+                          f"the models have ({dims[0]}, {dims[1]})")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -586,53 +545,37 @@ def write_paths_csv(path: str, records: engine.PathRecords) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_check(cfg: ScenarioConfig, problem) -> Union[Theorem31Report, Verdict]:
-    if cfg.kind == "vector":
-        return check_theorem31(problem)
-    return check_theorem37(problem)
-
-
-def _run_mc(cfg: ScenarioConfig, problem, keep_paths: bool) -> engine.McReport:
-    if cfg.kind == "vector":
-        return engine.mc_comparison(
-            problem, cfg.mc.paths, cfg.mc.step, cfg.mc.seed, keep_paths=keep_paths
-        )
-    return mc_matrix_comparison(
-        problem, cfg.mc.paths, cfg.mc.step, cfg.mc.seed, keep_paths=keep_paths
-    )
+def _run(cfg: ScenarioConfig, check: bool, mc: bool, keep_paths: bool = False) -> RunReport:
+    """The one run body: build the problem once, run the checker and/or the
+    Monte Carlo, and flag agreement when both ran."""
+    start = time.perf_counter()
+    problem = build_problem(cfg)
+    report = RunReport(scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg))
+    vector = cfg.kind == "vector"
+    if check:
+        report.check = (check_theorem31 if vector else check_theorem37)(problem)
+    if mc:
+        simulate = engine.mc_comparison if vector else mc_matrix_comparison
+        report.mc = simulate(problem, cfg.mc.paths, cfg.mc.step, cfg.mc.seed,
+                             keep_paths=keep_paths)
+        report.low_power = cfg.mc.paths < LOW_POWER_PATHS
+        if check:
+            report.agreement = report.check_violated == (report.mc.violating > 0)
+    report.wall_clock_s = time.perf_counter() - start
+    return report
 
 
 def run_check(cfg: ScenarioConfig) -> RunReport:
-    start = time.perf_counter()
-    check = _run_check(cfg, build_problem(cfg))
-    return RunReport(
-        scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg),
-        check=check, wall_clock_s=time.perf_counter() - start,
-    )
+    return _run(cfg, check=True, mc=False)
 
 
 def run_simulate(cfg: ScenarioConfig, keep_paths: bool = False) -> RunReport:
-    start = time.perf_counter()
-    mc = _run_mc(cfg, build_problem(cfg), keep_paths)
-    return RunReport(
-        scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg),
-        mc=mc, low_power=cfg.mc.paths < LOW_POWER_PATHS,
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return _run(cfg, check=False, mc=True, keep_paths=keep_paths)
 
 
 def run_full(cfg: ScenarioConfig, keep_paths: bool = False) -> RunReport:
     """Checker plus simulation plus the agreement flag between them."""
-    start = time.perf_counter()
-    problem = build_problem(cfg)
-    report = RunReport(
-        scenario_id=cfg.id, kind=cfg.kind, config_echo=config_to_dict(cfg),
-        check=_run_check(cfg, problem), mc=_run_mc(cfg, problem, keep_paths),
-        low_power=cfg.mc.paths < LOW_POWER_PATHS,
-    )
-    report.agreement = report.check_violated == (report.mc.violating > 0)
-    report.wall_clock_s = time.perf_counter() - start
-    return report
+    return _run(cfg, check=True, mc=True, keep_paths=keep_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -640,122 +583,121 @@ def run_full(cfg: ScenarioConfig, keep_paths: bool = False) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _vec_cfg(
-    scenario_id: str, m: int, d: int, atoms, model1, model2, x1, x2,
-    mc_seed: int, check_seed: int, marks_dimension: int = 1,
-) -> ScenarioConfig:
+def _gallery_cfg(kind: str, scenario_id: str, atoms, model1, model2, x1, x2,
+                 mc_seed: int, check_seed: int) -> ScenarioConfig:
+    """A built-in scenario on [0, 1] with one Brownian driver and scalar
+    marks.  A vector model is (B, c, V, U, jumps); a matrix model is the
+    (scale, offset) pairs of b and sigma, without jumps."""
+    def model(values) -> Dict[str, Any]:
+        if kind == "vector":
+            return dict(zip(("B", "c", "V", "U", "jumps"), values))
+        (b_scale, b_off), (s_scale, s_off) = values
+        return {"b": {"scale": b_scale, "offset": b_off},
+                "sigma": {"scale": s_scale, "offset": s_off}, "jumps": []}
+
     return ScenarioConfig(
-        id=scenario_id, kind="vector", m=m, d=d, t0=0.0, T=1.0,
-        marks_dimension=marks_dimension, atoms=atoms,
-        model1=model1, model2=model2, x1=x1, x2=x2,
-        mc=McConfig(seed=mc_seed),
-        check=CheckConfig(seed=check_seed),
-    )
-
-
-def _vec_model(B, c, V, U, jumps) -> Dict[str, Any]:
-    return {"B": B, "c": c, "V": V, "U": U, "jumps": jumps}
-
-
-def _mat_cfg(scenario_id, model1, model2, x1, x2, mc_seed, check_seed) -> ScenarioConfig:
-    return ScenarioConfig(
-        id=scenario_id, kind="matrix", m=2, d=1, t0=0.0, T=1.0,
-        marks_dimension=1, atoms=[],
-        model1=model1, model2=model2, x1=x1, x2=x2,
-        mc=McConfig(seed=mc_seed),
-        check=CheckConfig(seed=check_seed),
+        id=scenario_id, kind=kind, m=len(x1), d=1, t0=0.0, T=1.0,
+        marks_dimension=1, atoms=atoms, model1=model(model1), model2=model(model2),
+        x1=x1, x2=x2, mc=McConfig(seed=mc_seed), check=CheckConfig(seed=check_seed),
     )
 
 
 def gallery_configs() -> List[ScenarioConfig]:
     """The built-in scenario set (everything ships in code, no data files)."""
     one_atom = [{"e": [1.0], "w": 1.0}]
-    out: List[ScenarioConfig] = []
-
-    # ordered jump maps with distinct constants; compensated drifts ordered
-    out.append(_vec_cfg(
-        "corollary33-pass", 1, 1, one_atom,
-        _vec_model([[-0.2]], [0.5], [[[0.3]]], [[0.1]], [{"G": [[-0.5]], "g": [0.4]}]),
-        _vec_model([[-0.2]], [0.1], [[[0.3]]], [[0.1]], [{"G": [[-0.5]], "g": [0.1]}]),
-        [1.0], [0.5], mc_seed=101, check_seed=11,
-    ))
-    # shared jump coefficient, plain drift order
-    out.append(_vec_cfg(
-        "corollary34-pass", 1, 1, one_atom,
-        _vec_model([[-0.3]], [0.6], [[[0.25]]], [[0.05]], [{"G": [[0.2]], "g": [0.1]}]),
-        _vec_model([[-0.3]], [0.2], [[[0.25]]], [[0.05]], [{"G": [[0.2]], "g": [0.1]}]),
-        [0.7], [0.2], mc_seed=102, check_seed=12,
-    ))
-    # diffusion-only comparison
-    out.append(_vec_cfg(
-        "corollary35-pass", 1, 1, [],
-        _vec_model([[-0.5]], [1.0], [[[0.4]]], [[0.1]], []),
-        _vec_model([[-0.5]], [0.3], [[[0.4]]], [[0.1]], []),
-        [0.8], [0.8], mc_seed=103, check_seed=13,
-    ))
-    # pure-jump pair with unequal jump amplitudes but ordered post-jump maps;
-    # drift equals the mark integral of gamma, so the net drift vanishes
-    out.append(_vec_cfg(
-        "example36", 1, 1, one_atom,
-        _vec_model([[0.5]], [0.8], [[[0.0]]], [[0.0]], [{"G": [[0.5]], "g": [0.8]}]),
-        _vec_model([[0.5]], [0.2], [[[0.0]]], [[0.0]], [{"G": [[0.5]], "g": [0.2]}]),
-        [0.5], [0.0], mc_seed=104, check_seed=14,
-    ))
-    # post-jump map reverses order: own-coordinate coefficient 1 + G < 0
-    out.append(_vec_cfg(
-        "jump-monotone-fail", 1, 1, one_atom,
-        _vec_model([[0.0]], [0.0], [[[0.0]]], [[0.2]], [{"G": [[-1.6]], "g": [0.0]}]),
-        _vec_model([[0.0]], [0.0], [[[0.0]]], [[0.2]], [{"G": [[-1.6]], "g": [0.0]}]),
-        [1.0], [0.2], mc_seed=105, check_seed=15,
-    ))
-    # strongly negative off-diagonal drift coupling breaks quasimonotonicity
-    out.append(_vec_cfg(
-        "drift-order-fail", 2, 1, [],
-        _vec_model([[-0.2, -2.0], [0.1, -0.3]], [0.0, 0.0],
-                   [[[0.0, 0.0]], [[0.0, 0.0]]], [[0.2], [0.2]], []),
-        _vec_model([[-0.2, -2.0], [0.1, -0.3]], [0.0, 0.0],
-                   [[[0.0, 0.0]], [[0.0, 0.0]]], [[0.2], [0.2]], []),
-        [0.5, 1.0], [0.5, 0.0], mc_seed=106, check_seed=16,
-    ))
-    # constant diffusion gap between the two models
-    out.append(_vec_cfg(
-        "sigma-gap-fail", 1, 1, [],
-        _vec_model([[0.0]], [0.0], [[[0.0]]], [[1.2]], []),
-        _vec_model([[0.0]], [0.0], [[[0.0]]], [[0.2]], []),
-        [0.2], [0.2], mc_seed=107, check_seed=17,
-    ))
-    # shared diffusion, but row 1 couples to coordinate 2
-    out.append(_vec_cfg(
-        "sigma-coupling-fail", 2, 1, [],
-        _vec_model([[-0.1, 0.0], [0.0, -0.1]], [0.05, 0.05],
-                   [[[0.0, 2.0]], [[0.0, 0.0]]], [[0.0], [0.0]], []),
-        _vec_model([[-0.1, 0.0], [0.0, -0.1]], [0.0, 0.0],
-                   [[[0.0, 2.0]], [[0.0, 0.0]]], [[0.0], [0.0]], []),
-        [1.0, 1.0], [1.0, 0.0], mc_seed=108, check_seed=18,
-    ))
-    # PSD drift gap, shared scalar-linear diffusion
-    out.append(_mat_cfg(
-        "matrix-pass",
-        {"b": {"scale": 0.5, "offset": [[0.4, 0.0], [0.0, 0.4]]},
-         "sigma": {"scale": 0.4, "offset": [[0.0, 0.0], [0.0, 0.0]]}, "jumps": []},
-        {"b": {"scale": 0.5, "offset": [[0.0, 0.0], [0.0, 0.0]]},
-         "sigma": {"scale": 0.4, "offset": [[0.0, 0.0], [0.0, 0.0]]}, "jumps": []},
-        [[1.2, 0.2], [0.2, 0.8]], [[0.4, 0.0], [0.0, 0.2]],
-        mc_seed=109, check_seed=19,
-    ))
-    # indefinite drift gap; constant shared diffusion keeps the difference
-    # deterministic, so every path violates
-    out.append(_mat_cfg(
-        "matrix-drift-fail",
-        {"b": {"scale": 0.5, "offset": [[2.0, 0.0], [0.0, -2.0]]},
-         "sigma": {"scale": 0.0, "offset": [[0.3, 0.1], [0.1, 0.2]]}, "jumps": []},
-        {"b": {"scale": 0.5, "offset": [[0.0, 0.0], [0.0, 0.0]]},
-         "sigma": {"scale": 0.0, "offset": [[0.3, 0.1], [0.1, 0.2]]}, "jumps": []},
-        [[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]],
-        mc_seed=110, check_seed=20,
-    ))
+    zeros = [[0.0, 0.0], [0.0, 0.0]]
+    out = [
+        # ordered jump maps with distinct constants; compensated drifts ordered
+        _gallery_cfg(
+            "vector", "corollary33-pass", one_atom,
+            ([[-0.2]], [0.5], [[[0.3]]], [[0.1]], [{"G": [[-0.5]], "g": [0.4]}]),
+            ([[-0.2]], [0.1], [[[0.3]]], [[0.1]], [{"G": [[-0.5]], "g": [0.1]}]),
+            [1.0], [0.5], mc_seed=101, check_seed=11,
+        ),
+        # shared jump coefficient, plain drift order
+        _gallery_cfg(
+            "vector", "corollary34-pass", one_atom,
+            ([[-0.3]], [0.6], [[[0.25]]], [[0.05]], [{"G": [[0.2]], "g": [0.1]}]),
+            ([[-0.3]], [0.2], [[[0.25]]], [[0.05]], [{"G": [[0.2]], "g": [0.1]}]),
+            [0.7], [0.2], mc_seed=102, check_seed=12,
+        ),
+        # diffusion-only comparison
+        _gallery_cfg(
+            "vector", "corollary35-pass", [],
+            ([[-0.5]], [1.0], [[[0.4]]], [[0.1]], []),
+            ([[-0.5]], [0.3], [[[0.4]]], [[0.1]], []),
+            [0.8], [0.8], mc_seed=103, check_seed=13,
+        ),
+        # pure-jump pair with unequal jump amplitudes but ordered post-jump
+        # maps; drift equals the mark integral of gamma, so the net drift vanishes
+        _gallery_cfg(
+            "vector", "example36", one_atom,
+            ([[0.5]], [0.8], [[[0.0]]], [[0.0]], [{"G": [[0.5]], "g": [0.8]}]),
+            ([[0.5]], [0.2], [[[0.0]]], [[0.0]], [{"G": [[0.5]], "g": [0.2]}]),
+            [0.5], [0.0], mc_seed=104, check_seed=14,
+        ),
+        # post-jump map reverses order: own-coordinate coefficient 1 + G < 0
+        _gallery_cfg(
+            "vector", "jump-monotone-fail", one_atom,
+            ([[0.0]], [0.0], [[[0.0]]], [[0.2]], [{"G": [[-1.6]], "g": [0.0]}]),
+            ([[0.0]], [0.0], [[[0.0]]], [[0.2]], [{"G": [[-1.6]], "g": [0.0]}]),
+            [1.0], [0.2], mc_seed=105, check_seed=15,
+        ),
+        # strongly negative off-diagonal drift coupling breaks quasimonotonicity
+        _gallery_cfg(
+            "vector", "drift-order-fail", [],
+            ([[-0.2, -2.0], [0.1, -0.3]], [0.0, 0.0], [[[0.0, 0.0]], [[0.0, 0.0]]],
+             [[0.2], [0.2]], []),
+            ([[-0.2, -2.0], [0.1, -0.3]], [0.0, 0.0], [[[0.0, 0.0]], [[0.0, 0.0]]],
+             [[0.2], [0.2]], []),
+            [0.5, 1.0], [0.5, 0.0], mc_seed=106, check_seed=16,
+        ),
+        # constant diffusion gap between the two models
+        _gallery_cfg(
+            "vector", "sigma-gap-fail", [],
+            ([[0.0]], [0.0], [[[0.0]]], [[1.2]], []),
+            ([[0.0]], [0.0], [[[0.0]]], [[0.2]], []),
+            [0.2], [0.2], mc_seed=107, check_seed=17,
+        ),
+        # shared diffusion, but row 1 couples to coordinate 2
+        _gallery_cfg(
+            "vector", "sigma-coupling-fail", [],
+            ([[-0.1, 0.0], [0.0, -0.1]], [0.05, 0.05], [[[0.0, 2.0]], [[0.0, 0.0]]],
+             [[0.0], [0.0]], []),
+            ([[-0.1, 0.0], [0.0, -0.1]], [0.0, 0.0], [[[0.0, 2.0]], [[0.0, 0.0]]],
+             [[0.0], [0.0]], []),
+            [1.0, 1.0], [1.0, 0.0], mc_seed=108, check_seed=18,
+        ),
+        # PSD drift gap, shared scalar-linear diffusion
+        _gallery_cfg(
+            "matrix", "matrix-pass", [],
+            ((0.5, [[0.4, 0.0], [0.0, 0.4]]), (0.4, zeros)),
+            ((0.5, zeros), (0.4, zeros)),
+            [[1.2, 0.2], [0.2, 0.8]], [[0.4, 0.0], [0.0, 0.2]], mc_seed=109, check_seed=19,
+        ),
+        # indefinite drift gap; constant shared diffusion keeps the difference
+        # deterministic, so every path violates
+        _gallery_cfg(
+            "matrix", "matrix-drift-fail", [],
+            ((0.5, [[2.0, 0.0], [0.0, -2.0]]), (0.0, [[0.3, 0.1], [0.1, 0.2]])),
+            ((0.5, zeros), (0.0, [[0.3, 0.1], [0.1, 0.2]])),
+            [[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]], mc_seed=110, check_seed=20,
+        ),
+    ]
     assert tuple(c.id for c in out) == GALLERY_IDS
     return out
+
+
+def _with_overrides(cfg: ScenarioConfig, paths: Optional[int] = None,
+                    step: Optional[float] = None, seed: Optional[int] = None) -> ScenarioConfig:
+    """A copy of ``cfg`` with the Monte Carlo settings that are given; ``seed``
+    sets both seeds.  Settings the engine cannot run are a SchemaError."""
+    mc = {k: v for k, v in (("paths", paths), ("step", step), ("seed", seed)) if v is not None}
+    check = {} if seed is None else {"seed": seed}
+    cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, **mc),
+                              check=dataclasses.replace(cfg.check, **check))
+    _check_mc(cfg)
+    return cfg
 
 
 def run_gallery(
@@ -763,43 +705,18 @@ def run_gallery(
     seed: Optional[int] = None, keep_paths: bool = False,
 ) -> List[RunReport]:
     """Execute the built-in scenario set; every report should agree between
-    checker and simulation (attention-needed otherwise)."""
-    reports = []
-    for cfg in gallery_configs():
-        cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc),
-                                  check=dataclasses.replace(cfg.check))
-        if smoke:
-            cfg.mc.paths = 10
-            cfg.mc.step = 2.0**-5
-        if paths is not None:
-            cfg.mc.paths = paths
-        if step is not None:
-            cfg.mc.step = step
-        if seed is not None:
-            cfg.mc.seed = seed
-            cfg.check.seed = seed
-        _check_mc(cfg)
-        reports.append(run_full(cfg, keep_paths=keep_paths))
-    return reports
+    checker and simulation (attention-needed otherwise).  ``smoke`` presets
+    10 paths and step 2^-5; given values win over the preset."""
+    if smoke:
+        paths = 10 if paths is None else paths
+        step = 2.0**-5 if step is None else step
+    return [run_full(_with_overrides(cfg, paths, step, seed), keep_paths=keep_paths)
+            for cfg in gallery_configs()]
 
 
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
-
-
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc),
-                              check=dataclasses.replace(cfg.check))
-    if getattr(args, "paths", None) is not None:
-        cfg.mc.paths = args.paths
-    if getattr(args, "step", None) is not None:
-        cfg.mc.step = args.step
-    if getattr(args, "seed", None) is not None:
-        cfg.mc.seed = args.seed
-        cfg.check.seed = args.seed
-    _check_mc(cfg)
-    return cfg
 
 
 def _emit(report: RunReport, args) -> None:
@@ -879,8 +796,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
             return 0
 
-        cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _with_overrides(parse_config(args.config), args.paths, args.step, args.seed)
         if args.command == "check":
             report = run_check(cfg)
         elif args.command == "simulate":

@@ -132,9 +132,6 @@ class MarkMeasure:
         """Sum of the weights, computed on first read and kept."""
         return float(np.sum(self.weights))
 
-    def atom(self, j: int) -> Tuple[np.ndarray, float]:
-        return self.marks[j], float(self.weights[j])
-
     def same_atoms(self, other: "MarkMeasure") -> bool:
         return (
             self.dimension == other.dimension

@@ -4,8 +4,8 @@ Spectral machinery (the LAPACK symmetric eigensolver, positive/negative
 spectral splits, squared distance to the PSD cone, its gradient, and the
 divided-difference Hessian quadratic form), the cone ``PsdCone`` that
 ``geometry.generator`` evaluates the pointwise inequality over (Theorem
-3.7), the matrix probe generator judged by ``conditions.judge_probes``, and
-the svec-embedded Monte Carlo runner.
+3.7), the scalar-linear matrix models, the matrix probe generator judged by
+``conditions.judge_probes``, and the svec-embedded Monte Carlo runner.
 
 The Monte Carlo measures a violation as the largest eigenvalue of the
 coupled difference at every grid step.  For m = 2 that statistic is the
@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ __all__ = [
     "HessQuadForm",
     "PsdCone",
     "MatrixLinearMap",
-    "MatrixLinearBlocks",
     "MatrixCoefficients",
     "MatrixModel",
     "MatrixComparisonProblem",
@@ -83,14 +82,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _symmetrized(arr, rtol: float = 1e-8) -> np.ndarray:
-    """The full matrix 0.5 * (a + a.T) of a square, symmetric (to rtol), finite a."""
+_SYM_RTOL = 1e-8  # relative asymmetry a matrix input may carry
+_ETA_SEP = 1e-8  # an eigenvalue this close to zero makes a PSD point degenerate
+
+
+def _symmetrized(arr) -> np.ndarray:
+    """The full matrix 0.5 * (a + a.T) of a square, symmetric (to _SYM_RTOL),
+    finite a."""
     a = np.atleast_2d(np.asarray(arr, dtype=float))
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch("matrix must be square")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if float(np.max(np.abs(a - a.T))) > rtol * (1.0 + scale):
+    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * (1.0 + scale):
         raise ModelError("matrix is not symmetric")
     sym = 0.5 * (a + a.T)
     if not np.all(np.isfinite(sym)):
@@ -139,21 +143,25 @@ def _unsvec_rows(rows: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigDecomp:
-    """Orthogonal eigenbasis with ascending eigenvalues."""
+    """Orthogonal eigenbasis with ascending eigenvalues of the validated
+    symmetric matrix ``y``."""
 
     Q: np.ndarray
     lam: np.ndarray
+    y: np.ndarray
 
 
 def eig_sym(y) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Eigenvalues come back ascending.  Inside a repeated eigenspace the basis
-    is whatever LAPACK picks; every spectral function built on it here is
-    invariant to that choice.
+    The input is validated (square, symmetric, finite) and symmetrized once,
+    here.  Eigenvalues come back ascending.  Inside a repeated eigenspace the
+    basis is whatever LAPACK picks; every spectral function built on it here
+    is invariant to that choice.
     """
-    lam, Q = np.linalg.eigh(_symmetrized(y))
-    return EigDecomp(Q=Q, lam=lam)
+    sym = _symmetrized(y)
+    lam, Q = np.linalg.eigh(sym)
+    return EigDecomp(Q=Q, lam=lam, y=sym)
 
 
 def psd_split(y) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,20 +197,21 @@ class HessQuadForm:
 
 
 class _PsdPoint:
-    """dist2_psd data at a symmetric x from one eigendecomposition: the
-    negative spectral part, dist^2, and the Hessian quadratic form, which
-    is flagged degenerate when an eigenvalue lies within eta_sep of zero."""
+    """dist2_psd data at a symmetric x from one eigendecomposition, which
+    also validates x: the negative spectral part, dist^2, and the Hessian
+    quadratic form, which is flagged degenerate when an eigenvalue lies
+    within _ETA_SEP of zero."""
 
-    def __init__(self, x: np.ndarray, eta_sep: float = 1e-8):
-        self.x = x
+    def __init__(self, x):
         self.dec = eig_sym(x)
+        self.x = x = self.dec.y
         lam = self.dec.lam
         lam_minus = np.maximum(-lam, 0.0)
         minus = (self.dec.Q * lam_minus) @ self.dec.Q.T
         self.minus = 0.5 * (minus + minus.T)
         self.plus = x + self.minus
         self.dist2 = float(np.dot(lam_minus, lam_minus))
-        self.degenerate = bool(lam.size and float(np.min(np.abs(lam))) <= eta_sep)
+        self.degenerate = bool(lam.size and float(np.min(np.abs(lam))) <= _ETA_SEP)
 
     def hess(self, H: np.ndarray) -> HessQuadForm:
         """Second-derivative quadratic form of dist2_psd at x applied to (H, H).
@@ -235,10 +244,10 @@ class _PsdPoint:
         return 0.5 * self.hess(H).value
 
 
-def hess_quadform_psd(y, H, eta_sep: float = 1e-8) -> HessQuadForm:
+def hess_quadform_psd(y, H) -> HessQuadForm:
     """Second-derivative quadratic form of dist2_psd at y applied to (H, H);
-    flagged degenerate when an eigenvalue of y is within eta_sep of zero."""
-    return _PsdPoint(_symmetrized(y), eta_sep).hess(_symmetrized(H))
+    flagged degenerate when an eigenvalue of y is within _ETA_SEP of zero."""
+    return _PsdPoint(y).hess(_symmetrized(H))
 
 
 class PsdCone:
@@ -247,9 +256,7 @@ class PsdCone:
     asarray = staticmethod(_symmetrized)
     dist2 = staticmethod(dist2_psd)
 
-    @staticmethod
-    def point(x) -> _PsdPoint:
-        return _PsdPoint(_symmetrized(x))
+    point = _PsdPoint
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -283,31 +290,34 @@ class MatrixLinearMap:
 
 
 @dataclass(frozen=True)
-class MatrixLinearBlocks:
-    b: MatrixLinearMap
-    sigma: MatrixLinearMap
+class MatrixCoefficients:
+    """Scalar-linear coefficients on symmetric m x m matrices (d = 1): the
+    drift, diffusion and per-atom jump maps, evaluated as ``b(t, y)``,
+    ``sigma(t, y)`` and ``gamma(t, y, j)``.  Every offset is m x m, for the
+    one m the maps share."""
+
+    drift: MatrixLinearMap
+    diffusion: MatrixLinearMap
     jumps: Tuple[MatrixLinearMap, ...] = ()
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jumps", tuple(self.jumps))
+        shapes = {lm.offset.shape for lm in (self.drift, self.diffusion, *self.jumps)}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"offsets of one model differ in shape: {sorted(shapes)}")
 
-@dataclass(frozen=True)
-class MatrixCoefficients:
-    """Coefficients mapping symmetric matrices to symmetric matrices, d=1."""
+    @property
+    def m(self) -> int:
+        return self.drift.offset.shape[0]
 
-    m: int
-    b: Callable[[float, np.ndarray], np.ndarray]
-    sigma: Callable[[float, np.ndarray], np.ndarray]
-    gamma: Callable[[float, np.ndarray, int], np.ndarray]
-    linear: Optional[MatrixLinearBlocks] = None
+    def b(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.drift.apply(y)
 
-    @classmethod
-    def from_linear(cls, m: int, blocks: MatrixLinearBlocks) -> "MatrixCoefficients":
-        return cls(
-            m=m,
-            b=lambda t, y: blocks.b.apply(y),
-            sigma=lambda t, y: blocks.sigma.apply(y),
-            gamma=lambda t, y, j: blocks.jumps[j].apply(y),
-            linear=blocks,
-        )
+    def sigma(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.diffusion.apply(y)
+
+    def gamma(self, t: float, y: np.ndarray, j: int) -> np.ndarray:
+        return self.jumps[j].apply(y)
 
 
 @dataclass(frozen=True)
@@ -321,12 +331,13 @@ class MatrixModel:
         return self.coefficients.m
 
 
-def matrix_certificate(blocks: MatrixLinearBlocks, marks: MarkMeasure) -> RegularityBudget:
+def matrix_certificate(coeffs: MatrixCoefficients, marks: MarkMeasure) -> RegularityBudget:
     """Certified budget for the scalar-linear matrix family (Frobenius norms
     on symmetric matrices match Euclidean norms on svec coordinates)."""
-    lin = abs(blocks.b.scale) + abs(blocks.sigma.scale)
-    const = float(np.linalg.norm(blocks.b.offset)) + float(np.linalg.norm(blocks.sigma.offset))
-    rho = np.array([abs(j.scale) for j in blocks.jumps])
+    b, s = coeffs.drift, coeffs.diffusion
+    lin = abs(b.scale) + abs(s.scale)
+    const = float(np.linalg.norm(b.offset)) + float(np.linalg.norm(s.offset))
+    rho = np.array([abs(j.scale) for j in coeffs.jumps])
     if rho.shape[0] != marks.n_atoms:
         raise DimensionMismatch(
             f"{rho.shape[0]} jump blocks for {marks.n_atoms} mark atoms"
@@ -536,17 +547,17 @@ def spectral_violation_stat(m: int) -> Callable[[np.ndarray], np.ndarray]:
     return functools.partial(_eigvalsh_max, m=m)
 
 
-def _svec_affine(blocks: MatrixLinearBlocks, m: int) -> AffineCoefficients:
-    M = m * (m + 1) // 2
+def _svec_affine(coeffs: MatrixCoefficients) -> AffineCoefficients:
+    M = coeffs.m * (coeffs.m + 1) // 2
     idx = np.arange(M)
-    B = blocks.b.scale * np.eye(M)
-    c = svec(blocks.b.offset)
+    B = coeffs.drift.scale * np.eye(M)
+    c = svec(coeffs.drift.offset)
     V = np.zeros((M, 1, M))
-    V[idx, 0, idx] = blocks.sigma.scale
-    U = svec(blocks.sigma.offset).reshape(M, 1)
-    if blocks.jumps:
-        G = np.stack([jm.scale * np.eye(M) for jm in blocks.jumps])
-        g = np.stack([svec(jm.offset) for jm in blocks.jumps])
+    V[idx, 0, idx] = coeffs.diffusion.scale
+    U = svec(coeffs.diffusion.offset).reshape(M, 1)
+    if coeffs.jumps:
+        G = np.stack([jm.scale * np.eye(M) for jm in coeffs.jumps])
+        g = np.stack([svec(jm.offset) for jm in coeffs.jumps])
     else:
         G = np.zeros((0, M, M))
         g = np.zeros((0, M))
@@ -554,22 +565,7 @@ def _svec_affine(blocks: MatrixLinearBlocks, m: int) -> AffineCoefficients:
 
 
 def _vector_model(model: MatrixModel) -> SdeModel:
-    m = model.m
-    M = m * (m + 1) // 2
-    mc = model.coefficients
-    if mc.linear is not None:
-        triple = CoefficientTriple.from_affine(_svec_affine(mc.linear, m))
-    else:
-        def b_vec(t, v):
-            return svec(np.asarray(mc.b(t, unsvec(v, m)), dtype=float))
-
-        def s_vec(t, v):
-            return svec(np.asarray(mc.sigma(t, unsvec(v, m)), dtype=float)).reshape(M, 1)
-
-        def g_vec(t, v, j):
-            return svec(np.asarray(mc.gamma(t, unsvec(v, m), j), dtype=float))
-
-        triple = CoefficientTriple(m=M, d=1, drift=b_vec, diffusion=s_vec, jump=g_vec)
+    triple = CoefficientTriple.from_affine(_svec_affine(model.coefficients))
     return SdeModel(coefficients=triple, marks=model.marks, budget=model.budget)
 
 

@@ -50,6 +50,38 @@ def minimal_vector_dict(**overrides):
     return data
 
 
+def matrix_dict(**overrides):
+    """A 2 x 2 matrix scenario with one jump atom and every optional key set."""
+    data = {
+        "id": "full-matrix",
+        "kind": "matrix",
+        "m": 2,
+        "d": 1,
+        "horizon": {"t0": 0.0, "T": 1.0},
+        "marks": {"dimension": 1, "atoms": [{"e": [1.0], "w": 0.5}]},
+        "model1": {"b": {"scale": 0.5, "offset": [[0.4, 0.1], [0.1, 0.4]]},
+                   "sigma": {"scale": 0.3, "offset": [[0.1, 0.0], [0.0, 0.1]]},
+                   "jumps": [{"scale": 0.2, "offset": [[0.2, 0.0], [0.0, 0.1]]}]},
+        "model2": {"b": {"scale": 0.5, "offset": [[0.0, 0.0], [0.0, 0.0]]},
+                   "sigma": {"scale": 0.3, "offset": [[0.1, 0.0], [0.0, 0.1]]},
+                   "jumps": [{"scale": 0.2, "offset": [[0.0, 0.0], [0.0, 0.0]]}]},
+        "initial": {"x1": [[1.0, 0.2], [0.2, 0.8]], "x2": [[0.0, 0.0], [0.0, 0.0]]},
+        "mc": {"paths": 48, "step": 0.0625, "seed": 9, "eps_path": 0.125},
+        "check": {"samples": 96, "box": 4.0, "ladder": [1e-3, 0.5], "seed": 8,
+                  "eps_check": 1e-7},
+    }
+    data.update(overrides)
+    return data
+
+
+def full_vector_dict():
+    """``minimal_vector_dict`` with every optional key set, nulls included."""
+    data = minimal_vector_dict(id="full-vector")
+    data["mc"]["eps_path"] = 0.25
+    data["check"]["eps_check"] = 1e-7
+    return data
+
+
 def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -120,6 +152,125 @@ class TestParsing:
         cfg = parse_config(write_config(tmp_path, data))
         problem = build_problem(cfg)
         assert problem.m == 2
+
+
+# sha256 of json.dumps(config_to_dict(cfg), sort_keys=True, indent=2): the
+# echo every report embeds, for each gallery config and for one vector and
+# one matrix config with every optional key set
+PINNED_CONFIG_ECHO = {
+    "corollary33-pass":
+        "5c8ff56ea3adcab1ed324ffff76d2dd3942b8a748d7a4f7e6c94e125823fabf5",
+    "corollary34-pass":
+        "c919fc7a75e57b65fd07c8a8c82f8fdc77c4e97df2e28f384a90a496fd6540ce",
+    "corollary35-pass":
+        "f6f63e3d607dc7ba7db54dcaea8a9be15b1abd7d66427e31ff12a76d53c0c85e",
+    "example36":
+        "cd0f2cd279b6ca31c0e863dec828cdef38f44931e115d2574117f562a681f757",
+    "jump-monotone-fail":
+        "7f065d0940acec9d4c5d4b89dbc6d232f05ffe660d93fc222eb73222d8a064b4",
+    "drift-order-fail":
+        "ef5a5d56b51d8d1fe6b6105fa68f84a2038b6bd436999ac4cc4f1aa02210a124",
+    "sigma-gap-fail":
+        "75e7a4ad2d98644f31657912ec80f83c721568b8195fcf2bea9aeb3acfd6f6d8",
+    "sigma-coupling-fail":
+        "07144ed45b6785f7ae3143ed7f4b0823065ef93323f2ee84708c8dc6f783b852",
+    "matrix-pass":
+        "e9dea13f076a799ee8c64b15866447fd1e318697181930add650ff8ba682273b",
+    "matrix-drift-fail":
+        "9bf973b1f8433c398b71cc0350a7701356b3a3cb6dc18611e0ce9c947079ca1a",
+    "full-vector":
+        "a3dd4af0c4e167a1683f14745c90f5419def6f4dcd77929e918e5e49ae9d8452",
+    "full-matrix":
+        "2f0b76268561a3c1a914bfe7d31b1f733b2b2a0ab1c7c33aa7b79fca15483b93",
+}
+
+ECHO_CONFIGS = gallery_configs() + [config_from_dict(full_vector_dict()),
+                                    config_from_dict(matrix_dict())]
+
+
+I3 = [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]
+
+
+def mismatched_dims(case):
+    """A config whose declared dimensions disagree with its coefficients, or
+    with a matrix whose rows differ in length."""
+    if case == "vector-ragged-B":
+        data = minimal_vector_dict(m=2)
+        data["model1"]["B"] = [[0.0, 1.0], [0.0]]
+        return data
+    if case.startswith("vector"):
+        data = minimal_vector_dict(**{"vector-m3": {"m": 3}, "vector-d3": {"d": 3},
+                                      "vector-m3-d3": {"m": 3, "d": 3}}[case])
+        if case == "vector-m3-d3":  # no atoms: no jump block to reshape
+            data["marks"]["atoms"] = []
+            data["model1"]["jumps"] = data["model2"]["jumps"] = []
+        return data
+    data = matrix_dict()
+    if case == "matrix-ragged-offset":
+        data["model1"]["b"]["offset"] = [[0.4, 0.1], [0.1]]
+    elif case == "matrix-b-offset":
+        data["model1"]["b"]["offset"] = I3
+    elif case == "matrix-sigma-offset":
+        data["model1"]["sigma"]["offset"] = data["model2"]["sigma"]["offset"] = I3
+    else:
+        data["model2"]["jumps"][0]["offset"] = I3
+    return data
+
+
+DIMENSION_CASES = ["vector-m3", "vector-d3", "vector-m3-d3", "vector-ragged-B",
+                   "matrix-b-offset", "matrix-sigma-offset", "matrix-jump-offset",
+                   "matrix-ragged-offset"]
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("case", DIMENSION_CASES)
+    def test_mismatch_is_schema_error(self, case):
+        with pytest.raises(SchemaError):
+            config_from_dict(mismatched_dims(case))
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("case", DIMENSION_CASES)
+    def test_mismatch_exits_two(self, tmp_path, capsys, case, command):
+        path = write_config(tmp_path, mismatched_dims(case))
+        assert main([command, path, "--paths", "16"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+class TestConfigBlocks:
+    @pytest.mark.parametrize("cfg", ECHO_CONFIGS, ids=[c.id for c in ECHO_CONFIGS])
+    def test_echo_is_pinned(self, cfg):
+        text = json.dumps(config_to_dict(cfg), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CONFIG_ECHO[cfg.id]
+
+    @pytest.mark.parametrize("cfg", ECHO_CONFIGS, ids=[c.id for c in ECHO_CONFIGS])
+    def test_round_trip(self, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("block, key", [
+        ("mc", "paths"), ("mc", "step"), ("mc", "seed"),
+        ("check", "samples"), ("check", "box"), ("check", "ladder"), ("check", "seed"),
+    ])
+    def test_null_is_rejected(self, block, key):
+        data = minimal_vector_dict()
+        data[block][key] = None
+        with pytest.raises(SchemaError, match=rf"\$\.{block}\.{key}"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("block, key", [("mc", "eps_path"), ("check", "eps_check")])
+    def test_null_tolerance_is_the_default(self, block, key):
+        data = full_vector_dict()
+        data[block][key] = None
+        cfg = config_from_dict(data)
+        assert getattr(getattr(cfg, block), key) is None
+        assert config_to_dict(cfg)[block][key] is None
+
+    def test_gallery_overrides_win_over_the_smoke_preset(self):
+        for report in run_gallery(smoke=True, paths=12, seed=5):
+            echo = report_to_dict(report)
+            assert (echo["mc"]["paths"], echo["mc"]["h"], echo["mc"]["seed"]) == (12, 2.0**-5, 5)
+            mc, check = echo["scenario"]["mc"], echo["scenario"]["check"]
+            assert (mc["paths"], mc["step"], mc["seed"]) == (12, 2.0**-5, 5)
+            assert check["seed"] == 5
 
 
 class TestReports:

@@ -20,7 +20,6 @@ from jumpcompare.model import (
 from jumpcompare.psdcone import (
     MatrixComparisonProblem,
     MatrixCoefficients,
-    MatrixLinearBlocks,
     MatrixLinearMap,
     MatrixModel,
     OrderError,
@@ -45,16 +44,16 @@ def rand_sym(rng, m, scale=1.0):
     return 0.5 * (A + A.T)
 
 
-def linear_matrix_model(m, b_scale, b_off, s_scale, s_off, jumps=(), marks=NO_ATOMS):
-    blocks = MatrixLinearBlocks(
-        b=MatrixLinearMap(b_scale, np.asarray(b_off, float)),
-        sigma=MatrixLinearMap(s_scale, np.asarray(s_off, float)),
+def linear_matrix_model(b_scale, b_off, s_scale, s_off, jumps=(), marks=NO_ATOMS):
+    coeffs = MatrixCoefficients(
+        drift=MatrixLinearMap(b_scale, np.asarray(b_off, float)),
+        diffusion=MatrixLinearMap(s_scale, np.asarray(s_off, float)),
         jumps=tuple(MatrixLinearMap(s, np.asarray(o, float)) for s, o in jumps),
     )
     return MatrixModel(
-        coefficients=MatrixCoefficients.from_linear(m, blocks),
+        coefficients=coeffs,
         marks=marks,
-        budget=matrix_certificate(blocks, marks),
+        budget=matrix_certificate(coeffs, marks),
     )
 
 
@@ -62,9 +61,9 @@ def matrix_pair(m, gap, s_scale=0.3, s_off=None, x1=None, x2=None, marks=NO_ATOM
                 jumps1=(), jumps2=(), b_scale=0.5):
     zeros = np.zeros((m, m))
     s_off = zeros if s_off is None else np.asarray(s_off, float)
-    m1 = linear_matrix_model(m, b_scale, np.asarray(gap, float), s_scale, s_off,
+    m1 = linear_matrix_model(b_scale, np.asarray(gap, float), s_scale, s_off,
                              jumps=jumps1, marks=marks)
-    m2 = linear_matrix_model(m, b_scale, zeros, s_scale, s_off, jumps=jumps2, marks=marks)
+    m2 = linear_matrix_model(b_scale, zeros, s_scale, s_off, jumps=jumps2, marks=marks)
     x1 = np.eye(m) if x1 is None else np.asarray(x1, float)
     x2 = zeros if x2 is None else np.asarray(x2, float)
     return MatrixComparisonProblem(
@@ -345,9 +344,9 @@ class TestEvalTheorem37:
         m = 2
         c_gap = 0.5
         # drift offsets: b_i = w * gamma_offset_i so the net drift matches
-        m1 = linear_matrix_model(m, 0.0, c_gap * np.eye(m), 0.0, np.zeros((m, m)),
+        m1 = linear_matrix_model(0.0, c_gap * np.eye(m), 0.0, np.zeros((m, m)),
                                  jumps=((0.0, c_gap * np.eye(m)),), marks=marks)
-        m2 = linear_matrix_model(m, 0.0, np.zeros((m, m)), 0.0, np.zeros((m, m)),
+        m2 = linear_matrix_model(0.0, np.zeros((m, m)), 0.0, np.zeros((m, m)),
                                  jumps=((0.0, np.zeros((m, m))),), marks=marks)
         p = MatrixComparisonProblem(model1=m1, model2=m2, t0=0.0, T=1.0,
                                     x1=np.eye(m), x2=np.zeros((m, m)),
@@ -387,10 +386,10 @@ class TestScalarReduction:
     def scalar_twin(model, i, budget=None):
         """Entry (i, i) of a scalar-linear matrix model with diagonal offsets,
         as a one-dimensional affine model."""
-        lin = model.coefficients.linear
+        lin = model.coefficients
         aff = AffineCoefficients(
-            B=[[lin.b.scale]], c=[lin.b.offset[i, i]],
-            V=[[[lin.sigma.scale]]], U=[[lin.sigma.offset[i, i]]],
+            B=[[lin.drift.scale]], c=[lin.drift.offset[i, i]],
+            V=[[[lin.diffusion.scale]]], U=[[lin.diffusion.offset[i, i]]],
             G=np.array([j.scale for j in lin.jumps]).reshape(-1, 1, 1),
             g=np.array([j.offset[i, i] for j in lin.jumps]).reshape(-1, 1),
         )
@@ -613,7 +612,7 @@ class TestMatrixProblemValidation:
         rng = np.random.default_rng(44)
         marks = MarkMeasure.from_atoms([([1.0], 0.5)])
         model = linear_matrix_model(
-            3, 0.4, rand_sym(rng, 3), 0.2, rand_sym(rng, 3),
+            0.4, rand_sym(rng, 3), 0.2, rand_sym(rng, 3),
             jumps=((0.3, rand_sym(rng, 3)),), marks=marks,
         )
         mc = model.coefficients
