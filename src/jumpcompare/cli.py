@@ -1,8 +1,9 @@
 """Scenario configuration, the built-in gallery, batch execution, reporting.
 
-Configs are strict JSON: unknown keys are rejected, and dimensions are
-cross-checked (a vector config's ``m`` and ``d`` must be its models', and
-every matrix offset must be m x m).
+Configs are strict JSON: unknown keys and non-finite numbers are rejected,
+the scenario id must be a file name (it names the report files), and
+dimensions are cross-checked (a vector config's ``m`` and ``d`` must be its
+models', and every matrix offset must be m x m).
 Reports serialize canonically: sorted keys, shortest-round-trip floats, no
 volatile fields (timing goes to stderr), so identical runs produce
 byte-identical files.
@@ -163,9 +164,27 @@ def _take(d: Dict[str, Any], path: str, required: Sequence[str], optional: Seque
 
 
 def _num(v: Any, path: str) -> float:
+    """A finite number.  ``json`` reads the NaN, Infinity and -Infinity
+    tokens, and an integer literal too large for a float, which no field
+    takes."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    return float(v)
+    try:
+        out = float(v)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{path}: expected a finite number, got {v!r}")
+    return out
+
+
+def _scenario_id(v: Any, path: str) -> str:
+    """An id names the scenario's report files, so it must be a file name:
+    a non-empty string, not "." or "..", with no path separator."""
+    if not isinstance(v, str) or v in ("", ".", "..") or any(c in v for c in "/\\\0"):
+        raise SchemaError(f"{path}: expected a file name (a non-empty string without "
+                          f"'/', '\\' or NUL, not '.' or '..'), got {v!r}")
+    return v
 
 
 def _intval(v: Any, path: str) -> int:
@@ -293,7 +312,7 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
         x2 = _matrix(init["x2"], "$.initial.x2")
 
     cfg = ScenarioConfig(
-        id=str(top.get("id", default_id)),
+        id=_scenario_id(top.get("id", default_id), "$.id"),
         kind=kind,
         m=m,
         d=d,

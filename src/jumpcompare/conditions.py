@@ -8,8 +8,9 @@ Two complementary routes are implemented and cross-checked:
 * the single integro-differential inequality ("ii-prime") that the battery is
   equivalent to: ``geometry.generator`` over the orthant, sampled over sign
   patterns and a magnitude ladder biased toward the origin, where violations
-  of the necessary conditions concentrate.  ``judge_probes`` is the one
-  probe-judging loop, shared with the matrix check (``psdcone``).
+  of the necessary conditions concentrate, and evaluated on blocks of
+  probes.  ``judge_probes`` is the one judge of probe blocks, shared with
+  the matrix check (``psdcone``).
 
 On affine coefficient families the battery is decided exactly (verdict
 ``holds``); black-box coefficients are only ever sampled, so the strongest
@@ -471,8 +472,13 @@ def check_condition_c(problem: ComparisonProblem) -> List[Verdict]:
 
 
 def ii_prime_terms(problem: ComparisonProblem, t: float, x, x_prime) -> GeneratorValue:
-    """The pointwise inequality at (t, x, x'): the orthant's generator."""
-    return generator(Orthant, problem, t, x, x_prime)
+    """The pointwise inequality at one probe (t, x, x'): the orthant's
+    generator on a block of one."""
+    return generator(Orthant, problem, [t], Orthant.asarray(x)[None],
+                     Orthant.asarray(x_prime)[None]).probe(0)
+
+
+_BLOCK = 512  # probes drawn and evaluated together by check_ii_prime
 
 
 def _ii_prime_probes(problem: ComparisonProblem, rng: np.random.Generator):
@@ -512,23 +518,24 @@ def _ii_prime_probes(problem: ComparisonProblem, rng: np.random.Generator):
                     yield _draw_t(problem, rng), x, xp
 
 
-def judge_probes(problem, probes, evaluate, eps: float, coords, kind: str) -> Verdict:
-    """Evaluate ``evaluate(problem, t, x, x')`` at each probe and judge it.
+def judge_probes(blocks, eps: float, coords, kind: str) -> Verdict:
+    """Judge the pointwise inequality over blocks of probes.
 
-    Degenerate values are skipped and not counted in ``samples_used``; a
-    probe with lhs > rhs + eps is a witness, its points written by ``coords``.
+    ``blocks`` yields (t, x, x', value): probes indexed along a leading axis
+    and their ``GeneratorValue``.  Degenerate probes are skipped and not
+    counted in ``samples_used``; a probe with lhs > rhs + eps is a witness,
+    its points written by ``coords``.  A probe whose lhs or rhs is NaN is
+    counted and is no witness.  Witnesses are collected in probe order.
     """
     witnesses: List[Witness] = []
     samples = 0
-    for t, x, xp in probes:
-        res = evaluate(problem, t, x, xp)
-        if res.degenerate:
-            continue
-        samples += 1
-        if res.lhs > res.rhs + eps:
+    for t, x, xp, val in blocks:
+        live = ~np.asarray(val.degenerate, dtype=bool)
+        samples += int(np.count_nonzero(live))
+        for i in np.flatnonzero(live & (val.lhs > val.rhs + eps)):
             witnesses.append(
-                Witness(t=t, x=coords(x), x_prime=coords(xp), atom=None,
-                        margin=float(res.rhs - res.lhs), kind=kind)
+                Witness(t=float(t[i]), x=coords(x[i]), x_prime=coords(xp[i]), atom=None,
+                        margin=float(val.rhs[i] - val.lhs[i]), kind=kind)
             )
     if witnesses:
         return Verdict.from_witnesses(witnesses, samples)
@@ -536,10 +543,23 @@ def judge_probes(problem, probes, evaluate, eps: float, coords, kind: str) -> Ve
 
 
 def check_ii_prime(problem: ComparisonProblem) -> Verdict:
-    """Sampled check of the pointwise inequality over the probe ladder."""
+    """Sampled check of the pointwise inequality over the probe ladder.
+
+    The probes are drawn in the order of ``_ii_prime_probes``, ``_BLOCK`` at
+    a time, and the orthant's generator evaluates each block once it is
+    drawn, with the bits each probe gets alone (``ii_prime_terms``).  The
+    evaluation draws nothing, so the block size changes neither the stream
+    nor the verdict, and memory stays bounded for any ``check.samples``.
+    """
     eps = problem.tolerances.resolved_eps_check(problem.is_affine)
     probes = _ii_prime_probes(problem, _rng_for(problem, 0x11))
-    return judge_probes(problem, probes, ii_prime_terms, eps, tuple, "ii-prime")
+
+    def blocks():
+        while block := list(itertools.islice(probes, _BLOCK)):
+            t, x, xp = (np.array(a) for a in zip(*block))
+            yield t, x, xp, generator(Orthant, problem, t, x, xp)
+
+    return judge_probes(blocks(), eps, tuple, "ii-prime")
 
 
 # ---------------------------------------------------------------------------

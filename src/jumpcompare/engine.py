@@ -420,17 +420,11 @@ class _BatchCoefficients:
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
             return self.affine.diffusion_rows(t, X)
-        return np.stack([self.coeffs.sigma(ti, x) for ti, x in zip(_row_times(t, X), X)])
+        return self.coeffs.sigma_rows(t, X)
 
     def jump_rows(self, t: np.ndarray, X: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         """Post-jump states X + gamma(t, X, atom), row by row."""
-        if self.affine is not None:
-            G, g = self.affine.G, self.affine.g
-            return X + ((G[atoms] @ X[..., None])[..., 0] + g[atoms])
-        return np.stack([
-            x + self.coeffs.gamma(ti, x, j)
-            for ti, x, j in zip(t.tolist(), X, atoms.tolist())
-        ])
+        return X + self.coeffs.gamma_rows(t, X, atoms)
 
 
 def _row_times(t, X: np.ndarray) -> list:

@@ -319,6 +319,33 @@ class CoefficientTriple:
     def gamma(self, t: float, x, j: int) -> np.ndarray:
         return np.asarray(self.jump(t, np.asarray(x, dtype=float), j), dtype=float).reshape(self.m)
 
+    # A block of points: row i of X at time t[i] (or at a scalar t), and for
+    # gamma_rows with atom j[i] (or one atom j).  An affine family is
+    # evaluated in closed form, one matrix-vector product per row as in the
+    # single-point methods, so each row has their bits; black-box
+    # coefficients get one call per row.
+    def b_rows(self, t, X: np.ndarray) -> np.ndarray:
+        if self.affine is not None:
+            return (self.affine.B @ X[..., None])[..., 0] + self.affine.c
+        return _per_row(self.b, t, X)
+
+    def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
+        if self.affine is not None:
+            return (self.affine.V @ X[:, None, :, None])[..., 0] + self.affine.U
+        return _per_row(self.sigma, t, X)
+
+    def gamma_rows(self, t, X: np.ndarray, j) -> np.ndarray:
+        if self.affine is not None:
+            return (self.affine.G[j] @ X[..., None])[..., 0] + self.affine.g[j]
+        return _per_row(self.gamma, t, X, j)
+
+
+def _per_row(f, t, X: np.ndarray, *atoms) -> np.ndarray:
+    """f(t_i, x_i[, j_i]) for each row x_i of X, stacked; a scalar t or
+    atom applies to every row."""
+    cols = [np.broadcast_to(a, X.shape[:1]).tolist() for a in (t, *atoms)]
+    return np.stack([f(ti, x, *rest) for x, ti, *rest in zip(X, *cols)])
+
 
 @dataclass(frozen=True)
 class SdeModel:

@@ -250,21 +250,43 @@ def hess_quadform_psd(y, H) -> HessQuadForm:
     return _PsdPoint(y).hess(_symmetrized(H))
 
 
+class _PsdPoints:
+    """``_PsdPoint`` at each matrix of a block, its data stacked along the
+    leading axis."""
+
+    def __init__(self, x):
+        self.points = [_PsdPoint(y) for y in x]
+        self.x = np.array([p.x for p in self.points])
+        self.minus = np.array([p.minus for p in self.points])
+        self.plus = np.array([p.plus for p in self.points])
+        self.dist2 = np.array([p.dist2 for p in self.points])
+        self.degenerate = np.array([p.degenerate for p in self.points])
+
+    def half_hess(self, H: np.ndarray) -> np.ndarray:
+        return np.array([p.half_hess(h) for p, h in zip(self.points, H)])
+
+
 class PsdCone:
-    """The cone of PSD matrices among symmetric matrices, trace inner product."""
+    """The cone of PSD matrices among symmetric matrices, trace inner
+    product; every method takes a block of matrices and loops over it."""
 
-    asarray = staticmethod(_symmetrized)
-    dist2 = staticmethod(dist2_psd)
-
-    point = _PsdPoint
+    point = _PsdPoints
 
     @staticmethod
-    def inner(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.trace(a @ b))
+    def asarray(v) -> np.ndarray:
+        return np.array([_symmetrized(a) for a in v])
+
+    @staticmethod
+    def dist2(y: np.ndarray) -> np.ndarray:
+        return np.array([dist2_psd(a) for a in y])
+
+    @staticmethod
+    def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.array([float(np.trace(p @ q)) for p, q in zip(a, b)])
 
     @staticmethod
     def sym(g: np.ndarray) -> np.ndarray:
-        return 0.5 * (g + g.T)
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +340,12 @@ class MatrixCoefficients:
 
     def gamma(self, t: float, y: np.ndarray, j: int) -> np.ndarray:
         return self.jumps[j].apply(y)
+
+    # the maps act entrywise, so a block of matrices is evaluated by the
+    # same calls
+    b_rows = b
+    sigma_rows = sigma
+    gamma_rows = gamma
 
 
 @dataclass(frozen=True)
@@ -404,12 +432,13 @@ class MatrixComparisonProblem:
 def eval_theorem37(
     problem: MatrixComparisonProblem, t: float, x, x_prime
 ) -> GeneratorValue:
-    """Pointwise matrix inequality at (t, x, x'): the PSD cone's generator.
+    """Pointwise matrix inequality at one probe (t, x, x'): the PSD cone's
+    generator on a block of one.
 
     Under the trace inner product it has the convention of the vector
     inequality (``conditions.ii_prime_terms``), which it equals at m = 1.
     """
-    return generator(PsdCone, problem, t, x, x_prime)
+    return generator(PsdCone, problem, [t], [x], [x_prime]).probe(0)
 
 
 def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -460,9 +489,10 @@ def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
     ``samples_used``."""
     eps = problem.tolerances.resolved_eps_check(False)
     rng = np.random.default_rng((int(problem.sampling.seed) << 8) ^ 0x37)
-    probes = _theorem37_probes(problem, rng)
-    return judge_probes(problem, probes, eval_theorem37, eps,
-                        lambda y: tuple(svec(y)), "theorem37")
+    t, x, xp = zip(*_theorem37_probes(problem, rng))
+    # one eval_theorem37 call per probe, judged as one block
+    value = GeneratorValue.stack([eval_theorem37(problem, *probe) for probe in zip(t, x, xp)])
+    return judge_probes([(t, x, xp, value)], eps, lambda y: tuple(svec(y)), "theorem37")
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,18 @@ def random_problem(
     return _assemble(spec, seed), chosen
 
 
+def sized_problem(seed: int, m: int, d: int, n_atoms: int,
+                  kind: Optional[str] = None) -> ComparisonProblem:
+    """One seeded pair with fixed m, d and atom count; ``kind`` mutates one
+    ingredient as in random_problem."""
+    rng = np.random.default_rng(seed)
+    marks = random_marks(rng, min_atoms=n_atoms, max_atoms=n_atoms)
+    spec = _passing_ingredients(rng, m, d, marks)
+    if kind is not None:
+        _apply_failure(spec, rng, kind)
+    return _assemble(spec, seed)
+
+
 def dense_jump_problem(seed: int, *, mass: float = 16.0,
                        kind: Optional[str] = None) -> ComparisonProblem:
     """An m = 3, d = 2 pair whose three atoms carry total mark mass ``mass``.

@@ -413,6 +413,57 @@ PINNED_PATHS_300 = {
 }
 
 
+BAD_IDS = [None, "", ".", "..", "../escaped", "sub/dir", "back\\slash", "nul\0", 7]
+
+
+class TestScenarioIds:
+    @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+    def test_id_that_is_no_file_name_is_rejected(self, bad):
+        with pytest.raises(SchemaError, match=r"\$\.id"):
+            config_from_dict(minimal_vector_dict(id=bad))
+
+    def test_file_name_ids_are_kept(self):
+        for good in ("a.b-c_d", "...", ".hidden", "caf\u00e9 1"):
+            assert config_from_dict(minimal_vector_dict(id=good)).id == good
+
+    @pytest.mark.parametrize("bad", ["../escaped", None], ids=repr)
+    def test_simulate_writes_nothing_outside_out(self, tmp_path, capsys, bad):
+        path = write_config(tmp_path, minimal_vector_dict(id=bad))
+        out = tmp_path / "reports"
+        assert main(["simulate", path, "--paths", "16", "--out", str(out),
+                     "--format", "csv"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
+NON_FINITE = {
+    "T": lambda d, v: d["horizon"].update(T=v),
+    "x1": lambda d, v: d["initial"].update(x1=[v]),
+    "check.box": lambda d, v: d["check"].update(box=v),
+    "check.ladder": lambda d, v: d["check"].update(ladder=[1e-3, v]),
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_rejected(self, tmp_path, capsys, field, value):
+        data = minimal_vector_dict()
+        NON_FINITE[field](data, value)
+        with pytest.raises(SchemaError, match="finite"):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)  # json writes NaN / Infinity tokens
+        assert main(["check", path]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float_is_rejected(self, tmp_path, capsys):
+        text = json.dumps(minimal_vector_dict()).replace('"T": 1.0', '"T": 1' + "0" * 400)
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
 class TestMainExitCodes:
     def test_check_pass_exits_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_vector_dict())

@@ -18,7 +18,10 @@ from jumpcompare.conditions import (
     check_sigma_equal,
     check_theorem31,
     ii_prime_terms,
+    judge_probes,
 )
+from jumpcompare import conditions
+from jumpcompare.geometry import GeneratorValue, Orthant, generator
 from jumpcompare.model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -31,7 +34,7 @@ from jumpcompare.model import (
     lipschitz_certificate,
 )
 
-from suitegen import random_problem, strip_affine
+from suitegen import random_problem, sized_problem, strip_affine
 
 
 def build_pair(m, d, marks, blocks1, blocks2, x1=None, x2=None, count=384, seed=0):
@@ -286,6 +289,135 @@ class TestCheckIiPrime:
         assert v.samples_used > 1
         assert calls[0] == 1
         assert p.cstar == constant_Cstar(real(p), p.marks)
+
+
+def reference_terms(problem, t, x, xp):
+    """The orthant generator at one probe, written as a loop over one point:
+    one coefficient call per term, ``float(a @ b)`` dot products and the
+    Hessian sum over the negative rows only."""
+    c1, c2 = problem.model1.coefficients, problem.model2.coefficients
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(xp, dtype=float)
+    minus = np.maximum(-x, 0.0)
+    plus = x + minus
+    dist2 = float(minus @ minus)
+    drift = -2.0 * float(minus @ (c1.b(t, plus + xp) - c2.b(t, xp)))
+    neg = x < 0.0
+    s_gap = c1.sigma(t, x + xp) - c2.sigma(t, xp)
+    diffusion = float(np.sum(s_gap[neg] ** 2)) if np.any(neg) else 0.0
+    jump = 0.0
+    for j in range(problem.marks.n_atoms):
+        w = float(problem.marks.weights[j])
+        if w == 0.0:
+            continue
+        dg = c1.gamma(t, x + xp, j) - c2.gamma(t, xp, j)
+        after = np.minimum(x + dg, 0.0)
+        jump += w * (float(after @ after) - dist2 + 2.0 * float(minus @ dg))
+    return (drift, diffusion, jump, drift + diffusion + jump, problem.cstar * dist2)
+
+
+def drawn_probes(problem):
+    probes = list(conditions._ii_prime_probes(problem, conditions._rng_for(problem, 0x11)))
+    return [np.array(a) for a in zip(*probes)]
+
+
+TERMS = ("drift", "diffusion", "jump", "lhs", "rhs")
+# (m, d, atoms, failure kind, seed): m = 4, d = 2 sums 8 Hessian terms at
+# the all-negative probes, where numpy sums pairwise
+BLOCK_CASES = [(1, 1, 2, "jump-row-gap", 1), (2, 2, 1, "sigma-gap", 2),
+               (3, 1, 3, "drift-row-gap", 3), (4, 2, 2, "sigma-coupling", 4),
+               (4, 2, 0, None, 5)]
+
+
+def value_rows(value, lo, hi):
+    return GeneratorValue(*(getattr(value, f)[lo:hi] for f in TERMS + ("degenerate",)))
+
+
+class TestProbeBlocks:
+    @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "bb"])
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=[str(c) for c in BLOCK_CASES])
+    def test_block_equals_single_probes_bit_for_bit(self, case, blackbox):
+        m, d, n_atoms, kind, seed = case
+        p = sized_problem(seed, m, d, n_atoms, kind)
+        if blackbox:
+            p = strip_affine(p)
+        t, x, xp = drawn_probes(p)
+        block = generator(Orthant, p, t, x, xp)
+        assert block.lhs.shape == t.shape
+        assert not block.degenerate.any()
+        for i in range(t.size):
+            one = ii_prime_terms(p, t[i], x[i], xp[i])
+            ref = reference_terms(p, float(t[i]), x[i], xp[i])
+            for k, term in enumerate(TERMS):
+                assert getattr(block, term)[i] == getattr(one, term) == ref[k], (i, term)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=[str(c) for c in BLOCK_CASES])
+    def test_smaller_blocks_give_the_same_verdict(self, monkeypatch, case):
+        m, d, n_atoms, kind, seed = case
+        for p in (sized_problem(seed, m, d, n_atoms, kind),
+                  strip_affine(sized_problem(seed, m, d, n_atoms, kind))):
+            want = check_ii_prime(p)
+            assert want.samples_used == drawn_probes(p)[0].size
+            for size in (1, 7):
+                monkeypatch.setattr(conditions, "_BLOCK", size)
+                assert check_ii_prime(p) == want
+            monkeypatch.undo()
+
+    def test_nan_gap_is_counted_and_is_no_witness(self):
+        p = strip_affine(sized_problem(2, 2, 2, 1, "sigma-gap"))
+        nan_model = SdeModel(
+            CoefficientTriple(m=2, d=2, drift=lambda t, x: np.full(2, np.nan),
+                              diffusion=p.model1.coefficients.diffusion,
+                              jump=p.model1.coefficients.jump),
+            p.marks, p.model1.budget)
+        p_nan = ComparisonProblem(model1=nan_model, model2=p.model2, t0=p.t0, T=p.T,
+                                  x1=p.x1, x2=p.x2, sampling=p.sampling,
+                                  tolerances=p.tolerances)
+        assert check_ii_prime(p).status == VIOLATED
+        # a NaN drift gap makes every lhs NaN (0 * NaN in the drift term too)
+        v = check_ii_prime(p_nan)
+        assert v.status == NO_VIOLATION
+        assert v.samples_used == drawn_probes(p_nan)[0].size
+
+    def test_raising_coefficient_still_raises(self):
+        p = strip_affine(sized_problem(3, 1, 1, 0, None))
+
+        def boom(t, x):
+            if x[0] < -0.5:
+                raise RuntimeError("boom")
+            return p.model2.coefficients.diffusion(t, x)
+
+        model = SdeModel(
+            CoefficientTriple(m=1, d=1, drift=p.model2.coefficients.drift,
+                              diffusion=boom, jump=p.model2.coefficients.jump),
+            p.marks, p.model2.budget)
+        p_boom = ComparisonProblem(model1=p.model1, model2=model, t0=p.t0, T=p.T,
+                                   x1=p.x1, x2=p.x2, sampling=p.sampling,
+                                   tolerances=p.tolerances)
+        with pytest.raises(RuntimeError, match="boom"):
+            check_ii_prime(p_boom)
+
+    def test_degenerate_probes_are_skipped_and_not_counted(self):
+        value = GeneratorValue.stack([
+            GeneratorValue(drift=2.0, diffusion=0.0, jump=0.0, lhs=2.0, rhs=0.0,
+                           degenerate=False),
+            GeneratorValue(drift=9.0, diffusion=0.0, jump=0.0, lhs=9.0, rhs=0.0,
+                           degenerate=True),
+            GeneratorValue(drift=0.0, diffusion=0.0, jump=0.0, lhs=0.0, rhs=1.0,
+                           degenerate=False),
+            GeneratorValue(drift=2.0, diffusion=0.0, jump=0.0, lhs=2.0, rhs=0.0,
+                           degenerate=False),
+        ])
+        t = np.array([0.1, 0.2, 0.3, 0.4])
+        x = np.arange(4.0)[:, None]
+        v = judge_probes([(t[:2], x[:2], x[:2], value_rows(value, 0, 2)),
+                          (t[2:], x[2:], x[2:], value_rows(value, 2, 4))],
+                         1e-9, tuple, "ii-prime")
+        assert v.status == VIOLATED
+        assert v.samples_used == 3
+        # equal margins keep probe order
+        assert [w.t for w in v.witnesses] == [0.1, 0.4]
+        assert [w.margin for w in v.witnesses] == [-2.0, -2.0]
 
 
 class TestTheorem31Report:
