@@ -272,14 +272,14 @@ class Trajectory:
         return self.states[-1]
 
 
-def _net_drift(model: SdeModel, t: float, x: np.ndarray) -> np.ndarray:
+def _net_drift(model: SdeModel, t, X: np.ndarray) -> np.ndarray:
+    """The compensator-adjusted drift b - sum_j w_j gamma(., ., j) at each
+    row of X, at time t (or t[i]), through the coefficients' row evaluators."""
     coeffs = model.coefficients
-    out = coeffs.b(t, x)
-    marks = model.marks
-    for j in range(marks.n_atoms):
-        w = marks.weights[j]
+    out = coeffs.b_rows(t, X)
+    for j, w in enumerate(model.marks.weights):
         if w != 0.0:
-            out = out - w * coeffs.gamma(t, x, j)
+            out = out - w * coeffs.gamma_rows(t, X, j)
     return out
 
 
@@ -307,7 +307,7 @@ def simulate_path(
         for i in range(times.shape[0] - 1):
             tl = times[i]
             dt = times[i + 1] - tl
-            x = x + _net_drift(model, tl, x) * dt + coeffs.sigma(tl, x) @ drivers.dW[i]
+            x = x + _net_drift(model, tl, x[None])[0] * dt + coeffs.sigma(tl, x) @ drivers.dW[i]
             atom = int(jump_atoms[i])
             if atom >= 0:
                 x = x + coeffs.gamma(times[i + 1], x, atom)
@@ -395,8 +395,8 @@ class _BatchCoefficients:
     """Row-vectorized coefficient evaluation for one model.
 
     Affine models evaluate in closed form on (paths, m) blocks; black-box
-    models fall back to a row loop with identical semantics, calling the
-    coefficients at each row's own time.
+    models through ``_net_drift`` and the triple's row evaluators, calling
+    the coefficients at each row's own time.
     """
 
     def __init__(self, model: SdeModel):
@@ -415,7 +415,7 @@ class _BatchCoefficients:
                 # state must not depend on which paths share its round
                 return (X[:, None, :] @ self._M.T)[:, 0] + self._dvec
             return X @ self._M.T + self._dvec
-        return np.stack([_net_drift(self.model, ti, x) for ti, x in zip(_row_times(t, X), X)])
+        return _net_drift(self.model, t, X)
 
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
@@ -425,11 +425,6 @@ class _BatchCoefficients:
     def jump_rows(self, t: np.ndarray, X: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         """Post-jump states X + gamma(t, X, atom), row by row."""
         return X + self.coeffs.gamma_rows(t, X, atoms)
-
-
-def _row_times(t, X: np.ndarray) -> list:
-    """A scalar time or one time per row, as one float per row of X."""
-    return np.broadcast_to(t, X.shape[:1]).tolist()
 
 
 def componentwise_stat(diff_rows: np.ndarray) -> np.ndarray:

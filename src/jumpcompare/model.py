@@ -286,9 +286,10 @@ class CoefficientTriple:
     """Evaluatable coefficients (b, sigma, gamma) of one SDE.
 
     ``drift(t, x) -> R^m``, ``diffusion(t, x) -> R^(m x d)``,
-    ``gamma(t, x, atom_index) -> R^m``.  Evaluation must be pure.  When an
-    affine parameterization is attached, black-box and affine evaluation must
-    agree pointwise (sample-tested, not enforced here).
+    ``gamma(t, x, atom_index) -> R^m``.  Evaluation must be pure: the order
+    of the calls across rows and terms is unspecified.  When an affine
+    parameterization is attached, black-box and affine evaluation must agree
+    pointwise (sample-tested, not enforced here).
     """
 
     m: int
@@ -323,28 +324,36 @@ class CoefficientTriple:
     # gamma_rows with atom j[i] (or one atom j).  An affine family is
     # evaluated in closed form, one matrix-vector product per row as in the
     # single-point methods, so each row has their bits; black-box
-    # coefficients get one call per row.
+    # coefficients get the single-point methods' calls, one per row, in an
+    # unspecified order (evaluation is pure), and each row their values.
     def b_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
             return (self.affine.B @ X[..., None])[..., 0] + self.affine.c
-        return _per_row(self.b, t, X)
+        return _per_row(self.drift, (self.m,), t, X)
 
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
             return (self.affine.V @ X[:, None, :, None])[..., 0] + self.affine.U
-        return _per_row(self.sigma, t, X)
+        return _per_row(self.diffusion, (self.m, self.d), t, X)
 
     def gamma_rows(self, t, X: np.ndarray, j) -> np.ndarray:
         if self.affine is not None:
             return (self.affine.G[j] @ X[..., None])[..., 0] + self.affine.g[j]
-        return _per_row(self.gamma, t, X, j)
+        return _per_row(self.jump, (self.m,), t, X, j)
 
 
-def _per_row(f, t, X: np.ndarray, *atoms) -> np.ndarray:
-    """f(t_i, x_i[, j_i]) for each row x_i of X, stacked; a scalar t or
-    atom applies to every row."""
-    cols = [np.broadcast_to(a, X.shape[:1]).tolist() for a in (t, *atoms)]
-    return np.stack([f(ti, x, *rest) for x, ti, *rest in zip(X, *cols)])
+def _per_row(f, shape: Tuple[int, ...], t, X: np.ndarray, *atoms) -> np.ndarray:
+    """f(t_i, x_i[, j_i]) for each row x_i of X, read as arrays of ``shape``
+    and stacked; a scalar t or atom applies to every row.  Outputs of mixed
+    shapes, or of a wrong size (ValueError), are read one at a time."""
+    X = np.asarray(X, dtype=float)
+    cols = [a.tolist() if a.shape == X.shape[:1] else [a.item()] * X.shape[0]
+            for a in map(np.asarray, (t, *atoms))]
+    outs = list(map(f, cols[0], X, *cols[1:]))
+    try:
+        return np.asarray(outs, dtype=float).reshape((len(outs),) + shape)
+    except ValueError:
+        return np.stack([np.asarray(out, dtype=float).reshape(shape) for out in outs])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ something decisive to find.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -244,14 +244,17 @@ def dense_jump_problem(seed: int, *, mass: float = 16.0,
     return _assemble(spec, seed)
 
 
-def strip_affine(problem: ComparisonProblem) -> ComparisonProblem:
-    """Same problem with the affine blocks hidden (forces the sampled path)."""
+def strip_affine(problem: ComparisonProblem,
+                 hook: Optional[Callable[[Callable], Callable]] = None) -> ComparisonProblem:
+    """Same problem with the affine blocks hidden (forces the sampled path).
+    ``hook`` wraps each callable, for example to count or alter its calls."""
+    hook = hook or (lambda fn: fn)
 
     def wrap(model: SdeModel) -> SdeModel:
         aff = model.coefficients.affine
         triple = CoefficientTriple(
-            m=model.m, d=model.d,
-            drift=aff.drift, diffusion=aff.diffusion, jump=aff.jump, affine=None,
+            m=model.m, d=model.d, drift=hook(aff.drift), diffusion=hook(aff.diffusion),
+            jump=hook(aff.jump), affine=None,
         )
         return SdeModel(coefficients=triple, marks=model.marks, budget=model.budget)
 
