@@ -3,7 +3,10 @@
 Configs are strict JSON: unknown keys and non-finite numbers are rejected,
 the scenario id must be a file name (it names the report files), and
 dimensions are cross-checked (a vector config's ``m`` and ``d`` must be its
-models', and every matrix offset must be m x m).
+models', and every matrix offset must be m x m).  Each kind of scenario has
+one schema table, by which one walker parses every block; a schema error
+names the JSON path of the value at fault (``$.model1.B[0]``).  The parsed
+config keeps the JSON's shape, and a report echoes it as stored.
 Reports serialize canonically: sorted keys, shortest-round-trip floats, no
 volatile fields (timing goes to stderr), so identical runs produce
 byte-identical files.
@@ -107,10 +110,11 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# The ``mc`` and ``check`` blocks of a config are written once, as the fields
-# of McConfig and CheckConfig: each field is an optional key of its block,
-# parsed by the ``_FIELD_PARSERS`` entry of its type and echoed by
-# ``config_to_dict``.  Only an Optional field accepts null.
+# Each kind of scenario has one table of schema nodes (``_SCHEMAS``) that
+# ``_walk`` parses its config by; ScenarioConfig keeps the parsed blocks in the
+# config's shape, so ``config_to_dict`` echoes them as stored.  The ``mc`` and
+# ``check`` blocks are the fields of McConfig and CheckConfig: each an optional
+# key, parsed by the ``_FIELD_SCHEMAS`` node of its type; only Optional takes null.
 
 
 @dataclass
@@ -136,14 +140,11 @@ class ScenarioConfig:
     kind: str
     m: int
     d: int
-    t0: float
-    T: float
-    marks_dimension: int
-    atoms: List[Dict[str, Any]]
+    horizon: Dict[str, float]
+    marks: Dict[str, Any]
     model1: Dict[str, Any]
     model2: Dict[str, Any]
-    x1: Any
-    x2: Any
+    initial: Dict[str, Any]
     mc: McConfig = field(default_factory=McConfig)
     check: CheckConfig = field(default_factory=CheckConfig)
 
@@ -193,137 +194,73 @@ def _intval(v: Any, path: str) -> int:
     return int(v)
 
 
-def _num_list(v: Any, path: str) -> List[float]:
-    if not isinstance(v, list):
-        raise SchemaError(f"{path}: expected a list of numbers")
-    return [_num(x, f"{path}[{i}]") for i, x in enumerate(v)]
+def _single_driver(v: Any, path: str) -> int:
+    if _intval(v, path) != 1:
+        raise SchemaError(f"{path}: matrix scenarios use a single Brownian driver (d = 1)")
+    return 1
 
 
-def _matrix(v: Any, path: str) -> List[List[float]]:
-    if not isinstance(v, list) or not all(isinstance(r, list) for r in v):
-        raise SchemaError(f"{path}: expected a matrix (list of rows)")
-    return [[_num(x, f"{path}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(v)]
+def _walk(node: Any, v: Any, path: str) -> Any:
+    """Parse the value ``v`` at the JSON path ``path`` by its schema node: a
+    dict is an object with exactly those keys, a one-item list is a list of
+    that item, and a function parses a leaf."""
+    if isinstance(node, dict):
+        _take(_expect_dict(v, path), path, required=node)
+        return {k: _walk(item, v[k], f"{path}.{k}") for k, item in node.items()}
+    if isinstance(node, list):
+        if not isinstance(v, list):
+            raise SchemaError(f"{path}: expected a list")
+        (item,) = node
+        if callable(item):  # a list of leaves: not one _walk call per number
+            return [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return [_walk(item, x, f"{path}[{i}]") for i, x in enumerate(v)]
+    return node(v, path)
 
 
-def _tensor3(v: Any, path: str) -> List[List[List[float]]]:
-    if not isinstance(v, list):
-        raise SchemaError(f"{path}: expected a rank-3 array")
-    return [_matrix(x, f"{path}[{i}]") for i, x in enumerate(v)]
+_HORIZON = {"t0": _num, "T": _num}
+_MARKS = {"dimension": _intval, "atoms": [{"e": [_num], "w": _num}]}
+_LINEAR_MAP = {"scale": _num, "offset": [[_num]]}  # y -> scale*y + offset
+_VECTOR_MODEL = {"B": [[_num]], "c": [_num], "V": [[[_num]]], "U": [[_num]],
+                 "jumps": [{"G": [[_num]], "g": [_num]}]}
+_MATRIX_MODEL = {"b": _LINEAR_MAP, "sigma": _LINEAR_MAP, "jumps": [_LINEAR_MAP]}
 
+# every key of a scenario config but kind, id, mc and check, for each kind;
+# both kinds have the same keys
+_SCHEMAS = {
+    "vector": {"m": _intval, "d": _intval, "horizon": _HORIZON, "marks": _MARKS,
+               "model1": _VECTOR_MODEL, "model2": _VECTOR_MODEL,
+               "initial": {"x1": [_num], "x2": [_num]}},
+    "matrix": {"m": _intval, "d": _single_driver, "horizon": _HORIZON, "marks": _MARKS,
+               "model1": _MATRIX_MODEL, "model2": _MATRIX_MODEL,
+               "initial": {"x1": [[_num]], "x2": [[_num]]}},
+}
 
 # keyed by a config-block field's annotation, a string under postponed evaluation
-_FIELD_PARSERS = {"int": _intval, "float": _num, "Optional[float]": _num,
-                  "List[float]": _num_list}
+_FIELD_SCHEMAS = {"int": _intval, "float": _num, "Optional[float]": _num,
+                  "List[float]": [_num]}
 
 
 def _block(cls, data: Any, path: str):
-    """Parse a flat config block into the dataclass ``cls`` (see McConfig)."""
+    """Parse a block of optional keys into the dataclass ``cls`` (see McConfig)."""
     block = _expect_dict(data, path)
     fields = dataclasses.fields(cls)
     _take(block, path, required=[], optional=[f.name for f in fields])
     out = cls()
     for f in fields:
         if f.name in block and not (block[f.name] is None and f.type.startswith("Optional[")):
-            setattr(out, f.name, _FIELD_PARSERS[f.type](block[f.name], f"{path}.{f.name}"))
+            setattr(out, f.name, _walk(_FIELD_SCHEMAS[f.type], block[f.name], f"{path}.{f.name}"))
     return out
 
 
 def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> ScenarioConfig:
     top = _expect_dict(data, "$")
-    _take(
-        top,
-        "$",
-        required=["kind", "m", "d", "horizon", "marks", "model1", "model2", "initial"],
-        optional=["id", "mc", "check"],
-    )
+    _take(top, "$", required=["kind", *_SCHEMAS["vector"]], optional=["id", "mc", "check"])
     kind = top["kind"]
-    if kind not in ("vector", "matrix"):
+    if kind not in ("vector", "matrix"):  # a tuple, not _SCHEMAS: kind may be unhashable
         raise SchemaError("$.kind: must be 'vector' or 'matrix'")
-    m = _intval(top["m"], "$.m")
-    d = _intval(top["d"], "$.d")
-    if kind == "matrix" and d != 1:
-        raise SchemaError("$.d: matrix scenarios use a single Brownian driver (d = 1)")
-
-    hz = _expect_dict(top["horizon"], "$.horizon")
-    _take(hz, "$.horizon", required=["t0", "T"])
-    t0 = _num(hz["t0"], "$.horizon.t0")
-    T = _num(hz["T"], "$.horizon.T")
-
-    mk = _expect_dict(top["marks"], "$.marks")
-    _take(mk, "$.marks", required=["dimension", "atoms"])
-    marks_dim = _intval(mk["dimension"], "$.marks.dimension")
-    if not isinstance(mk["atoms"], list):
-        raise SchemaError("$.marks.atoms: expected a list")
-    atoms = []
-    for i, a in enumerate(mk["atoms"]):
-        ad = _expect_dict(a, f"$.marks.atoms[{i}]")
-        _take(ad, f"$.marks.atoms[{i}]", required=["e", "w"])
-        atoms.append({"e": _num_list(ad["e"], f"$.marks.atoms[{i}].e"),
-                      "w": _num(ad["w"], f"$.marks.atoms[{i}].w")})
-
-    def vector_model(md: Any, path: str) -> Dict[str, Any]:
-        mdl = _expect_dict(md, path)
-        _take(mdl, path, required=["B", "c", "V", "U", "jumps"])
-        jumps = []
-        if not isinstance(mdl["jumps"], list):
-            raise SchemaError(f"{path}.jumps: expected a list")
-        for i, jm in enumerate(mdl["jumps"]):
-            jd = _expect_dict(jm, f"{path}.jumps[{i}]")
-            _take(jd, f"{path}.jumps[{i}]", required=["G", "g"])
-            jumps.append({"G": _matrix(jd["G"], f"{path}.jumps[{i}].G"),
-                          "g": _num_list(jd["g"], f"{path}.jumps[{i}].g")})
-        return {
-            "B": _matrix(mdl["B"], f"{path}.B"),
-            "c": _num_list(mdl["c"], f"{path}.c"),
-            "V": _tensor3(mdl["V"], f"{path}.V"),
-            "U": _matrix(mdl["U"], f"{path}.U"),
-            "jumps": jumps,
-        }
-
-    def matrix_model(md: Any, path: str) -> Dict[str, Any]:
-        mdl = _expect_dict(md, path)
-        _take(mdl, path, required=["b", "sigma", "jumps"])
-
-        def linmap(v: Any, p: str) -> Dict[str, Any]:
-            lm = _expect_dict(v, p)
-            _take(lm, p, required=["scale", "offset"])
-            return {"scale": _num(lm["scale"], f"{p}.scale"),
-                    "offset": _matrix(lm["offset"], f"{p}.offset")}
-
-        if not isinstance(mdl["jumps"], list):
-            raise SchemaError(f"{path}.jumps: expected a list")
-        return {
-            "b": linmap(mdl["b"], f"{path}.b"),
-            "sigma": linmap(mdl["sigma"], f"{path}.sigma"),
-            "jumps": [linmap(jm, f"{path}.jumps[{i}]") for i, jm in enumerate(mdl["jumps"])],
-        }
-
-    model_parser = vector_model if kind == "vector" else matrix_model
-    model1 = model_parser(top["model1"], "$.model1")
-    model2 = model_parser(top["model2"], "$.model2")
-
-    init = _expect_dict(top["initial"], "$.initial")
-    _take(init, "$.initial", required=["x1", "x2"])
-    if kind == "vector":
-        x1 = _num_list(init["x1"], "$.initial.x1")
-        x2 = _num_list(init["x2"], "$.initial.x2")
-    else:
-        x1 = _matrix(init["x1"], "$.initial.x1")
-        x2 = _matrix(init["x2"], "$.initial.x2")
-
+    blocks = {k: _walk(node, top[k], f"$.{k}") for k, node in _SCHEMAS[kind].items()}
     cfg = ScenarioConfig(
-        id=_scenario_id(top.get("id", default_id), "$.id"),
-        kind=kind,
-        m=m,
-        d=d,
-        t0=t0,
-        T=T,
-        marks_dimension=marks_dim,
-        atoms=atoms,
-        model1=model1,
-        model2=model2,
-        x1=x1,
-        x2=x2,
+        id=_scenario_id(top.get("id", default_id), "$.id"), kind=kind, **blocks,
         mc=_block(McConfig, top.get("mc", {}), "$.mc"),
         check=_block(CheckConfig, top.get("check", {}), "$.check"),
     )
@@ -337,25 +274,16 @@ def _check_mc(cfg: ScenarioConfig) -> None:
     ``engine.mc_comparison`` and ``engine.uniform_grid``) as a config error."""
     if cfg.mc.paths < 1:
         raise SchemaError(f"mc.paths: must be >= 1, got {cfg.mc.paths}")
-    span = cfg.T - cfg.t0
+    span = cfg.horizon["T"] - cfg.horizon["t0"]
     if not 0.0 < cfg.mc.step <= span * (1.0 + 1e-12):
         raise SchemaError(f"mc.step: must lie in (0, T - t0] = (0, {span}], got {cfg.mc.step}")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, Any]:
-    return {
-        "id": cfg.id,
-        "kind": cfg.kind,
-        "m": cfg.m,
-        "d": cfg.d,
-        "horizon": {"t0": cfg.t0, "T": cfg.T},
-        "marks": {"dimension": cfg.marks_dimension, "atoms": cfg.atoms},
-        "model1": cfg.model1,
-        "model2": cfg.model2,
-        "initial": {"x1": cfg.x1, "x2": cfg.x2},
-        "mc": dataclasses.asdict(cfg.mc),
-        "check": dataclasses.asdict(cfg.check),
-    }
+    """The config as stored; the ``mc`` and ``check`` blocks are copied."""
+    out = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    out["mc"], out["check"] = dataclasses.asdict(cfg.mc), dataclasses.asdict(cfg.check)
+    return out
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -406,16 +334,17 @@ def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixCompari
     as SchemaError (except ordering, which keeps its own type), and so does
     an ``m`` or ``d`` that differs from the models'."""
     try:
-        marks = MarkMeasure.from_atoms([(a["e"], a["w"]) for a in cfg.atoms],
-                                       dimension=cfg.marks_dimension)
+        marks = MarkMeasure.from_atoms([(a["e"], a["w"]) for a in cfg.marks["atoms"]],
+                                       dimension=cfg.marks["dimension"])
         if cfg.kind == "vector":
             problem_type, model = ComparisonProblem, _sde_model
         else:
             problem_type, model = MatrixComparisonProblem, _matrix_model
         problem = problem_type(
             model1=model(cfg.model1, marks), model2=model(cfg.model2, marks),
-            t0=cfg.t0, T=cfg.T,
-            x1=np.array(cfg.x1, dtype=float), x2=np.array(cfg.x2, dtype=float),
+            t0=cfg.horizon["t0"], T=cfg.horizon["T"],
+            x1=np.array(cfg.initial["x1"], dtype=float),
+            x2=np.array(cfg.initial["x2"], dtype=float),
             sampling=SampleDomain(box=cfg.check.box, count=cfg.check.samples,
                                   ladder=tuple(cfg.check.ladder), seed=cfg.check.seed),
             tolerances=Tolerances(eps_check=cfg.check.eps_check, eps_path=cfg.mc.eps_path),
@@ -615,9 +544,10 @@ def _gallery_cfg(kind: str, scenario_id: str, atoms, model1, model2, x1, x2,
                 "sigma": {"scale": s_scale, "offset": s_off}, "jumps": []}
 
     return ScenarioConfig(
-        id=scenario_id, kind=kind, m=len(x1), d=1, t0=0.0, T=1.0,
-        marks_dimension=1, atoms=atoms, model1=model(model1), model2=model(model2),
-        x1=x1, x2=x2, mc=McConfig(seed=mc_seed), check=CheckConfig(seed=check_seed),
+        id=scenario_id, kind=kind, m=len(x1), d=1, horizon={"t0": 0.0, "T": 1.0},
+        marks={"dimension": 1, "atoms": atoms}, model1=model(model1), model2=model(model2),
+        initial={"x1": x1, "x2": x2}, mc=McConfig(seed=mc_seed),
+        check=CheckConfig(seed=check_seed),
     )
 
 

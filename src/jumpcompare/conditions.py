@@ -618,7 +618,8 @@ def check_theorem31(problem: ComparisonProblem) -> Theorem31Report:
 
 def _jump_sup(problem: ComparisonProblem, rng: np.random.Generator, size, n: int = 64) -> float:
     """Sampled sup over live atoms and the box of ``size(gamma1, gamma2)``,
-    row by row (structure probe); a NaN size is skipped."""
+    row by row (structure probe); NaN if any size is NaN, so a jump that is
+    NaN somewhere fails the precondition it probes."""
     c1, c2 = problem.model1.coefficients, problem.model2.coefficients
     box = problem.sampling.box
     points = []
@@ -628,15 +629,12 @@ def _jump_sup(problem: ComparisonProblem, rng: np.random.Generator, size, n: int
     t, x = _probe_block(points)
     sizes = [size(c1.gamma_rows(t, x, j), c2.gamma_rows(t, x, j))
              for j, w in enumerate(problem.marks.weights) if w > 0.0]
-    # a running max in the order of points, then atoms
-    return max([0.0, *np.array(sizes).T.ravel().tolist()])
+    return float(np.max(sizes, initial=0.0))
 
 
 def _larger_norm(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """``max(norm(g1[i]), norm(g2[i]))`` for each row, NaN as Python's max
-    gives it."""
-    n1, n2 = _norms(g1), _norms(g2)
-    return np.where(n2 > n1, n2, n1)
+    """``max(norm(g1[i]), norm(g2[i]))`` for each row, NaN if either is."""
+    return np.maximum(_norms(g1), _norms(g2))
 
 
 def check_corollary_1d(problem: ComparisonProblem, variant: str) -> Verdict:
@@ -670,7 +668,7 @@ def check_corollary_1d(problem: ComparisonProblem, variant: str) -> Verdict:
             )
             if not same:
                 raise VariantPreconditionError("variant 3.4 requires gamma1 == gamma2")
-        elif _jump_sup(problem, rng, lambda g1, g2: _norms(g1 - g2)) > eps:
+        elif not _jump_sup(problem, rng, lambda g1, g2: _norms(g1 - g2)) <= eps:  # or NaN
             raise VariantPreconditionError("variant 3.4 requires gamma1 == gamma2")
     if variant == "3.5":
         if problem.is_affine:
@@ -682,7 +680,7 @@ def check_corollary_1d(problem: ComparisonProblem, variant: str) -> Verdict:
             )
             if not zero:
                 raise VariantPreconditionError("variant 3.5 requires gamma == 0")
-        elif _jump_sup(problem, rng, _larger_norm) > eps:
+        elif not _jump_sup(problem, rng, _larger_norm) <= eps:  # or NaN
             raise VariantPreconditionError("variant 3.5 requires gamma == 0")
 
     verdicts: List[Verdict] = [check_sigma_equal(problem)]

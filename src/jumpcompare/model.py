@@ -329,23 +329,25 @@ class CoefficientTriple:
     def b_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
             return (self.affine.B @ X[..., None])[..., 0] + self.affine.c
-        return _per_row(self.drift, (self.m,), t, X)
+        return _per_row("drift", self.drift, (self.m,), t, X)
 
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
             return (self.affine.V @ X[:, None, :, None])[..., 0] + self.affine.U
-        return _per_row(self.diffusion, (self.m, self.d), t, X)
+        return _per_row("diffusion", self.diffusion, (self.m, self.d), t, X)
 
     def gamma_rows(self, t, X: np.ndarray, j) -> np.ndarray:
         if self.affine is not None:
             return (self.affine.G[j] @ X[..., None])[..., 0] + self.affine.g[j]
-        return _per_row(self.jump, (self.m,), t, X, j)
+        return _per_row("jump", self.jump, (self.m,), t, X, j)
 
 
-def _per_row(f, shape: Tuple[int, ...], t, X: np.ndarray, *atoms) -> np.ndarray:
+def _per_row(name: str, f, shape: Tuple[int, ...], t, X: np.ndarray, *atoms) -> np.ndarray:
     """f(t_i, x_i[, j_i]) for each row x_i of X, read as arrays of ``shape``
     and stacked; a scalar t or atom applies to every row.  Outputs of mixed
-    shapes, or of a wrong size (ValueError), are read one at a time."""
+    shapes are read one at a time; an output of a wrong size is a ValueError
+    that names the coefficient ``name``, the row's t, x (and atom), and keeps
+    numpy's text."""
     X = np.asarray(X, dtype=float)
     cols = [a.tolist() if a.shape == X.shape[:1] else [a.item()] * X.shape[0]
             for a in map(np.asarray, (t, *atoms))]
@@ -353,7 +355,15 @@ def _per_row(f, shape: Tuple[int, ...], t, X: np.ndarray, *atoms) -> np.ndarray:
     try:
         return np.asarray(outs, dtype=float).reshape((len(outs),) + shape)
     except ValueError:
-        return np.stack([np.asarray(out, dtype=float).reshape(shape) for out in outs])
+        rows = []
+        for i, out in enumerate(outs):
+            try:
+                rows.append(np.asarray(out, dtype=float).reshape(shape))
+            except ValueError as exc:
+                atom = f" (atom {cols[1][i]})" if atoms else ""
+                raise ValueError(f"{name}{atom} at t = {cols[0][i]!r}, "
+                                 f"x = {X[i].tolist()}: {exc}") from exc
+        return np.stack(rows)
 
 
 @dataclass(frozen=True)

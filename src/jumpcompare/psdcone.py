@@ -166,10 +166,8 @@ def eig_sym(y) -> EigDecomp:
 
 def psd_split(y) -> Tuple[np.ndarray, np.ndarray]:
     """Spectral split y = y_plus - y_minus with both parts PSD."""
-    dec = eig_sym(y)
-    yp = (dec.Q * np.maximum(dec.lam, 0.0)) @ dec.Q.T
-    ym = (dec.Q * np.maximum(-dec.lam, 0.0)) @ dec.Q.T
-    return 0.5 * (yp + yp.T), 0.5 * (ym + ym.T)
+    p = _PsdPoint(y)
+    return p.plus, p.minus
 
 
 def dist2_psd(y) -> float:
@@ -182,8 +180,7 @@ def dist2_psd(y) -> float:
 
 def grad_dist2_psd(y) -> np.ndarray:
     """Gradient of dist2_psd: -2 times the negative spectral part."""
-    _, ym = psd_split(y)
-    return -2.0 * ym
+    return -2.0 * _PsdPoint(y).minus
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,8 @@ class _PsdPoint:
     """dist2_psd data at a symmetric x from one eigendecomposition, which
     also validates x: the negative spectral part, dist^2, and the Hessian
     quadratic form, which is flagged degenerate when an eigenvalue lies
-    within _ETA_SEP of zero."""
+    within _ETA_SEP of zero.  ``psd_split`` and ``grad_dist2_psd`` read
+    their parts from it."""
 
     def __init__(self, x):
         self.dec = eig_sym(x)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from jumpcompare.cli import RunReport, report_to_dict
 from jumpcompare.conditions import (
+    VariantPreconditionError,
     _jump_sup,
     _larger_norm,
     _norms,
@@ -178,11 +179,9 @@ def jump_sup_reference(problem, rng, size, n=64):
     return worst
 
 
-@pytest.mark.parametrize("nan_in", [None, 1, 2])
-def test_jump_sup_matches_a_point_at_a_time(nan_in):
-    """The sampled sup of the one-dimensional variants, with NaN jumps of
-    one model (skipped, as Python's max skips them) at part of the box."""
-    problem = random_problem(7011, failing=True, m=1, kind="jump-row-gap")[0]
+def nan_jumps(problem, nan_in):
+    """``problem`` stripped of its affine blocks, with the jumps of model
+    ``nan_in`` (1, 2, or None for neither) NaN for |x| > 2."""
     nan_affine = {1: problem.model1, 2: problem.model2}.get(nan_in)
     nan_affine = nan_affine.coefficients.affine if nan_affine else None
 
@@ -191,16 +190,56 @@ def test_jump_sup_matches_a_point_at_a_time(nan_in):
             return fn
         return lambda t, x, j: np.full(1, np.nan) if abs(x[0]) > 2.0 else fn(t, x, j)
 
-    problem = strip_affine(problem, hook)
+    return strip_affine(problem, hook)
+
+
+@pytest.mark.parametrize("nan_in", [None, 1, 2])
+def test_jump_sup_matches_a_point_at_a_time(nan_in):
+    """The sampled sup of the one-dimensional variants; NaN jumps of one
+    model at part of the box make it NaN, and the precondition fails."""
+    problem = nan_jumps(random_problem(7011, failing=True, m=1, kind="jump-row-gap")[0],
+                        nan_in)
     sizes = [
         (lambda g1, g2: np.linalg.norm(g1 - g2), lambda g1, g2: _norms(g1 - g2)),
         (lambda g1, g2: max(np.linalg.norm(g1), np.linalg.norm(g2)), _larger_norm),
     ]
     for reference_size, size in sizes:
-        want = jump_sup_reference(problem, np.random.default_rng(5), reference_size)
         got = _jump_sup(problem, np.random.default_rng(5), size)
-        assert want > 0.0
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if nan_in is None:
+            want = jump_sup_reference(problem, np.random.default_rng(5), reference_size)
+            assert want > 0.0
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert np.isnan(got)
+    if nan_in is not None:
+        for variant in ("3.4", "3.5"):
+            with pytest.raises(VariantPreconditionError):
+                check_corollary_1d(problem, variant)
+
+
+def zero_jump_pair():
+    """An m = 1 pair with one atom and zero jumps, which meets the jump
+    preconditions of variants 3.4 and 3.5."""
+    marks = MarkMeasure.from_atoms([([1.0], 1.0)])
+    models = []
+    for c in (0.5, 0.1):
+        aff = AffineCoefficients(B=[[-0.2]], c=[c], V=[[[0.3]]], U=[[0.1]],
+                                 G=[[[0.0]]], g=[[0.0]])
+        models.append(SdeModel(CoefficientTriple.from_affine(aff), marks,
+                               lipschitz_certificate(aff, marks)))
+    return ComparisonProblem(model1=models[0], model2=models[1], t0=0.0, T=1.0,
+                             x1=np.array([1.0]), x2=np.array([0.5]))
+
+
+@pytest.mark.parametrize("variant", ["3.4", "3.5"])
+@pytest.mark.parametrize("nan_in", [None, 1, 2])
+def test_nan_jumps_fail_the_variant_precondition(nan_in, variant):
+    problem = nan_jumps(zero_jump_pair(), nan_in)
+    if nan_in is None:
+        assert check_corollary_1d(problem, variant).status == "no-violation-found"
+    else:
+        with pytest.raises(VariantPreconditionError, match=f"variant {variant} requires"):
+            check_corollary_1d(problem, variant)
 
 
 class CoefficientFault(Exception):
@@ -235,6 +274,36 @@ class TestMalformedCallables:
             rows(triple)
             with pytest.raises(ValueError, match="reshape"):
                 rows(bad_triple)
+
+    @pytest.mark.parametrize("field, name", [
+        ("drift", "drift"), ("diffusion", "diffusion"), ("jump", r"jump \(atom 0\)"),
+    ])
+    def test_wrong_size_names_the_coefficient_and_the_row(self, field, name):
+        triple = self._problem(None).model1.coefficients
+        parts = {f: getattr(triple, f) for f in ("drift", "diffusion", "jump")}
+        parts[field] = output_hook(
+            lambda x, out: np.append(out, 0.0) if x[0] > 1.0 else out)(parts[field])
+        bad_triple = CoefficientTriple(m=2, d=2, **parts)
+        X = np.zeros((5, 2))
+        X[2, 0] = 2.0
+        t = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
+        rows = {"drift": lambda: bad_triple.b_rows(t, X),
+                "diffusion": lambda: bad_triple.sigma_rows(t, X),
+                "jump": lambda: bad_triple.gamma_rows(t, X, 0)}
+        with pytest.raises(ValueError,
+                           match=rf"^{name} at t = 0.25, x = \[2.0, 0.0\]: cannot reshape"):
+            rows[field]()
+
+    def test_wrong_size_drift_of_a_run_is_named(self):
+        """An m = 1 drift that returns two values above x = 1.2."""
+        def hook(fn):
+            if fn.__name__ != "drift":
+                return fn
+            return lambda t, x: np.append(fn(t, x), 0.0) if x[0] > 1.2 else fn(t, x)
+
+        problem = strip_affine(sized_problem(2204, 1, 1, 1), hook)
+        with pytest.raises(ValueError, match=r"^drift at t = .*, x = \[.*\]: .*reshape"):
+            mc_comparison(problem, 64, 2.0**-5, 3)
 
     def test_mixed_output_shapes_give_the_same_numbers(self):
         def reshape(x, out):

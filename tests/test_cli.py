@@ -273,6 +273,110 @@ class TestConfigBlocks:
             assert check["seed"] == 5
 
 
+FAULT_VALUES = {"string": "not/a-value", "null": None, "object": {"fault": 1}, "true": True}
+# the faults a config survives: an optional key left out, a null tolerance
+OPTIONAL_KEYS = {"$.id", "$.mc", "$.check", "$.mc.paths", "$.mc.step", "$.mc.seed",
+                 "$.mc.eps_path", "$.check.samples", "$.check.box", "$.check.ladder",
+                 "$.check.seed", "$.check.eps_check"}
+NULLABLE_KEYS = {"$.mc.eps_path", "$.check.eps_check"}
+
+
+def json_path(keys):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def locations(node, keys=()):
+    """The keys of every object member and list item under ``node``,
+    outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for k, v in items:
+        yield keys + (k,)
+        yield from locations(v, keys + (k,))
+
+
+def node_at(data, keys):
+    for k in keys:
+        data = data[k]
+    return data
+
+
+def single_faults(name, data):
+    """(id, faulty config, JSON path of the fault, accepted) for each single
+    fault of ``data``: a member left out, an unknown member added to an
+    object, and each of FAULT_VALUES in place of a member or an item."""
+    def copy():
+        return json.loads(json.dumps(data))
+
+    for keys in [()] + list(locations(data)):
+        path = json_path(keys)
+        if keys:
+            for fault, value in FAULT_VALUES.items():
+                faulty = copy()
+                node_at(faulty, keys[:-1])[keys[-1]] = value
+                yield (f"{name}:{path}={fault}", faulty, path,
+                       fault == "null" and path in NULLABLE_KEYS)
+            if isinstance(keys[-1], str):
+                faulty = copy()
+                del node_at(faulty, keys[:-1])[keys[-1]]
+                yield (f"{name}:{path}-missing", faulty, json_path(keys[:-1]),
+                       path in OPTIONAL_KEYS)
+        if isinstance(node_at(data, keys), dict):
+            faulty = copy()
+            node_at(faulty, keys)["fault"] = 1
+            yield f"{name}:{path}+unknown", faulty, path, False
+
+
+FAULTS = (list(single_faults("vector", full_vector_dict()))
+          + list(single_faults("matrix", matrix_dict())))
+
+
+def names_the_fault(message, path):
+    """The message's leading JSON path is ``path``, a path inside it, or,
+    for a fault at a list item, the list."""
+    named = message.split(": ", 1)[0]
+    enclosing_list = path.endswith("]") and named == path[:path.rindex("[")]
+    return named == path or named.startswith((path + ".", path + "[")) or enclosing_list
+
+
+class TestConfigFaults:
+    """Every single fault of a full vector and a full matrix config: a
+    rejected config raises a SchemaError that names where the fault is."""
+
+    @pytest.mark.parametrize("data, path, accepted", [f[1:] for f in FAULTS],
+                             ids=[f[0] for f in FAULTS])
+    def test_fault_is_rejected_at_its_path(self, data, path, accepted):
+        if accepted:
+            config_from_dict(data)
+            return
+        with pytest.raises((SchemaError, OrderError)) as err:
+            config_from_dict(data)
+        assert type(err.value) is SchemaError
+        assert names_the_fault(str(err.value), path), (path, str(err.value))
+
+    @pytest.mark.parametrize("data, path", [
+        (full_vector_dict(), ("model1", "B", 0, 0)),
+        (matrix_dict(), ("model2", "sigma", "scale")),
+    ], ids=["vector", "matrix"])
+    def test_fault_exits_two(self, tmp_path, capsys, data, path):
+        node_at(data, path[:-1])[path[-1]] = "not/a-value"
+        assert main(["check", write_config(tmp_path, data)]) == 2
+        assert f"config error: {json_path(path)}: " in capsys.readouterr().err
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    """The config documented in README.md parses, echoes as written and
+    passes the check, so the documented schema stays the parsed one."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```json\n")[1:]
+    assert len(blocks) == 1
+    data = json.loads(blocks[0].split("```", 1)[0])
+    assert config_to_dict(config_from_dict(data)) == data
+    assert main(["check", write_config(tmp_path, data)]) == 0
+
+
 class TestReports:
     def test_report_embeds_resolved_seeds_and_tolerances(self):
         cfg = config_from_dict(minimal_vector_dict())
