@@ -265,13 +265,19 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
         check=_block(CheckConfig, top.get("check", {}), "$.check"),
     )
     build_problem(cfg)  # surface dimension/order/weight errors at parse time
-    _check_mc(cfg)
+    _check_run_settings(cfg)
     return cfg
 
 
-def _check_mc(cfg: ScenarioConfig) -> None:
-    """Reject Monte Carlo settings the engine cannot run (the bounds of
-    ``engine.mc_comparison`` and ``engine.uniform_grid``) as a config error."""
+def _check_run_settings(cfg: ScenarioConfig) -> None:
+    """Reject run settings the program cannot take as a config error: Monte
+    Carlo settings outside the bounds of ``engine.mc_comparison`` and
+    ``engine.uniform_grid``, and a seed outside [0, 2^64) (the Monte Carlo
+    seed keys Philox with one 64-bit word)."""
+    for block in ("mc", "check"):
+        seed = getattr(cfg, block).seed
+        if not 0 <= seed < 2**64:
+            raise SchemaError(f"$.{block}.seed: must be an integer in [0, 2^64), got {seed}")
     if cfg.mc.paths < 1:
         raise SchemaError(f"mc.paths: must be >= 1, got {cfg.mc.paths}")
     span = cfg.horizon["T"] - cfg.horizon["t0"]
@@ -329,19 +335,71 @@ def _matrix_model(block: Dict[str, Any], marks: MarkMeasure) -> MatrixModel:
     return MatrixModel(coeffs, marks, matrix_certificate(coeffs, marks))
 
 
-def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixComparisonProblem]:
-    """Instantiate the typed problem; model-level validation errors surface
-    as SchemaError (except ordering, which keeps its own type), and so does
-    an ``m`` or ``d`` that differs from the models'."""
+# the shape of each array of a config, in the config's dimensions; a list
+# holds one item per mark atom
+_VECTOR_SHAPES = {"B": ("m", "m"), "c": ("m",), "V": ("m", "d", "m"), "U": ("m", "d"),
+                  "jumps": [{"G": ("m", "m"), "g": ("m",)}]}
+_MATRIX_SHAPES = {"b": {"offset": ("m", "m")}, "sigma": {"offset": ("m", "m")},
+                  "jumps": [{"offset": ("m", "m")}]}
+_SHAPES = {
+    kind: {"marks": {"atoms": [{"e": ("dimension",)}]}, "model1": model, "model2": model,
+           "initial": {"x1": state, "x2": state}}
+    for kind, model, state in (("vector", _VECTOR_SHAPES, ("m",)),
+                               ("matrix", _MATRIX_SHAPES, ("m", "m")))
+}
+
+
+def _check_shapes(node: Any, v: Any, path: str, dims: Dict[str, int]) -> None:
+    """Each array under ``path`` has the shape its ``_SHAPES`` node gives."""
+    if isinstance(node, dict):
+        for k, item in node.items():
+            _check_shapes(item, v[k], f"{path}.{k}", dims)
+    elif isinstance(node, list):
+        if len(v) != dims["atoms"]:
+            raise SchemaError(f"{path}: expected one entry per mark atom ({dims['atoms']}), "
+                              f"got {len(v)}")
+        for i, item in enumerate(v):
+            _check_shapes(node[0], item, f"{path}[{i}]", dims)
+    else:
+        want = tuple(dims[name] for name in node)
+        try:
+            got = np.array(v, dtype=float).shape
+        except ValueError:
+            got = None
+        if got != want:
+            names = ", ".join(node) + ("," if len(node) == 1 else "")
+            raise SchemaError(f"{path}: expected shape ({names}) = {want}, got "
+                              f"{'rows of unequal length' if got is None else got}")
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, with a model's error as a SchemaError at ``path``."""
     try:
-        marks = MarkMeasure.from_atoms([(a["e"], a["w"]) for a in cfg.marks["atoms"]],
-                                       dimension=cfg.marks["dimension"])
-        if cfg.kind == "vector":
-            problem_type, model = ComparisonProblem, _sde_model
-        else:
-            problem_type, model = MatrixComparisonProblem, _matrix_model
-        problem = problem_type(
-            model1=model(cfg.model1, marks), model2=model(cfg.model2, marks),
+        return build(*args)
+    except ValueError as exc:  # a ModelError
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixComparisonProblem]:
+    """Instantiate the typed problem.  Every array must have the shape that
+    ``m``, ``d`` and the marks give it; an error building the marks or a
+    model names its JSON path, and the problem's own errors surface as
+    SchemaError too (except ordering, which keeps its own type)."""
+    dims = {"m": cfg.m, "d": cfg.d, "dimension": cfg.marks["dimension"]}
+    for name, path in (("m", "$.m"), ("d", "$.d"), ("dimension", "$.marks.dimension")):
+        if dims[name] < 1:
+            raise SchemaError(f"{path}: must be >= 1, got {dims[name]}")
+    _check_shapes(_SHAPES[cfg.kind], vars(cfg), "$", dict(dims, atoms=len(cfg.marks["atoms"])))
+    marks = _built("$.marks", MarkMeasure.from_atoms,
+                   [(a["e"], a["w"]) for a in cfg.marks["atoms"]], cfg.marks["dimension"])
+    if cfg.kind == "vector":
+        problem_type, model = ComparisonProblem, _sde_model
+    else:
+        problem_type, model = MatrixComparisonProblem, _matrix_model
+    try:
+        return problem_type(
+            model1=_built("$.model1", model, cfg.model1, marks),
+            model2=_built("$.model2", model, cfg.model2, marks),
             t0=cfg.horizon["t0"], T=cfg.horizon["T"],
             x1=np.array(cfg.initial["x1"], dtype=float),
             x2=np.array(cfg.initial["x2"], dtype=float),
@@ -351,13 +409,8 @@ def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixCompari
         )
     except OrderError:
         raise
-    except ValueError as exc:  # a ModelError, or numpy on rows of unequal length
+    except ValueError as exc:  # a ModelError
         raise SchemaError(str(exc)) from exc
-    dims = (problem.m, problem.d if cfg.kind == "vector" else 1)
-    if dims != (cfg.m, cfg.d):
-        raise SchemaError(f"$.m, $.d: the config says ({cfg.m}, {cfg.d}), "
-                          f"the models have ({dims[0]}, {dims[1]})")
-    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +698,7 @@ def _with_overrides(cfg: ScenarioConfig, paths: Optional[int] = None,
     check = {} if seed is None else {"seed": seed}
     cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, **mc),
                               check=dataclasses.replace(cfg.check, **check))
-    _check_mc(cfg)
+    _check_run_settings(cfg)
     return cfg
 
 

@@ -135,33 +135,62 @@ def _rng_for(problem: ComparisonProblem, salt: int) -> np.random.Generator:
     return np.random.default_rng((int(problem.sampling.seed) << 8) ^ salt)
 
 
-def _draw_t(problem: ComparisonProblem, rng: np.random.Generator) -> float:
-    return float(rng.uniform(problem.t0, problem.T))
+def _uniforms(rng: np.random.Generator, lo, hi, mask: np.ndarray, cuts) -> List[np.ndarray]:
+    """Probe records drawn with one ``rng.uniform`` call, one record a row.
+
+    The True cells of ``mask`` are drawn in C order, cell (i, j) from
+    [lo[j], hi[j]); the other cells are 0.  numpy draws each value as
+    lo + (hi - lo) * (the next double of the stream), so the values, and the
+    generator state after them, are those of one call per cell in that
+    order: a sampled branch draws its probe stream as arrays and keeps the
+    values of a draw per probe.  The records come back split at the columns
+    ``cuts``, each part C-contiguous like a stacked block."""
+    out = np.zeros(mask.shape)
+    out[mask] = rng.uniform(*(np.broadcast_to(b, mask.shape)[mask] for b in (lo, hi)))
+    return [np.ascontiguousarray(part) for part in np.split(out, cuts, axis=1)]
 
 
-def _sign_patterns(m: int, rng: np.random.Generator, cap: int = 48) -> List[np.ndarray]:
-    """All sign patterns in {-1,0,1}^m for small m; a capped random family above."""
+def _records(problem: ComparisonProblem, rng: np.random.Generator, n: int):
+    """n records [x | t], x from the box and t from the horizon: (x, t)."""
+    m, box = problem.m, problem.sampling.box
+    x, t = _uniforms(rng, [-box] * m + [problem.t0], [box] * m + [problem.T],
+                     np.ones((n, m + 1), dtype=bool), [m])
+    return x, t[:, 0]
+
+
+def _with_zero_and_drawn_xp(problem: ComparisonProblem, rng: np.random.Generator, x):
+    """Each row of ``x`` probed twice, with x' = 0 and then with x' drawn
+    from the box, each probe with its own t; a row draws t, x', t."""
+    m, box = problem.m, problem.sampling.box
+    ta, xp, tb = _uniforms(rng, [problem.t0] + [-box] * m + [problem.t0],
+                           [problem.T] + [box] * m + [problem.T],
+                           np.ones((len(x), m + 2), dtype=bool), [1, m + 1])
+    return (np.hstack([ta, tb]).ravel(), np.repeat(x, 2, axis=0),
+            np.stack([np.zeros_like(xp), xp], axis=1).reshape(-1, m))
+
+
+def _ladder_points(scales: np.ndarray, cols, drawn: np.ndarray) -> np.ndarray:
+    """The origin, then per scale s the points s e_i for i in ``cols`` and the
+    rows of drawn[s]."""
+    units = np.zeros((len(scales), len(cols), drawn.shape[-1]))
+    units[:, np.arange(len(cols)), cols] = scales[:, None]
+    rest = np.concatenate([units, drawn], axis=1).reshape(-1, drawn.shape[-1])
+    return np.concatenate([np.zeros((1, drawn.shape[-1])), rest])
+
+
+def _sign_patterns(m: int, rng: np.random.Generator, cap: int = 48) -> np.ndarray:
+    """All sign patterns in {-1,0,1}^m for small m, one a row; a capped
+    random family above."""
     if 3**m <= cap:
-        return [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=m)]
+        return np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=m)))
     base = [np.full(m, -1.0), np.full(m, 1.0), np.zeros(m)]
     for k in range(m):
         e = np.zeros(m)
         e[k] = 1.0
         base.append(e)
         base.append(-e)
-    while len(base) < cap:
-        base.append(rng.choice([-1.0, 0.0, 1.0], size=m))
-    return base
-
-
-def _probe_block(probes):
-    """Probes (t, x, ...) as a list of times and a stacked array per point.
-
-    A sampled branch draws all of its probes, in its seeded order, and then
-    evaluates them as one block through the coefficients' row evaluators;
-    evaluation draws nothing, and each value has the bits it gets alone."""
-    t, *points = zip(*probes)
-    return [list(t)] + [np.array(p) for p in points]
+    drawn = rng.choice([-1.0, 0.0, 1.0], size=(max(0, cap - len(base)), m))
+    return np.vstack(base + [drawn])
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -220,28 +249,29 @@ def check_sigma_equal(problem: ComparisonProblem) -> Verdict:
             e[j] = problem.sampling.box
             cands.extend([e, -e])
         c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-        t, x = _probe_block([(problem.t0, x) for x in cands])
+        x = np.array(cands)
+        t = np.full(len(x), problem.t0)
         gaps = _norms(c1.sigma_rows(t, x) - c2.sigma_rows(t, x)).tolist()
         i = max(range(len(cands)), key=gaps.__getitem__)
         best = Witness(t=problem.t0, x=tuple(x[i]), x_prime=tuple(x[i]), atom=None,
                        margin=-gaps[i], kind="sigma-equal")
         return Verdict.from_witnesses([best], samples=len(cands))
 
+    # the origin, a point per scale s from (-s, s)^m, count // 4 from the box;
+    # then a t for each
     rng = _rng_for(problem, 0xA1)
     c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-    m = problem.m
-    box = problem.sampling.box
-    points = [np.zeros(m)]
-    for scale in problem.sampling.scales():
-        points.append(rng.uniform(-1.0, 1.0, m) * scale)
-    for _ in range(problem.sampling.count // 4):
-        points.append(rng.uniform(-box, box, m))
-    t, x = _probe_block([(_draw_t(problem, rng), x) for x in points])
+    m, box = problem.m, problem.sampling.box
+    scales = np.array(problem.sampling.scales())
+    x = np.concatenate([np.zeros((1, m)),
+                        rng.uniform(-1.0, 1.0, (len(scales), m)) * scales[:, None],
+                        rng.uniform(-box, box, (problem.sampling.count // 4, m))])
+    t = rng.uniform(problem.t0, problem.T, len(x))
     gaps = _norms(c1.sigma_rows(t, x) - c2.sigma_rows(t, x))
-    witnesses = [Witness(t=t[i], x=tuple(x[i]), x_prime=tuple(x[i]), atom=None,
+    witnesses = [Witness(t=float(t[i]), x=tuple(x[i]), x_prime=tuple(x[i]), atom=None,
                          margin=-float(gaps[i]), kind="sigma-equal")
                  for i in np.flatnonzero(gaps > eps)]
-    return Verdict.sampled(witnesses, len(points))
+    return Verdict.sampled(witnesses, len(x))
 
 
 def check_condition_a(problem: ComparisonProblem) -> List[Verdict]:
@@ -268,31 +298,25 @@ def check_condition_a(problem: ComparisonProblem) -> List[Verdict]:
             out.append(Verdict.exact_holds() if worst is None else Verdict.from_witnesses([worst], 0))
         return out
 
+    # per k, j != k, scale s and rep: x from the box, then t; x' = s e_j
     rng = _rng_for(problem, 0xA2)
     c1 = problem.model1.coefficients
-    box = problem.sampling.box
-    scales = problem.sampling.scales()
+    scales = np.array(problem.sampling.scales())
     reps = max(2, problem.sampling.count // (m * max(1, m - 1) * len(scales)))
     out = []
     for k in range(m):
-        probes = []
-        for j in range(m):
-            if j == k:
-                continue
-            for scale in scales:
-                for _ in range(reps):
-                    x = rng.uniform(-box, box, m)
-                    e = np.zeros(m)
-                    e[j] = scale
-                    probes.append((_draw_t(problem, rng), x, e))
+        n = (m - 1) * len(scales) * reps
+        x, t = _records(problem, rng, n)
+        j, s = np.divmod(np.arange(n) // reps, len(scales))
+        e = np.zeros((n, m))
+        e[np.arange(n), j + (j >= k)] = scales[s]
         witnesses: List[Witness] = []
-        if probes:
-            t, x, e = _probe_block(probes)
+        if n:
             gaps = _norms(c1.sigma_rows(t, x + e)[:, k] - c1.sigma_rows(t, x)[:, k])
-            witnesses = [Witness(t=t[i], x=tuple(x[i]), x_prime=tuple(e[i]), atom=None,
+            witnesses = [Witness(t=float(t[i]), x=tuple(x[i]), x_prime=tuple(e[i]), atom=None,
                                  margin=-float(gaps[i]), kind=f"cond-a[k={k}]")
                          for i in np.flatnonzero(gaps > eps)]
-        out.append(Verdict.sampled(witnesses, len(probes)))
+        out.append(Verdict.sampled(witnesses, n))
     return out
 
 
@@ -351,31 +375,19 @@ def check_condition_b(problem: ComparisonProblem) -> List[Verdict]:
                        else Verdict.from_witnesses(witnesses, 0))
         return out
 
+    # x: the ladder points with reps draws s * U(0, 1)^m per scale s
     rng = _rng_for(problem, 0xB1)
-    box = problem.sampling.box
-    scales = problem.sampling.scales()
+    scales = np.array(problem.sampling.scales())
     reps = max(2, problem.sampling.count // max(1, (len(scales) * (m + 2) * max(1, len(live_atoms)))))
-    x_cands: List[np.ndarray] = [np.zeros(m)]
-    for scale in scales:
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = scale
-            x_cands.append(e)
-        for _ in range(reps):
-            x_cands.append(scale * rng.uniform(0.0, 1.0, m))
-    probes = []
-    for x in x_cands:
-        for use_zero_xp in (True, False):
-            xp = np.zeros(m) if use_zero_xp else rng.uniform(-box, box, m)
-            probes.append((_draw_t(problem, rng), x, xp))
-    t, x, xp = _probe_block(probes)
+    drawn = scales[:, None, None] * rng.uniform(0.0, 1.0, (len(scales), reps, m))
+    t, x, xp = _with_zero_and_drawn_xp(problem, rng, _ladder_points(scales, range(m), drawn))
     per_k_wit: List[List[Witness]] = [[] for _ in range(m)]
-    samples = len(probes) * len(live_atoms)
+    samples = len(t) * len(live_atoms)
     if live_atoms:
         # (probe, atom, k), witnesses in the order of probes, then atoms
         vals = np.stack([_b_expression(problem, t, x, xp, j) for j in live_atoms], axis=1)
         for i, a, k in np.argwhere(vals < -eps):
-            per_k_wit[k].append(Witness(t[i], tuple(x[i]), tuple(xp[i]), live_atoms[a],
+            per_k_wit[k].append(Witness(float(t[i]), tuple(x[i]), tuple(xp[i]), live_atoms[a],
                                         float(vals[i, a, k]), kind=f"cond-b[k={k}]"))
     return [Verdict.sampled(w, samples) for w in per_k_wit]
 
@@ -424,35 +436,23 @@ def check_condition_c(problem: ComparisonProblem) -> List[Verdict]:
                        else Verdict.from_witnesses(witnesses, 0))
         return out
 
+    # per k, delta: the ladder points off coordinate k, with reps draws
+    # s * U(0, 1)^m per scale s and their entry k zeroed
     rng = _rng_for(problem, 0xC1)
-    box = problem.sampling.box
-    scales = problem.sampling.scales()
+    scales = np.array(problem.sampling.scales())
     reps = max(2, problem.sampling.count // max(1, len(scales) * m * 4))
     out = []
     for k in range(m):
-        deltas: List[np.ndarray] = [np.zeros(m)]
-        for scale in scales:
-            for i in range(m):
-                if i == k:
-                    continue
-                e = np.zeros(m)
-                e[i] = scale
-                deltas.append(e)
-            for _ in range(reps):
-                delta = scale * rng.uniform(0.0, 1.0, m)
-                delta[k] = 0.0
-                deltas.append(delta)
-        probes = []
-        for delta in deltas:
-            for use_zero_xp in (True, False):
-                xp = np.zeros(m) if use_zero_xp else rng.uniform(-box, box, m)
-                probes.append((_draw_t(problem, rng), delta, xp))
-        t, delta, xp = _probe_block(probes)
+        drawn = scales[:, None, None] * rng.uniform(0.0, 1.0, (len(scales), reps, m))
+        drawn[:, :, k] = 0.0
+        others = [i for i in range(m) if i != k]
+        t, delta, xp = _with_zero_and_drawn_xp(problem, rng,
+                                               _ladder_points(scales, others, drawn))
         vals = _c_expression(problem, t, delta, xp)[:, k]
         out.append(Verdict.sampled(
-            [Witness(t[i], tuple(delta[i]), tuple(xp[i]), None, float(vals[i]),
+            [Witness(float(t[i]), tuple(delta[i]), tuple(xp[i]), None, float(vals[i]),
                      kind=f"cond-c[k={k}]") for i in np.flatnonzero(vals < -eps)],
-            len(probes)))
+            len(t)))
     return out
 
 
@@ -472,40 +472,68 @@ _BLOCK = 512  # probes drawn and evaluated together by check_ii_prime
 
 
 def _ii_prime_probes(problem: ComparisonProblem, rng: np.random.Generator):
-    """Probe generator: sign patterns x ladder, plus the proof-shaped probes
-    with one small negative coordinate against an O(1) nonnegative rest."""
-    m = problem.m
-    box = problem.sampling.box
-    scales = problem.sampling.scales()
+    """Probe blocks (t, x, x') of ``_BLOCK`` probes, the last one shorter, in
+    one seeded order: sign patterns x ladder, then the proof-shaped probes
+    with one small negative coordinate against an O(1) nonnegative rest.
+
+    A probe draws one record of cells (``_uniforms``), and a block draws its
+    records with a call per kind of probe, so consecutive blocks consume the
+    stream in order and the block size changes no value.  Blocks are cut
+    every ``_BLOCK`` probes of the whole stream, across the two kinds, so a
+    black-box coefficient is called at the same points in the same order as
+    when each probe was drawn alone."""
+    m, box = problem.m, problem.sampling.box
+    scales = np.array(problem.sampling.scales())
     patterns = _sign_patterns(m, rng)
     reps = max(2, problem.sampling.count // max(1, len(patterns) * len(scales)))
-    for pattern in patterns:
-        for scale in scales:
-            for r in range(reps):
-                u = rng.uniform(0.5, 1.0, m)
-                x = scale * pattern * u
-                xp = np.zeros(m) if r == 0 else rng.uniform(-box, box, m)
-                yield _draw_t(problem, rng), x, xp
-    # one small negative coordinate, nonnegative O(1)/O(box) rest
-    for k in range(m):
-        for scale in scales:
-            bases: List[np.ndarray] = []
-            for mag in (1.0, box):
-                delta = mag * rng.uniform(0.2, 1.0, m)
-                delta[k] = 0.0
-                bases.append(delta)
-                for i in range(m):
-                    if i != k:
-                        e = np.zeros(m)
-                        e[i] = mag
-                        bases.append(e)
-            for delta in bases:
-                ek = np.zeros(m)
-                ek[k] = scale
-                x = delta - ek
-                for use_zero_xp in (True, False):
-                    xp = np.zeros(m) if use_zero_xp else rng.uniform(-box, box, m)
-                    yield _draw_t(problem, rng), x, xp
+    n_ladder = len(patterns) * len(scales) * reps
+    n = n_ladder + m * len(scales) * 4 * m
+    head = np.zeros(2 * m)  # the draws of the last group head of edge_probes
+
+    def ladder_probes(p):
+        # per pattern, scale s and rep r, [u | x' | t]: x = (s * pattern) * u with
+        # u ~ U(0.5, 1)^m, and x' = 0 at r = 0, drawn from the box otherwise
+        group, r = np.divmod(p, reps)
+        mask = np.ones((len(p), 2 * m + 1), dtype=bool)
+        mask[r == 0, m:2 * m] = False
+        u, xp, t = _uniforms(rng, [0.5] * m + [-box] * m + [problem.t0],
+                             [1.0] * m + [box] * m + [problem.T], mask, [m, 2 * m])
+        pattern, s = np.divmod(group, len(scales))
+        return t[:, 0], (scales[s, None] * patterns[pattern]) * u, xp
+
+    def edge_probes(p):
+        # per k and scale s, a group of 4m probes: the 2m bases mag * u (u ~
+        # U(0.2, 1)^m, entry k zeroed) and mag * e_i (i != k), for mag = 1 and
+        # then box, less s e_k, each with x' = 0 and then x' drawn; the group
+        # head draws both u first, so a record is [u1 | ubox | x' | t]
+        nonlocal head
+        group, q = np.divmod(p, 4 * m)
+        rows = np.arange(len(p))
+        mask = np.ones((len(p), 3 * m + 1), dtype=bool)
+        mask[q != 0, :2 * m] = False
+        mask[q % 2 == 0, 2 * m:3 * m] = False
+        drawn, xp, t = _uniforms(rng, [0.2] * (2 * m) + [-box] * m + [problem.t0],
+                                 [1.0] * (2 * m) + [box] * m + [problem.T], mask,
+                                 [2 * m, 3 * m])
+        at = rows - q  # the row of each probe's group head, < 0 in an earlier call
+        u = np.where((at >= 0)[:, None], drawn[np.maximum(at, 0)], head)
+        head = u[-1]
+        k, s = np.divmod(group, len(scales))
+        big, i = np.divmod(q // 2, m)  # mag = box if big, else 1; base i = 0 is mag * u
+        mag = np.where(big == 1, box, 1.0)
+        delta = mag[:, None] * np.where(big[:, None] == 1, u[:, m:], u[:, :m])
+        delta[rows, k] = 0.0
+        unit = np.zeros((len(p), m))
+        unit[rows, i - 1 + (i - 1 >= k)] = mag  # base i >= 1: at the (i-1)-th index != k
+        ek = np.zeros((len(p), m))
+        ek[rows, k] = scales[s]
+        return t[:, 0], np.where((i == 0)[:, None], delta, unit) - ek, xp
+
+    for a in range(0, n, _BLOCK):
+        p = np.arange(a, min(a + _BLOCK, n))
+        parts = [draw(i) for draw, i in ((ladder_probes, p[p < n_ladder]),
+                                         (edge_probes, p[p >= n_ladder] - n_ladder)) if len(i)]
+        yield tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def judge_probes(blocks, eps: float, coords, kind: str) -> Verdict:
@@ -540,14 +568,9 @@ def check_ii_prime(problem: ComparisonProblem) -> Verdict:
     nor the verdict, and memory stays bounded for any ``check.samples``.
     """
     eps = problem.tolerances.resolved_eps_check(problem.is_affine)
-    probes = _ii_prime_probes(problem, _rng_for(problem, 0x11))
-
-    def blocks():
-        while block := list(itertools.islice(probes, _BLOCK)):
-            t, x, xp = (np.array(a) for a in zip(*block))
-            yield t, x, xp, generator(Orthant, problem, t, x, xp)
-
-    return judge_probes(blocks(), eps, tuple, "ii-prime")
+    blocks = ((t, x, xp, generator(Orthant, problem, t, x, xp))
+              for t, x, xp in _ii_prime_probes(problem, _rng_for(problem, 0x11)))
+    return judge_probes(blocks, eps, tuple, "ii-prime")
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +644,7 @@ def _jump_sup(problem: ComparisonProblem, rng: np.random.Generator, size, n: int
     row by row (structure probe); NaN if any size is NaN, so a jump that is
     NaN somewhere fails the precondition it probes."""
     c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-    box = problem.sampling.box
-    points = []
-    for _ in range(n):
-        x = rng.uniform(-box, box, problem.m)
-        points.append((_draw_t(problem, rng), x))
-    t, x = _probe_block(points)
+    x, t = _records(problem, rng, n)
     sizes = [size(c1.gamma_rows(t, x, j), c2.gamma_rows(t, x, j))
              for j, w in enumerate(problem.marks.weights) if w > 0.0]
     return float(np.max(sizes, initial=0.0))
@@ -736,12 +754,13 @@ def _drift_line_1d(problem: ComparisonProblem, compensated: bool) -> List[Verdic
     rng = _rng_for(problem, 0xD1)
     box = problem.sampling.box
     c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-    points = [np.zeros(1)] + [rng.uniform(-box, box, 1) for _ in range(problem.sampling.count // 2)]
-    t, x = _probe_block([(_draw_t(problem, rng), x) for x in points])
+    x = np.concatenate([np.zeros((1, 1)),
+                        rng.uniform(-box, box, (problem.sampling.count // 2, 1))])
+    t = rng.uniform(problem.t0, problem.T, len(x))
     gaps = c1.b_rows(t, x)[:, 0] - c2.b_rows(t, x)[:, 0]
     for j, w in enumerate(marks.weights):
         if compensated and w != 0.0:
             gaps = gaps - w * (c1.gamma_rows(t, x, j)[:, 0] - c2.gamma_rows(t, x, j)[:, 0])
-    witnesses = [Witness(t[i], tuple(x[i]), tuple(x[i]), None, float(gaps[i]), kind="drift-line")
-                 for i in np.flatnonzero(gaps < -eps)]
-    return [Verdict.sampled(witnesses, len(points))]
+    witnesses = [Witness(float(t[i]), tuple(x[i]), tuple(x[i]), None, float(gaps[i]),
+                         kind="drift-line") for i in np.flatnonzero(gaps < -eps)]
+    return [Verdict.sampled(witnesses, len(x))]

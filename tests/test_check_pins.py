@@ -1,12 +1,14 @@
 """Check-only reports of a fixed suite of vector pairs, pinned by sha256.
 
-Per m = 1..4: a passing pair and one pair per failure kind feasible with one
+Per m = 1..5: a passing pair and one pair per failure kind feasible with one
 atom, with 0-3 atoms in turn (at least one for the jump kinds) and d = 1 or
-2 in turn, so m = 4, d = 2 is among them; each affine pair also runs as its
-black-box twin.  A checker change that moves one bit of a verdict, a witness
-or a margin fails here.
+2 in turn, so m = 4, d = 2 is among them, and m = 5 draws random sign
+patterns; one pair more samples with a non-default ``samples``, ``ladder``
+and ``box``.  Each affine pair also runs as its black-box twin.  A checker
+change that moves one bit of a verdict, a witness or a margin fails here.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,13 +16,14 @@ import pytest
 
 from jumpcompare.cli import RunReport, report_to_dict
 from jumpcompare.conditions import check_theorem31
+from jumpcompare.model import SampleDomain
 
 from suitegen import feasible_kinds, sized_problem, strip_affine
 
 
 def _suite():
     out = []
-    for m in range(1, 5):
+    for m in range(1, 6):
         for i, kind in enumerate([None] + feasible_kinds(m, 1)):
             n_atoms = i % 4
             if kind is not None and kind.startswith("jump"):
@@ -107,6 +110,28 @@ PINNED_CHECK_REPORTS = {
     "m4-8-drift-row-gap-bb": "c1438890630d4856e5ece5893d58bfa7fed1a410a881c79e875520c2bebff3cc",
     "m4-9-drift-const-gap": "b7c45655c22a7bcf56e3bdce6edb689cadecf36cea8b47f2b5ee9d78fdd8e101",
     "m4-9-drift-const-gap-bb": "43981ad7dc86d77545f22196af1e405aa97e8373a401d379faa82d64d46b8b7f",
+    "m5-0-pass": "9c60b09caf7d99b45308135695c36aa3eb210184ba95e73f538d2743e00e101c",
+    "m5-0-pass-bb": "4f90f385a62178cc2ba89effae0559eb7222c3f4a7f9bd793e3c2760d2c7806a",
+    "m5-1-sigma-gap": "cc84a6218e0f616c9ac1cf0247900d22e2373477ca484520ea3fbb29562902cc",
+    "m5-1-sigma-gap-bb": "ba0c2a5f05b8f01b88e2fb304218567432b98f05d3eaca99d77578c6c73ba4ce",
+    "m5-2-sigma-coupling": "a58fdee8c8efa288e5d4d951253786d71c6daa72f38831e4f072e12538ee8b8e",
+    "m5-2-sigma-coupling-bb": "cf7bd5b5640172f84df99d8f2c7afa9e9c32f6abd0e279b7e6f320a9fc603dc6",
+    "m5-3-jump-row-gap": "fa0d7c72d92a5aa9343676213f593088265ce7c0e4202372bff45b6f237f25c0",
+    "m5-3-jump-row-gap-bb": "e530954b675cb623c2cdb20fe7d2567f492edb63669e1e8dc5149955cea7c9ff",
+    "m5-4-jump-own-coef": "c11eff7e5d40aef30c4cb08a0d2146daa7b1a9ae7487e491d50379cd538cbcda",
+    "m5-4-jump-own-coef-bb": "7adcad6d0d1f70106b905177783051521819aa875b2f0cbefc6cb2cd948b4761",
+    "m5-5-jump-cross-coef": "ef836d6ba8fcc1f39f7997a6e6d2f34a89a95030ff8dbf97c28a5dc97af6bd0a",
+    "m5-5-jump-cross-coef-bb": "8b8bb7c8edc95bc189a294878772d1f56d5062cf81f6b0e2cc2c39b68f763de1",
+    "m5-6-jump-const-gap": "2d92aabccc75e0cad99fe82993573ef1eb728fb4d465739dbda71bf27699f8ac",
+    "m5-6-jump-const-gap-bb": "157525182d68abbff114cfe871922970011fdbb07ca1796bf7829024ca0e2ee6",
+    "m5-7-drift-offdiag": "d559a25d31d4508f0004517b6f848ac21b024728ff75e786d7723eb1547c3211",
+    "m5-7-drift-offdiag-bb": "5b058e8ce07143775bb0a5c40f2c2408deb4b1b2f9eacbc423a8ab75e2c3977a",
+    "m5-8-drift-row-gap": "43e7c6ac06aa9a864ab92a81378f220d53376633a6173d777ccae8fe3cf79797",
+    "m5-8-drift-row-gap-bb": "01ca5dc98119b9f876e59077689f3b562305e6ee083163028c0bb3638d754213",
+    "m5-9-drift-const-gap": "a4bd65b135e2ea97ef61f8702cc98996a5f05e2796ed2869335182cdc66e469f",
+    "m5-9-drift-const-gap-bb": "de152afbc14e84b70d6e65a5f45d02ee3cfbb3a9083aae23ef7a6bc5fba88c84",
+    "m3-sampling": "a75f2bef4c0b98d5ad5fe8e5b2a52c82d144eb290d76ff93f2329ccd5b84b1cb",
+    "m3-sampling-bb": "e621db5ff212b2b5a473df8cd2e4aaa14685c4483e8945da6bba5a1a6e65f84d",
 }
 
 
@@ -122,6 +147,22 @@ def check_report_sha256(name: str, problem) -> str:
                          ids=[case[0] for case in SUITE])
 def test_check_report_is_pinned(name, m, d, n_atoms, kind, seed, blackbox):
     problem = sized_problem(seed, m, d, n_atoms, kind)
+    if blackbox:
+        problem = strip_affine(problem)
+        name += "-bb"
+    assert check_report_sha256(name, problem) == PINNED_CHECK_REPORTS[name]
+
+
+# an m = 3 pair with two atoms that fails cond-c at one coordinate, sampled
+# with its own samples, ladder and box
+SAMPLING = SampleDomain(box=3.0, count=200, ladder=(1e-3, 0.25, 2.0), seed=3005)
+
+
+@pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "bb"])
+def test_non_default_sampling_is_pinned(blackbox):
+    problem = dataclasses.replace(sized_problem(3005, 3, 2, 2, "drift-offdiag"),
+                                  sampling=SAMPLING)
+    name = "m3-sampling"
     if blackbox:
         problem = strip_affine(problem)
         name += "-bb"

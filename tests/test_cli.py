@@ -339,6 +339,99 @@ def names_the_fault(message, path):
     return named == path or named.startswith((path + ".", path + "[")) or enclosing_list
 
 
+def gallery_dict(scenario_id):
+    (cfg,) = [c for c in gallery_configs() if c.id == scenario_id]
+    return json.loads(json.dumps(config_to_dict(cfg)))
+
+
+# (config, keys of the value replaced, value, the error after "config error: ")
+SHAPE_FAULTS = [
+    (minimal_vector_dict, ("model1", "B"), [[0.0, 0.0], [0.0, 0.0]],
+     "$.model1.B: expected shape (m, m) = (1, 1), got (2, 2)"),
+    (minimal_vector_dict, ("model2", "c"), [0.5, 0.5],
+     "$.model2.c: expected shape (m,) = (1,), got (2,)"),
+    (minimal_vector_dict, ("model1", "V"), [[[0.0, 0.0]]],
+     "$.model1.V: expected shape (m, d, m) = (1, 1, 1), got (1, 1, 2)"),
+    (minimal_vector_dict, ("model2", "U"), [[0.1, 0.2]],
+     "$.model2.U: expected shape (m, d) = (1, 1), got (1, 2)"),
+    (minimal_vector_dict, ("model1", "jumps", 0, "G"), [[0.0], [0.0]],
+     "$.model1.jumps[0].G: expected shape (m, m) = (1, 1), got (2, 1)"),
+    (minimal_vector_dict, ("model2", "jumps", 0, "g"), [],
+     "$.model2.jumps[0].g: expected shape (m,) = (1,), got (0,)"),
+    (minimal_vector_dict, ("model1", "jumps"), [],
+     "$.model1.jumps: expected one entry per mark atom (1), got 0"),
+    (minimal_vector_dict, ("marks", "atoms", 0, "e"), [1.0, 2.0],
+     "$.marks.atoms[0].e: expected shape (dimension,) = (1,), got (2,)"),
+    (minimal_vector_dict, ("marks", "atoms", 0, "w"), -1.0,
+     "$.marks: mark weights must be nonnegative"),
+    (minimal_vector_dict, ("initial", "x2"), [0.0, 0.0],
+     "$.initial.x2: expected shape (m,) = (1,), got (2,)"),
+    (minimal_vector_dict, ("d",), 0, "$.d: must be >= 1, got 0"),
+    (matrix_dict, ("model1", "b", "offset"), I3,
+     "$.model1.b.offset: expected shape (m, m) = (2, 2), got (3, 3)"),
+    (matrix_dict, ("model2", "sigma", "offset"), [[0.1, 0.0], [0.0]],
+     "$.model2.sigma.offset: expected shape (m, m) = (2, 2), got rows of unequal length"),
+    (matrix_dict, ("model1", "jumps"), [],
+     "$.model1.jumps: expected one entry per mark atom (1), got 0"),
+    (matrix_dict, ("model2", "jumps", 0, "offset"), [[0.1]],
+     "$.model2.jumps[0].offset: expected shape (m, m) = (2, 2), got (1, 1)"),
+    (matrix_dict, ("model1", "sigma", "offset"), [[0.1, 0.2], [0.0, 0.1]],
+     "$.model1: matrix is not symmetric"),
+    (lambda: gallery_dict("drift-order-fail"), ("model1", "c"), [0.0],
+     "$.model1.c: expected shape (m,) = (2,), got (1,)"),
+    (lambda: gallery_dict("drift-order-fail"), ("model2", "B"), [[-0.2]],
+     "$.model2.B: expected shape (m, m) = (2, 2), got (1, 1)"),
+]
+
+
+class TestModelErrors:
+    """An error in building the marks or a model names its JSON path, and a
+    wrong shape the shape expected and the shape found."""
+
+    @pytest.mark.parametrize("make, keys, value, message", SHAPE_FAULTS,
+                             ids=[f"{f[0]().get('id')}:{json_path(f[1])}" for f in SHAPE_FAULTS])
+    def test_error_names_the_key(self, tmp_path, capsys, make, keys, value, message):
+        data = make()
+        node_at(data, keys[:-1])[keys[-1]] = value
+        assert main(["check", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+class TestSeeds:
+    """Both seeds are integers in [0, 2^64), from a config or from --seed;
+    any other is a config error (exit 2), never a crash or a masked seed."""
+
+    @pytest.mark.parametrize("block", ["mc", "check"])
+    @pytest.mark.parametrize("seed", [-3, 2**64, 2**64 + 5])
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_config_seed_out_of_range_exits_two(self, tmp_path, capsys, command, seed, block):
+        data = gallery_dict("example36")
+        data[block]["seed"] = seed
+        assert main([command, write_config(tmp_path, data), "--paths", "16"]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: $.{block}.seed: must be an integer in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_seed_flag_out_of_range_exits_two(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, gallery_dict("example36"))
+        assert main([command, path, "--seed", "-5", "--paths", "16"]) == 2
+        assert capsys.readouterr().err.startswith("config error: $.mc.seed: must be an integer")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gallery_seed_out_of_range_exits_two(self, capsys, seed):
+        assert main(["gallery", "--smoke", "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: $.mc.seed: must be an integer in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_bounds_runs(self, tmp_path, capsys, seed):
+        data = gallery_dict("example36")
+        data["mc"]["seed"] = data["check"]["seed"] = seed
+        assert main(["check", write_config(tmp_path, data)]) == 0
+        assert main(["simulate", write_config(tmp_path, data), "--paths", "16",
+                     "--step", "0.125"]) == 0
+
+
 class TestConfigFaults:
     """Every single fault of a full vector and a full matrix config: a
     rejected config raises a SchemaError that names where the fault is."""

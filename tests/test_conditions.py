@@ -317,8 +317,8 @@ def reference_terms(problem, t, x, xp):
 
 
 def drawn_probes(problem):
-    probes = list(conditions._ii_prime_probes(problem, conditions._rng_for(problem, 0x11)))
-    return [np.array(a) for a in zip(*probes)]
+    blocks = list(conditions._ii_prime_probes(problem, conditions._rng_for(problem, 0x11)))
+    return [np.concatenate(a) for a in zip(*blocks)]
 
 
 TERMS = ("drift", "diffusion", "jump", "lhs", "rhs")
@@ -353,14 +353,26 @@ class TestProbeBlocks:
 
     @pytest.mark.parametrize("case", BLOCK_CASES, ids=[str(c) for c in BLOCK_CASES])
     def test_smaller_blocks_give_the_same_verdict(self, monkeypatch, case):
+        """Every sampled branch: the battery, the pointwise inequality and,
+        at m = 1, each corollary variant or the precondition it fails."""
         m, d, n_atoms, kind, seed = case
+
+        def verdicts(p):
+            out = [check_theorem31(p)]
+            for variant in ("3.3", "3.4", "3.5") if m == 1 else ():
+                try:
+                    out.append(check_corollary_1d(p, variant))
+                except VariantPreconditionError as exc:
+                    out.append(str(exc))
+            return out
+
         for p in (sized_problem(seed, m, d, n_atoms, kind),
                   strip_affine(sized_problem(seed, m, d, n_atoms, kind))):
-            want = check_ii_prime(p)
-            assert want.samples_used == drawn_probes(p)[0].size
+            want = verdicts(p)
+            assert want[0].ii_prime.samples_used == drawn_probes(p)[0].size
             for size in (1, 7):
                 monkeypatch.setattr(conditions, "_BLOCK", size)
-                assert check_ii_prime(p) == want
+                assert verdicts(p) == want
             monkeypatch.undo()
 
     def test_nan_gap_is_counted_and_is_no_witness(self):
