@@ -44,6 +44,7 @@ from .model import (
     SampleDomain,
     SdeModel,
     Tolerances,
+    check_seed,
     lipschitz_certificate,
 )
 from .psdcone import (
@@ -270,14 +271,11 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
 
 
 def _check_run_settings(cfg: ScenarioConfig) -> None:
-    """Reject run settings the program cannot take as a config error: Monte
-    Carlo settings outside the bounds of ``engine.mc_comparison`` and
-    ``engine.uniform_grid``, and a seed outside [0, 2^64) (the Monte Carlo
-    seed keys Philox with one 64-bit word)."""
-    for block in ("mc", "check"):
-        seed = getattr(cfg, block).seed
-        if not 0 <= seed < 2**64:
-            raise SchemaError(f"$.{block}.seed: must be an integer in [0, 2^64), got {seed}")
+    """Reject Monte Carlo settings the program cannot take as a config
+    error: those outside the bounds of ``engine.mc_comparison`` and
+    ``engine.uniform_grid``, seed included (``build_problem`` checks the
+    check seed)."""
+    check_seed(cfg.mc.seed, "$.mc.seed", SchemaError)
     if cfg.mc.paths < 1:
         raise SchemaError(f"mc.paths: must be >= 1, got {cfg.mc.paths}")
     span = cfg.horizon["T"] - cfg.horizon["t0"]
@@ -403,8 +401,9 @@ def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixCompari
             t0=cfg.horizon["t0"], T=cfg.horizon["T"],
             x1=np.array(cfg.initial["x1"], dtype=float),
             x2=np.array(cfg.initial["x2"], dtype=float),
-            sampling=SampleDomain(box=cfg.check.box, count=cfg.check.samples,
-                                  ladder=tuple(cfg.check.ladder), seed=cfg.check.seed),
+            sampling=SampleDomain(
+                box=cfg.check.box, count=cfg.check.samples, ladder=tuple(cfg.check.ladder),
+                seed=check_seed(cfg.check.seed, "$.check.seed", SchemaError)),
             tolerances=Tolerances(eps_check=cfg.check.eps_check, eps_path=cfg.mc.eps_path),
         )
     except OrderError:

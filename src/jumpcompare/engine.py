@@ -15,11 +15,12 @@ mark atoms and one Brownian increment per segment; the merged time list and
 the per-segment atoms are derived on access.
 
 The Monte Carlo kernel advances a chunk of paths through the uniform grid in
-event rounds.  In step i, round 0 advances every path, each to its first
-jump time in the step or to the grid point; round r >= 1 advances, as one
-batch, every path with at least r jumps in the step, from its r-th jump to
-the next jump or the grid point.  Chunks run one after another, in path
-order, and per-path results are concatenated before any reduction.
+event rounds.  In step i, round 0 is one block Euler step of every path,
+each to its first jump time in the step or to the grid point; round r >= 1
+advances, as one batch, every path with at least r jumps in the step, from
+its r-th jump to the next jump or the grid point.  Chunks run one after
+another, in path order, and per-path results are concatenated before any
+reduction.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ComparisonProblem, MarkMeasure, SdeModel
+from .model import ComparisonProblem, MarkMeasure, SdeModel, check_seed
 
 __all__ = [
     "InvalidStep",
@@ -407,15 +408,19 @@ class _BatchCoefficients:
         if aff is not None:
             self._M, self._dvec = aff.net_drift_blocks(model.marks)
 
-    def net_drift_rows(self, t, X: np.ndarray, per_path: bool) -> np.ndarray:
-        if self.affine is not None:
-            if per_path:
-                # one matrix-vector product per row: BLAS rounds a lone row
-                # (gemv) differently from a block (gemm), and a jump path's
-                # state must not depend on which paths share its round
-                return (X[:, None, :] @ self._M.T)[:, 0] + self._dvec
-            return X @ self._M.T + self._dvec
-        return _net_drift(self.model, t, X)
+    def net_drift_rows(self, t, X: np.ndarray, per_path) -> np.ndarray:
+        """The net drift at each row of X.  Affine rows ``per_path`` (True:
+        all, False: none, or an index array) take one matrix-vector product
+        each, as BLAS rounds a lone row (gemv) differently from a block (gemm):
+        a jump path's state must not depend on which paths share its round."""
+        if self.affine is None:
+            return _net_drift(self.model, t, X)
+        if per_path is True:
+            return (X[:, None, :] @ self._M.T)[:, 0] + self._dvec
+        out = X @ self._M.T + self._dvec
+        if per_path is not False:
+            out[per_path] = (X[per_path, None, :] @ self._M.T)[:, 0] + self._dvec
+        return out
 
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
@@ -449,7 +454,7 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _step_rows(
-    bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray, per_path: bool
+    bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray, per_path
 ) -> np.ndarray:
     """One Euler step of the rows of X from time(s) t over step(s) dt."""
     drift = bat.net_drift_rows(t, X, per_path)
@@ -465,6 +470,8 @@ class _Rounds:
     and then applies atom ``atom[q]`` (-1: none, the sub-step ends at the
     grid point).  Sub-steps are sorted by (uniform step, round, path); round
     g covers ``start[g]:start[g + 1]`` and lies in uniform step ``step[g]``.
+    The first round of a step starts at its grid point, so ``_run_chunk``
+    takes it within the step's block step and only applies its atoms.
     """
 
     path: np.ndarray
@@ -481,7 +488,7 @@ def _event_rounds(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Ro
     A step of path p with c jumps takes c + 1 sub-steps: one ending at each
     jump and a last one ending at the grid point, which is dropped when the
     last jump falls on the grid point itself.  Round r of the step holds the
-    r-th sub-step of every path that has one.
+    r-th sub-step of every path that has one; round 0 starts at the grid point.
     """
     n_jumps = np.array([drv.jump_times.shape[0] for drv in drivers])
     jt = np.concatenate([drv.jump_times for drv in drivers])
@@ -552,37 +559,37 @@ def _run_chunk(
             tl = float(grid[i])
             tr = float(grid[i + 1])
             rounds = range(first_round[i], first_round[i + 1])
-            if not rounds:
-                # no path jumps in this step: one block step of every path
-                # (np.take: a row gather several times cheaper than dW_flat[nxt])
-                dWi = np.take(dW_flat, nxt, axis=0)
-                for mi, bat in enumerate(batches):
-                    X[mi] = _step_rows(bat, tl, X[mi], tr - tl, dWi, False)
-                nxt += 1
-            else:
-                # a path that jumps in this step takes its first sub-step in
-                # the step's first round; the others take one block step
-                plain = np.ones(K, dtype=bool)
-                plain[ev.path[ev.start[rounds[0]]:ev.start[rounds[0] + 1]]] = False
-                idx = np.flatnonzero(plain)
-                if idx.size:
-                    dWi = np.take(dW_flat, nxt[idx], axis=0)
-                    for mi, bat in enumerate(batches):
-                        X[mi][idx] = _step_rows(bat, tl, X[mi][idx], tr - tl, dWi, False)
-                    nxt[idx] += 1
+            # one block step of every path: to the grid point, or, for a path
+            # that jumps in this step, to its first jump (round 0, which
+            # starts at the grid point and keeps its row-by-row drift)
+            dt, jumping = tr - tl, False
+            if rounds:
+                sl = slice(ev.start[rounds[0]], ev.start[rounds[0] + 1])
+                jumping = ev.path[sl]
+                dt = np.full((K, 1), tr - tl)
+                dt[jumping, 0] = ev.t_end[sl] - tl
+            # (np.take: a row gather several times cheaper than dW_flat[nxt])
+            dWi = np.take(dW_flat, nxt, axis=0)
+            for mi, bat in enumerate(batches):
+                X[mi] = _step_rows(bat, tl, X[mi], dt, dWi, jumping)
+            nxt += 1
             for q in rounds:
                 sl = slice(ev.start[q], ev.start[q + 1])
                 p, t_left, t_end, atom = ev.path[sl], ev.t_left[sl], ev.t_end[sl], ev.atom[sl]
-                dWr = np.take(dW_flat, nxt[p], axis=0)
-                dt = (t_end - t_left)[:, None]
+                if q > rounds[0]:
+                    # round r >= 1 steps its paths on from their r-th jump
+                    dWr = np.take(dW_flat, nxt[p], axis=0)
+                    dt = (t_end - t_left)[:, None]
+                    nxt[p] += 1
                 jumps = atom >= 0
                 any_jump = bool(jumps.any())
                 for mi, bat in enumerate(batches):
-                    Xr = _step_rows(bat, t_left, X[mi][p], dt, dWr, True)
+                    Xr = X[mi][p]
+                    if q > rounds[0]:
+                        Xr = _step_rows(bat, t_left, Xr, dt, dWr, True)
                     if any_jump:
                         Xr[jumps] = bat.jump_rows(t_end[jumps], Xr[jumps], atom[jumps])
                     X[mi][p] = Xr
-                nxt[p] += 1
                 if coupled:
                     live = ~failed[p]
                     p, t_end = p[live], t_end[live]
@@ -648,6 +655,7 @@ def mc_comparison(
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    seed = check_seed(seed)
     grid = uniform_grid(problem.t0, problem.T, h)
     if problem.tolerances.eps_path is not None:
         eps_path = float(problem.tolerances.eps_path)
@@ -691,6 +699,7 @@ def sample_terminal_states(
     """Terminal states X_T of independent paths, for distributional checks."""
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    seed = check_seed(seed)
     grid = uniform_grid(t0, T, h)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     chunks = _chunks((_BatchCoefficients(model),), (x0,), grid, paths, h, seed, None, 0.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "CoefficientTriple",
     "SdeModel",
     "SampleDomain",
+    "check_seed",
     "Tolerances",
     "ComparisonProblem",
     "validate_model",
@@ -394,6 +396,15 @@ class SdeModel:
 DEFAULT_LADDER = (1e-6, 1e-4, 1e-2, 1e-1, 1.0)
 
 
+def check_seed(seed, name: str = "seed", error: type = ModelError) -> int:
+    """``seed`` as an int if it is an integer in [0, 2^64), the range of every
+    seed the program takes (a Monte Carlo seed is the one 64-bit word that
+    keys each path's Philox stream); else ``error`` naming ``name``."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise error(f"{name}: must be an integer in [0, 2^64), got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SampleDomain:
     """Where the randomized checkers draw their probes.
@@ -416,6 +427,7 @@ class SampleDomain:
         if not all(s > 0 for s in self.ladder):
             raise ModelError("ladder scales must be positive")
         object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "ladder", tuple(float(s) for s in self.ladder))
 
     def scales(self) -> Tuple[float, ...]:

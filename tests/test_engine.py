@@ -460,6 +460,37 @@ class TestMonteCarlo:
         assert rep1.violating > 0
         assert term1.tobytes() == term2.tobytes()
 
+    def test_small_chunks_match_one_chunk(self, monkeypatch):
+        # with 2 or 3 paths a chunk, some grid step jumps every path but one;
+        # that path still steps in the chunk's block, so it takes the same
+        # drift product (gemm) as in one chunk of all 7
+        problem = dense_jump_problem(3, kind="jump-row-gap")
+        h, seed, paths = 2.0**-5, 3, 7
+
+        def run():
+            rep = mc_comparison(problem, paths, h, seed, keep_paths=True)
+            rows = [rep.per_path.violation, rep.per_path.first_violation_time,
+                    rep.per_path.failed]
+            rows += [sample_terminal_states(model, x0, problem.t0, problem.T, paths, h, seed)
+                     for model, x0 in ((problem.model1, problem.x1),
+                                       (problem.model2, problem.x2))]
+            return [r.tobytes() for r in rows]
+
+        whole = run()
+        for chunk in (2, 3):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            assert run() == whole, chunk
+
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seeds_outside_the_key_range_are_rejected(self, seed):
+        model = scalar_model(bslope=-1.0, sigma=0.5)
+        problem = pair_problem(model, model, [1.0], [0.5])
+        msg = rf"seed: must be an integer in \[0, 2\^64\), got {seed}"
+        with pytest.raises(ValueError, match=msg):
+            mc_comparison(problem, 8, 0.25, seed)
+        with pytest.raises(ValueError, match=msg):
+            sample_terminal_states(model, [1.0], 0.0, 1.0, 8, 0.25, seed)
+
     def test_eps_path_default_formula(self):
         m1 = scalar_model(b=0.0)
         problem = pair_problem(m1, m1, [1.0], [0.5])

@@ -9,6 +9,7 @@ from jumpcompare.model import (
     ComparisonProblem,
     DimensionMismatch,
     MarkMeasure,
+    ModelError,
     NegativeWeight,
     OrderError,
     RegularityBudget,
@@ -299,3 +300,12 @@ class TestComparisonProblem:
             SampleDomain(box=-1.0)
         with pytest.raises(Exception):
             SampleDomain(count=0)
+
+    @pytest.mark.parametrize("seed", [-3, 2**64, True, 3.0])
+    def test_sample_domain_rejects_seeds_outside_the_key_range(self, seed):
+        with pytest.raises(ModelError, match=r"seed: must be an integer in \[0, 2\^64\), got "):
+            SampleDomain(seed=seed)
+
+    def test_sample_domain_keeps_seeds_in_the_key_range(self):
+        assert SampleDomain(seed=0).seed == 0
+        assert SampleDomain(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
