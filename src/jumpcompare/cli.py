@@ -4,9 +4,11 @@ Configs are strict JSON: unknown keys and non-finite numbers are rejected,
 the scenario id must be a file name (it names the report files), and
 dimensions are cross-checked (a vector config's ``m`` and ``d`` must be its
 models', and every matrix offset must be m x m).  Each kind of scenario has
-one schema table, by which one walker parses every block; a schema error
-names the JSON path of the value at fault (``$.model1.B[0]``).  The parsed
-config keeps the JSON's shape, and a report echoes it as stored.
+one schema table that gives each key, its type and, for an array, its shape
+in the config's dimensions; one walker parses every block by it, and the
+shape check walks it too.  A schema error names the JSON path of the value
+at fault (``$.model1.B[0]``).  The parsed config keeps the JSON's shape, and
+a report echoes it as stored.
 Reports serialize canonically: sorted keys, shortest-round-trip floats, no
 volatile fields (timing goes to stderr), so identical runs produce
 byte-identical files.
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from . import conditions, engine
-from .conditions import Theorem31Report, Verdict, Witness, check_theorem31
+from .conditions import Theorem31Report, Verdict, check_theorem31
 from .model import (
     DEFAULT_LADDER,
     AffineCoefficients,
@@ -201,10 +203,27 @@ def _single_driver(v: Any, path: str) -> int:
     return 1
 
 
+class _Array:
+    """An array leaf: nested lists of numbers, one level per dimension name
+    (``_Array("m", "d", "m")`` is a list of lists of lists).  The parser
+    checks only the nesting; ``_check_shapes`` checks the lengths against
+    the config's dimensions."""
+
+    def __init__(self, *dims: str):
+        self.dims = dims
+
+    def __call__(self, v: Any, path: str, level: int = 0) -> list:
+        if not isinstance(v, list):
+            raise SchemaError(f"{path}: expected a list")
+        if level == len(self.dims) - 1:  # numbers: not one call per number
+            return [_num(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return [self(x, f"{path}[{i}]", level + 1) for i, x in enumerate(v)]
+
+
 def _walk(node: Any, v: Any, path: str) -> Any:
     """Parse the value ``v`` at the JSON path ``path`` by its schema node: a
     dict is an object with exactly those keys, a one-item list is a list of
-    that item, and a function parses a leaf."""
+    that item, and a callable (an ``_Array`` or a function) parses a leaf."""
     if isinstance(node, dict):
         _take(_expect_dict(v, path), path, required=node)
         return {k: _walk(item, v[k], f"{path}.{k}") for k, item in node.items()}
@@ -212,17 +231,17 @@ def _walk(node: Any, v: Any, path: str) -> Any:
         if not isinstance(v, list):
             raise SchemaError(f"{path}: expected a list")
         (item,) = node
-        if callable(item):  # a list of leaves: not one _walk call per number
-            return [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
         return [_walk(item, x, f"{path}[{i}]") for i, x in enumerate(v)]
     return node(v, path)
 
 
+# A list of objects holds one per mark atom; an array's dimension names are
+# ``m``, ``d`` and the marks' ``dimension``.
 _HORIZON = {"t0": _num, "T": _num}
-_MARKS = {"dimension": _intval, "atoms": [{"e": [_num], "w": _num}]}
-_LINEAR_MAP = {"scale": _num, "offset": [[_num]]}  # y -> scale*y + offset
-_VECTOR_MODEL = {"B": [[_num]], "c": [_num], "V": [[[_num]]], "U": [[_num]],
-                 "jumps": [{"G": [[_num]], "g": [_num]}]}
+_MARKS = {"dimension": _intval, "atoms": [{"e": _Array("dimension"), "w": _num}]}
+_LINEAR_MAP = {"scale": _num, "offset": _Array("m", "m")}  # y -> scale*y + offset
+_VECTOR_MODEL = {"B": _Array("m", "m"), "c": _Array("m"), "V": _Array("m", "d", "m"),
+                 "U": _Array("m", "d"), "jumps": [{"G": _Array("m", "m"), "g": _Array("m")}]}
 _MATRIX_MODEL = {"b": _LINEAR_MAP, "sigma": _LINEAR_MAP, "jumps": [_LINEAR_MAP]}
 
 # every key of a scenario config but kind, id, mc and check, for each kind;
@@ -230,10 +249,10 @@ _MATRIX_MODEL = {"b": _LINEAR_MAP, "sigma": _LINEAR_MAP, "jumps": [_LINEAR_MAP]}
 _SCHEMAS = {
     "vector": {"m": _intval, "d": _intval, "horizon": _HORIZON, "marks": _MARKS,
                "model1": _VECTOR_MODEL, "model2": _VECTOR_MODEL,
-               "initial": {"x1": [_num], "x2": [_num]}},
+               "initial": {"x1": _Array("m"), "x2": _Array("m")}},
     "matrix": {"m": _intval, "d": _single_driver, "horizon": _HORIZON, "marks": _MARKS,
                "model1": _MATRIX_MODEL, "model2": _MATRIX_MODEL,
-               "initial": {"x1": [[_num]], "x2": [[_num]]}},
+               "initial": {"x1": _Array("m", "m"), "x2": _Array("m", "m")}},
 }
 
 # keyed by a config-block field's annotation, a string under postponed evaluation
@@ -277,10 +296,10 @@ def _check_run_settings(cfg: ScenarioConfig) -> None:
     check seed)."""
     check_seed(cfg.mc.seed, "$.mc.seed", SchemaError)
     if cfg.mc.paths < 1:
-        raise SchemaError(f"mc.paths: must be >= 1, got {cfg.mc.paths}")
+        raise SchemaError(f"$.mc.paths: must be >= 1, got {cfg.mc.paths}")
     span = cfg.horizon["T"] - cfg.horizon["t0"]
     if not 0.0 < cfg.mc.step <= span * (1.0 + 1e-12):
-        raise SchemaError(f"mc.step: must lie in (0, T - t0] = (0, {span}], got {cfg.mc.step}")
+        raise SchemaError(f"$.mc.step: must lie in (0, T - t0] = (0, {span}], got {cfg.mc.step}")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, Any]:
@@ -333,22 +352,8 @@ def _matrix_model(block: Dict[str, Any], marks: MarkMeasure) -> MatrixModel:
     return MatrixModel(coeffs, marks, matrix_certificate(coeffs, marks))
 
 
-# the shape of each array of a config, in the config's dimensions; a list
-# holds one item per mark atom
-_VECTOR_SHAPES = {"B": ("m", "m"), "c": ("m",), "V": ("m", "d", "m"), "U": ("m", "d"),
-                  "jumps": [{"G": ("m", "m"), "g": ("m",)}]}
-_MATRIX_SHAPES = {"b": {"offset": ("m", "m")}, "sigma": {"offset": ("m", "m")},
-                  "jumps": [{"offset": ("m", "m")}]}
-_SHAPES = {
-    kind: {"marks": {"atoms": [{"e": ("dimension",)}]}, "model1": model, "model2": model,
-           "initial": {"x1": state, "x2": state}}
-    for kind, model, state in (("vector", _VECTOR_SHAPES, ("m",)),
-                               ("matrix", _MATRIX_SHAPES, ("m", "m")))
-}
-
-
 def _check_shapes(node: Any, v: Any, path: str, dims: Dict[str, int]) -> None:
-    """Each array under ``path`` has the shape its ``_SHAPES`` node gives."""
+    """Each array under ``path`` has the shape its ``_SCHEMAS`` node gives."""
     if isinstance(node, dict):
         for k, item in node.items():
             _check_shapes(item, v[k], f"{path}.{k}", dims)
@@ -358,14 +363,14 @@ def _check_shapes(node: Any, v: Any, path: str, dims: Dict[str, int]) -> None:
                               f"got {len(v)}")
         for i, item in enumerate(v):
             _check_shapes(node[0], item, f"{path}[{i}]", dims)
-    else:
-        want = tuple(dims[name] for name in node)
+    elif isinstance(node, _Array):
+        want = tuple(dims[name] for name in node.dims)
         try:
             got = np.array(v, dtype=float).shape
         except ValueError:
             got = None
         if got != want:
-            names = ", ".join(node) + ("," if len(node) == 1 else "")
+            names = ", ".join(node.dims) + ("," if len(node.dims) == 1 else "")
             raise SchemaError(f"{path}: expected shape ({names}) = {want}, got "
                               f"{'rows of unequal length' if got is None else got}")
 
@@ -387,7 +392,7 @@ def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixCompari
     for name, path in (("m", "$.m"), ("d", "$.d"), ("dimension", "$.marks.dimension")):
         if dims[name] < 1:
             raise SchemaError(f"{path}: must be >= 1, got {dims[name]}")
-    _check_shapes(_SHAPES[cfg.kind], vars(cfg), "$", dict(dims, atoms=len(cfg.marks["atoms"])))
+    _check_shapes(_SCHEMAS[cfg.kind], vars(cfg), "$", dict(dims, atoms=len(cfg.marks["atoms"])))
     marks = _built("$.marks", MarkMeasure.from_atoms,
                    [(a["e"], a["w"]) for a in cfg.marks["atoms"]], cfg.marks["dimension"])
     if cfg.kind == "vector":
@@ -438,66 +443,30 @@ class RunReport:
         return self.check.status == conditions.VIOLATED
 
 
-def _witness_to_dict(w: Witness) -> Dict[str, Any]:
-    return {
-        "t": w.t,
-        "x": list(w.x),
-        "x_prime": list(w.x_prime),
-        "atom": w.atom,
-        "margin": w.margin,
-        "kind": w.kind,
-    }
-
-
-def _verdict_to_dict(v: Verdict) -> Dict[str, Any]:
-    return {
-        "status": v.status,
-        "samples_used": v.samples_used,
-        "witnesses": [_witness_to_dict(w) for w in v.witnesses],
-    }
-
-
-def _check_to_dict(check: Union[Theorem31Report, Verdict]) -> Dict[str, Any]:
-    if isinstance(check, Verdict):
-        return {"verdict": _verdict_to_dict(check)}
-    return {
-        "sigma_equal": _verdict_to_dict(check.sigma_equal),
-        "cond_a": [_verdict_to_dict(v) for v in check.cond_a],
-        "cond_b": [_verdict_to_dict(v) for v in check.cond_b],
-        "cond_c": [_verdict_to_dict(v) for v in check.cond_c],
-        "ii_prime": _verdict_to_dict(check.ii_prime),
-        "overall": check.overall,
-        "battery_agrees_ii_prime": check.battery_agrees_ii_prime,
-    }
-
-
-def _mc_to_dict(mc: engine.McReport) -> Dict[str, Any]:
-    return {
-        "paths": mc.paths,
-        "violating": mc.violating,
-        "violation_fraction": mc.violation_fraction,
-        "max_violation": mc.max_violation,
-        "wilson_low": mc.wilson_low,
-        "wilson_high": mc.wilson_high,
-        "seed": mc.seed,
-        "h": mc.h,
-        "eps_path": mc.eps_path,
-        "failed": mc.failed,
-    }
+def _section(v: Any) -> Any:
+    """A report section as JSON values: a dataclass is a dict of its fields
+    (an McReport's per-path records left out: they go to the CSV), a tuple a
+    list.  Not ``dataclasses.asdict``, which deep-copies the records."""
+    if isinstance(v, tuple):
+        return [_section(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        return {f.name: _section(getattr(v, f.name)) for f in dataclasses.fields(v)
+                if f.name != "per_path"}
+    return v
 
 
 def report_to_dict(report: RunReport) -> Dict[str, Any]:
     """Canonical (timing-free) report payload; byte-stable across reruns."""
-    out: Dict[str, Any] = {
+    check = report.check
+    return {
         "schema": "jumpcompare.report.v1",
         "tool_version": report.tool_version,
         "scenario": report.config_echo,
         "agreement": report.agreement,
         "low_power": report.low_power,
+        "check": {"verdict": _section(check)} if isinstance(check, Verdict) else _section(check),
+        "mc": _section(report.mc),
     }
-    out["check"] = _check_to_dict(report.check) if report.check is not None else None
-    out["mc"] = _mc_to_dict(report.mc) if report.mc is not None else None
-    return out
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -720,13 +689,13 @@ def run_gallery(
 # ---------------------------------------------------------------------------
 
 
-def _emit(report: RunReport, args) -> None:
-    out_dir = getattr(args, "out", None)
+def _emit(report: RunReport, out_dir: Optional[str]) -> None:
+    """Print the report, or write it to ``out_dir`` with its per-path CSV
+    when the run kept per-path records."""
     if out_dir:
         path = write_report(report, out_dir)
         print(f"report written to {path}", file=sys.stderr)
-        if getattr(args, "format", "json") == "csv" and report.mc is not None \
-                and report.mc.per_path is not None:
+        if report.mc is not None and report.mc.per_path is not None:
             csv_path = os.path.join(out_dir, f"{report.scenario_id}.paths.csv")
             write_paths_csv(csv_path, report.mc.per_path)
             print(f"per-path CSV written to {csv_path}", file=sys.stderr)
@@ -759,7 +728,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--step", type=float, default=None, help="override MC step size")
         p.add_argument("--out", type=str, default=None, help="report output directory")
         p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="also write per-path CSV when 'csv'")
+                       help="with --out, also write per-path CSVs when 'csv'")
 
     add_common(sub.add_parser("check", help="run the condition checker"))
     add_common(sub.add_parser("simulate", help="run the coupled Monte Carlo"))
@@ -768,16 +737,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     g.add_argument("--smoke", action="store_true", help="tiny run for wiring checks")
 
     args = parser.parse_args(argv)
+    keep_paths = args.format == "csv" and args.out is not None
 
     try:
         if args.command == "gallery":
             reports = run_gallery(
                 smoke=args.smoke, paths=args.paths, step=args.step, seed=args.seed,
-                keep_paths=(args.format == "csv" and args.out is not None),
+                keep_paths=keep_paths,
             )
             summary = []
             for rep in reports:
-                _emit(rep, args)
+                _emit(rep, args.out)
                 summary.append({
                     "id": rep.scenario_id,
                     "check_violated": rep.check_violated,
@@ -801,11 +771,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             report = run_check(cfg)
         elif args.command == "simulate":
-            report = run_simulate(cfg, keep_paths=(args.format == "csv"))
+            report = run_simulate(cfg, keep_paths=keep_paths)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
             return 2
-        _emit(report, args)
+        _emit(report, args.out)
         return _verdict_exit_code(report)
     except (ParseError, SchemaError, OrderError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -617,25 +617,17 @@ def check_theorem31(problem: ComparisonProblem) -> Theorem31Report:
     b = tuple(check_condition_b(problem))
     c = tuple(check_condition_c(problem))
     ii = check_ii_prime(problem)
-    battery = [sigma] + list(a) + list(b) + list(c)
-    battery_violated = any(v.violated for v in battery)
-    if battery_violated or ii.violated:
-        overall = VIOLATED
-    elif all(v.status == HOLDS for v in battery):
-        # the battery is the exact oracle; the sampled pointwise inequality
-        # can only confirm, never certify
-        overall = HOLDS
-    else:
-        overall = NO_VIOLATION
-    agree = battery_violated == ii.violated
+    # the battery is the exact oracle; the sampled pointwise inequality can
+    # only confirm, never certify, so it adds nothing to the status but VIOLATED
+    battery = combine_statuses([v.status for v in (sigma, *a, *b, *c)])
     return Theorem31Report(
         sigma_equal=sigma,
         cond_a=a,
         cond_b=b,
         cond_c=c,
         ii_prime=ii,
-        overall=overall,
-        battery_agrees_ii_prime=agree,
+        overall=VIOLATED if ii.violated else battery,
+        battery_agrees_ii_prime=(battery == VIOLATED) == ii.violated,
     )
 
 

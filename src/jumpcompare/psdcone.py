@@ -115,13 +115,7 @@ def unsvec(v, m: int) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (m * (m + 1) // 2,):
         raise DimensionMismatch(f"svec vector must have length {m * (m + 1) // 2}")
-    out = np.zeros((m, m))
-    np.fill_diagonal(out, v[:m])
-    iu = np.triu_indices(m, k=1)
-    off = v[m:] / math.sqrt(2.0)
-    out[iu] = off
-    out.T[iu] = off
-    return out
+    return _unsvec_rows(v[None], m)[0]
 
 
 def _unsvec_rows(rows: np.ndarray, m: int) -> np.ndarray:

@@ -364,6 +364,8 @@ SHAPE_FAULTS = [
      "$.marks.atoms[0].e: expected shape (dimension,) = (1,), got (2,)"),
     (minimal_vector_dict, ("marks", "atoms", 0, "w"), -1.0,
      "$.marks: mark weights must be nonnegative"),
+    (minimal_vector_dict, ("initial", "x1"), [1.0, 0.0],
+     "$.initial.x1: expected shape (m,) = (1,), got (2,)"),
     (minimal_vector_dict, ("initial", "x2"), [0.0, 0.0],
      "$.initial.x2: expected shape (m,) = (1,), got (2,)"),
     (minimal_vector_dict, ("d",), 0, "$.d: must be >= 1, got 0"),
@@ -377,6 +379,10 @@ SHAPE_FAULTS = [
      "$.model2.jumps[0].offset: expected shape (m, m) = (2, 2), got (1, 1)"),
     (matrix_dict, ("model1", "sigma", "offset"), [[0.1, 0.2], [0.0, 0.1]],
      "$.model1: matrix is not symmetric"),
+    (matrix_dict, ("initial", "x1"), [[1.0]],
+     "$.initial.x1: expected shape (m, m) = (2, 2), got (1, 1)"),
+    (matrix_dict, ("initial", "x2"), [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+     "$.initial.x2: expected shape (m, m) = (2, 2), got (3, 2)"),
     (lambda: gallery_dict("drift-order-fail"), ("model1", "c"), [0.0],
      "$.model1.c: expected shape (m,) = (2,), got (1,)"),
     (lambda: gallery_dict("drift-order-fail"), ("model2", "B"), [[-0.2]],
@@ -430,6 +436,29 @@ class TestSeeds:
         assert main(["check", write_config(tmp_path, data)]) == 0
         assert main(["simulate", write_config(tmp_path, data), "--paths", "16",
                      "--step", "0.125"]) == 0
+
+
+RUN_SETTING_FAULTS = [
+    ("paths", 0, ["--paths", "0"], "$.mc.paths: must be >= 1, got 0"),
+    ("step", 2.0, ["--step", "2.0"], "$.mc.step: must lie in (0, T - t0] = (0, 1.0], got 2.0"),
+    ("step", -0.5, ["--step", "-0.5"],
+     "$.mc.step: must lie in (0, T - t0] = (0, 1.0], got -0.5"),
+]
+
+
+class TestRunSettings:
+    """A path count or step the engine cannot run is a config error at its
+    JSON path, whether it comes from the config's mc block or from a flag."""
+
+    @pytest.mark.parametrize("key, value, flags, message", RUN_SETTING_FAULTS,
+                             ids=[f"{f[0]}={f[1]}" for f in RUN_SETTING_FAULTS])
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_fault_exits_two(self, tmp_path, capsys, source, key, value, flags, message):
+        data = minimal_vector_dict()
+        if source == "config":
+            data["mc"][key], flags = value, []
+        assert main(["simulate", write_config(tmp_path, data), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestConfigFaults:
@@ -691,6 +720,19 @@ class TestMainExitCodes:
         assert (out / "mini.paths.csv").exists()
         payload = json.loads((out / "mini.report.json").read_text())
         assert payload["mc"]["paths"] == 32
+
+    @pytest.mark.parametrize("command", ["simulate", "gallery"])
+    def test_csv_format_without_out_prints_the_same_report(self, tmp_path, capsys, command):
+        # per-path records are kept, and written, only with --out
+        args = ([command] if command == "gallery" else
+                [command, write_config(tmp_path, minimal_vector_dict())])
+        args += ["--paths", "16", "--step", "0.25"]
+        printed = []
+        for extra in ([], ["--format", "csv"]):
+            main(args + extra)
+            printed.append(capsys.readouterr().out)
+        assert printed[0] and printed[0] == printed[1]
+        assert os.listdir(tmp_path) == ([] if command == "gallery" else ["scenario.json"])
 
     def test_removed_matrix_check_command_is_usage_error(self, tmp_path):
         path = write_config(tmp_path, minimal_vector_dict())
