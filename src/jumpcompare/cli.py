@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, field
@@ -150,6 +151,9 @@ class ScenarioConfig:
     initial: Dict[str, Any]
     mc: McConfig = field(default_factory=McConfig)
     check: CheckConfig = field(default_factory=CheckConfig)
+    # (key, problem) from the last ``build_problem``; a copy by
+    # dataclasses.replace keeps it, and any change to the config misses it
+    _problem: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _expect_dict(obj: Any, path: str) -> Dict[str, Any]:
@@ -284,7 +288,7 @@ def config_from_dict(data: Dict[str, Any], default_id: str = "scenario") -> Scen
         mc=_block(McConfig, top.get("mc", {}), "$.mc"),
         check=_block(CheckConfig, top.get("check", {}), "$.check"),
     )
-    build_problem(cfg)  # surface dimension/order/weight errors at parse time
+    build_problem(cfg)  # surface dimension/order/weight errors now; the run reuses it
     _check_run_settings(cfg)
     return cfg
 
@@ -304,7 +308,7 @@ def _check_run_settings(cfg: ScenarioConfig) -> None:
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, Any]:
     """The config as stored; the ``mc`` and ``check`` blocks are copied."""
-    out = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    out = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.name != "_problem"}
     out["mc"], out["check"] = dataclasses.asdict(cfg.mc), dataclasses.asdict(cfg.check)
     return out
 
@@ -384,6 +388,17 @@ def _built(path: str, build, *args):
 
 
 def build_problem(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixComparisonProblem]:
+    """The typed problem of ``cfg`` (see ``_build``), built once: while the
+    config holds what it was built from, the problem built then is returned,
+    so a parsed config runs without building it again.  The pickle of the
+    config's fields is the key; it keeps every float's bits."""
+    key = pickle.dumps(dataclasses.replace(cfg, _problem=None))
+    if cfg._problem is None or cfg._problem[0] != key:
+        cfg._problem = (key, _build(cfg))
+    return cfg._problem[1]
+
+
+def _build(cfg: ScenarioConfig) -> Union[ComparisonProblem, MatrixComparisonProblem]:
     """Instantiate the typed problem.  Every array must have the shape that
     ``m``, ``d`` and the marks give it; an error building the marks or a
     model names its JSON path, and the problem's own errors surface as
@@ -770,11 +785,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _with_overrides(parse_config(args.config), args.paths, args.step, args.seed)
         if args.command == "check":
             report = run_check(cfg)
-        elif args.command == "simulate":
+        else:  # simulate; argparse admits no other command
             report = run_simulate(cfg, keep_paths=keep_paths)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
-            return 2
         _emit(report, args.out)
         return _verdict_exit_code(report)
     except (ParseError, SchemaError, OrderError, ModelError) as exc:

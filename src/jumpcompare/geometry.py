@@ -17,7 +17,9 @@ of a block gets the bits it gets alone, because each matrix-vector product
 stays one BLAS ``gemv`` and each dot product one ``ddot`` per probe, and
 each Hessian sum runs over its probe's negative rows only.
 ``psdcone.PsdCone`` is the PSD cone under the trace inner product (Theorem
-3.7); it loops over the matrices of a block.
+3.7), on whole arrays too: one stacked ``eigh`` per block, which solves each
+matrix by its own LAPACK call, and products that stay one BLAS call per
+matrix, so every probe of a block gets the bits it gets alone.
 """
 
 from __future__ import annotations

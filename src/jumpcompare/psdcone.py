@@ -1,11 +1,12 @@
 """The PSD cone and the matrix-valued comparison condition.
 
-Spectral machinery (the LAPACK symmetric eigensolver, positive/negative
-spectral splits, squared distance to the PSD cone, its gradient, and the
-divided-difference Hessian quadratic form), the cone ``PsdCone`` that
-``geometry.generator`` evaluates the pointwise inequality over (Theorem
-3.7), the scalar-linear matrix models, the matrix probe generator judged by
-``conditions.judge_probes``, and the svec-embedded Monte Carlo runner.
+Spectral machinery on one matrix or a stack of them (the LAPACK symmetric
+eigensolver, positive/negative spectral splits, squared distance to the PSD
+cone, its gradient, and the divided-difference Hessian quadratic form), the
+cone ``PsdCone`` that ``geometry.generator`` evaluates the pointwise
+inequality over (Theorem 3.7), the scalar-linear matrix models, the matrix
+probe generator judged by ``conditions.judge_probes``, and the svec-embedded
+Monte Carlo runner.
 
 The Monte Carlo measures a violation as the largest eigenvalue of the
 coupled difference at every grid step.  For m = 2 that statistic is the
@@ -21,9 +22,9 @@ zero rows still go through ``eigvalsh``; so does every row for m != 2.
 
 The Hessian quadratic form uses the spectral divided-difference formula for
 the separable spectral function lambda -> (negative part)^2 (Lewis,
-"Derivatives of spectral functions", 1996), with a central-difference
-fallback and a degeneracy flag near zero eigenvalues, where the squared
-distance stops being twice differentiable.
+"Derivatives of spectral functions", 1996).  Near zero eigenvalues, where
+the squared distance stops being twice differentiable, the point is flagged
+degenerate and the form is NaN; the checker judges no such probe.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import engine
 from .conditions import Verdict, judge_probes
-from .geometry import GeneratorValue, generator
+from .geometry import GeneratorValue, _dot, generator
 from .model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -84,28 +85,40 @@ __all__ = [
 
 _SYM_RTOL = 1e-8  # relative asymmetry a matrix input may carry
 _ETA_SEP = 1e-8  # an eigenvalue this close to zero makes a PSD point degenerate
+_T = functools.partial(np.swapaxes, axis1=-1, axis2=-2)  # each matrix transposed
 
 
 def _symmetrized(arr) -> np.ndarray:
-    """The full matrix 0.5 * (a + a.T) of a square, symmetric (to _SYM_RTOL),
-    finite a."""
+    """0.5 * (a + a.T) of one square matrix a, or of each matrix of a stack
+    on the leading axes; each must be finite and symmetric to _SYM_RTOL of
+    its own largest entry."""
     a = np.atleast_2d(np.asarray(arr, dtype=float))
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("matrix must be square")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * (1.0 + scale):
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    if (np.abs(a - _T(a)) > _SYM_RTOL * (1.0 + scale)).any():
         raise ModelError("matrix is not symmetric")
-    sym = 0.5 * (a + a.T)
-    if not np.all(np.isfinite(sym)):
+    sym = 0.5 * (a + _T(a))
+    if not np.isfinite(sym).all():
         raise ModelError("symmetric matrix entries must be finite")
+    return sym
+
+
+def _matrix(arr) -> np.ndarray:
+    """``_symmetrized`` of an input that must be one matrix (a stack is not
+    square), read-only."""
+    a = np.asarray(arr, dtype=float)
+    if a.ndim > 2:
+        raise DimensionMismatch("matrix must be square")
+    sym = _symmetrized(a)
+    sym.setflags(write=False)
     return sym
 
 
 def svec(Y) -> np.ndarray:
     """Isometric embedding of a symmetric matrix onto the orthonormal basis
     of diagonal units and scaled off-diagonal pairs (off-diagonals x sqrt2)."""
-    Yf = _symmetrized(Y)
+    Yf = _matrix(Y)
     n = Yf.shape[0]
     iu = np.triu_indices(n, k=1)
     return np.concatenate([np.diag(Yf), math.sqrt(2.0) * Yf[iu]])
@@ -138,7 +151,7 @@ def _unsvec_rows(rows: np.ndarray, m: int) -> np.ndarray:
 @dataclass(frozen=True)
 class EigDecomp:
     """Orthogonal eigenbasis with ascending eigenvalues of the validated
-    symmetric matrix ``y``."""
+    symmetric matrix ``y``, or of each matrix of a stack ``y``."""
 
     Q: np.ndarray
     lam: np.ndarray
@@ -146,16 +159,69 @@ class EigDecomp:
 
 
 def eig_sym(y) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a stack
+    on the leading axes, by LAPACK (one ``numpy.linalg.eigh`` call).
 
     The input is validated (square, symmetric, finite) and symmetrized once,
-    here.  Eigenvalues come back ascending.  Inside a repeated eigenspace the
-    basis is whatever LAPACK picks; every spectral function built on it here
-    is invariant to that choice.
+    here.  Eigenvalues come back ascending.  numpy solves each matrix of a
+    stack by its own LAPACK call, so each gets the bits it gets alone.
+    Inside a repeated eigenspace the basis is whatever LAPACK picks; every
+    spectral function built on it here is invariant to that choice.
     """
     sym = _symmetrized(y)
     lam, Q = np.linalg.eigh(sym)
     return EigDecomp(Q=Q, lam=lam, y=sym)
+
+
+def _dist2(lam: np.ndarray) -> np.ndarray:
+    """Sum of the squared negative parts of each eigenvalue vector."""
+    neg = np.minimum(lam, 0.0)
+    return _dot(neg, neg)
+
+
+class _PsdPoint:
+    """dist2_psd data at a symmetric x of shape (..., m, m): one matrix, or a
+    stack of them.
+
+    One eigendecomposition, which also validates x, gives the negative
+    spectral part x^-, the projection x^+ = x + x^-, dist^2 and the Hessian
+    quadratic form.  ``degenerate`` flags an x with an eigenvalue within
+    _ETA_SEP of zero, where dist^2 stops being twice differentiable; the
+    form is NaN there."""
+
+    def __init__(self, x):
+        dec = eig_sym(x)
+        self.x, self.lam, self.Q = dec.y, dec.lam, dec.Q
+        minus = (dec.Q * np.maximum(-dec.lam, 0.0)[..., None, :]) @ _T(dec.Q)
+        self.minus = 0.5 * (minus + _T(minus))
+        self.plus = self.x + self.minus
+        self.dist2 = _dist2(dec.lam)
+        self.degenerate = np.min(np.abs(dec.lam), axis=-1) <= _ETA_SEP
+
+    def hess(self, H: np.ndarray) -> np.ndarray:
+        """Second-derivative quadratic form of dist2_psd at each x applied to
+        (H, H), NaN where x is degenerate.
+
+        In the eigenbasis: sum_i phi''(lam_i) Ht_ii^2 plus the off-diagonal
+        divided differences of phi'(lam) = -2 lam^-, with phi''(lam_i) used
+        for coincident eigenvalues.
+        """
+        lam = self.lam
+        Ht = _T(self.Q) @ H @ self.Q
+        phi1 = 2.0 * np.minimum(lam, 0.0)  # derivative of (negative part)^2
+        phi2 = np.where(lam < 0.0, 2.0, 0.0)
+        den = lam[..., :, None] - lam[..., None, :]
+        num = phi1[..., :, None] - phi1[..., None, :]
+        scale = 1e-12 * (1.0 + np.max(np.abs(lam), axis=-1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            D = np.where(np.abs(den) > scale[..., None, None], num / den, phi2[..., :, None])
+        off = ~np.eye(lam.shape[-1], dtype=bool)
+        val = (np.sum(phi2 * np.diagonal(Ht, axis1=-2, axis2=-1) ** 2, axis=-1)
+               + np.sum((D * Ht**2)[..., off], axis=-1))
+        return np.where(self.degenerate, np.nan, val)[()]
+
+    def half_hess(self, H: np.ndarray) -> np.ndarray:
+        return 0.5 * self.hess(H)
 
 
 def psd_split(y) -> Tuple[np.ndarray, np.ndarray]:
@@ -167,9 +233,7 @@ def psd_split(y) -> Tuple[np.ndarray, np.ndarray]:
 def dist2_psd(y) -> float:
     """Squared Frobenius distance to the PSD cone: sum of squared negative
     eigenvalue parts."""
-    dec = eig_sym(y)
-    neg = np.minimum(dec.lam, 0.0)
-    return float(np.dot(neg, neg))
+    return _PsdPoint(y).dist2
 
 
 def grad_dist2_psd(y) -> np.ndarray:
@@ -179,106 +243,40 @@ def grad_dist2_psd(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HessQuadForm:
-    """Quadratic form value of the a.e. second derivative, with a flag when
-    eigenvalues sit inside the degeneracy band and the value came from the
-    finite-difference fallback."""
+    """Quadratic form value of the a.e. second derivative, NaN with the flag
+    set when an eigenvalue sits inside the degeneracy band (arrays for a
+    stack)."""
 
     value: float
     degenerate: bool
 
 
-class _PsdPoint:
-    """dist2_psd data at a symmetric x from one eigendecomposition, which
-    also validates x: the negative spectral part, dist^2, and the Hessian
-    quadratic form, which is flagged degenerate when an eigenvalue lies
-    within _ETA_SEP of zero.  ``psd_split`` and ``grad_dist2_psd`` read
-    their parts from it."""
-
-    def __init__(self, x):
-        self.dec = eig_sym(x)
-        self.x = x = self.dec.y
-        lam = self.dec.lam
-        lam_minus = np.maximum(-lam, 0.0)
-        minus = (self.dec.Q * lam_minus) @ self.dec.Q.T
-        self.minus = 0.5 * (minus + minus.T)
-        self.plus = x + self.minus
-        self.dist2 = float(np.dot(lam_minus, lam_minus))
-        self.degenerate = bool(lam.size and float(np.min(np.abs(lam))) <= _ETA_SEP)
-
-    def hess(self, H: np.ndarray) -> HessQuadForm:
-        """Second-derivative quadratic form of dist2_psd at x applied to (H, H).
-
-        In the eigenbasis: sum_i phi''(lam_i) Ht_ii^2 plus the off-diagonal
-        divided differences of phi'(lam) = -2 lam^-, with phi''(lam_i) used
-        for coincident eigenvalues.  A degenerate point takes the
-        central-difference fallback instead.
-        """
-        lam = self.dec.lam
-        if self.degenerate:
-            y = self.x
-            s = 1e-4 * (1.0 + float(np.linalg.norm(y))) / max(float(np.linalg.norm(H)), 1e-12)
-            val = (dist2_psd(y + s * H) - 2.0 * self.dist2 + dist2_psd(y - s * H)) / (s * s)
-            return HessQuadForm(value=float(val), degenerate=True)
-        Ht = self.dec.Q.T @ H @ self.dec.Q
-        phi1 = 2.0 * np.minimum(lam, 0.0)  # derivative of (negative part)^2
-        phi2 = np.where(lam < 0.0, 2.0, 0.0)
-        den = lam[:, None] - lam[None, :]
-        num = phi1[:, None] - phi1[None, :]
-        scale = 1e-12 * (1.0 + float(np.max(np.abs(lam))))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(np.abs(den) > scale, num / np.where(den == 0.0, 1.0, den), 0.0)
-        D = np.where(np.abs(den) > scale, ratio, np.broadcast_to(phi2[:, None], den.shape))
-        off = ~np.eye(lam.size, dtype=bool)
-        val = float(np.sum(phi2 * np.diag(Ht) ** 2) + np.sum((D * Ht**2)[off]))
-        return HessQuadForm(value=val, degenerate=False)
-
-    def half_hess(self, H: np.ndarray) -> float:
-        return 0.5 * self.hess(H).value
-
-
 def hess_quadform_psd(y, H) -> HessQuadForm:
     """Second-derivative quadratic form of dist2_psd at y applied to (H, H);
-    flagged degenerate when an eigenvalue of y is within _ETA_SEP of zero."""
-    return _PsdPoint(y).hess(_symmetrized(H))
-
-
-class _PsdPoints:
-    """``_PsdPoint`` at each matrix of a block, its data stacked along the
-    leading axis."""
-
-    def __init__(self, x):
-        self.points = [_PsdPoint(y) for y in x]
-        self.x = np.array([p.x for p in self.points])
-        self.minus = np.array([p.minus for p in self.points])
-        self.plus = np.array([p.plus for p in self.points])
-        self.dist2 = np.array([p.dist2 for p in self.points])
-        self.degenerate = np.array([p.degenerate for p in self.points])
-
-    def half_hess(self, H: np.ndarray) -> np.ndarray:
-        return np.array([p.half_hess(h) for p, h in zip(self.points, H)])
+    degenerate, with a NaN value, when an eigenvalue of y is within _ETA_SEP
+    of zero.  Each of y and H may be one matrix or a stack."""
+    p = _PsdPoint(y)
+    return HessQuadForm(value=p.hess(_symmetrized(H)), degenerate=p.degenerate)
 
 
 class PsdCone:
     """The cone of PSD matrices among symmetric matrices, trace inner
-    product; every method takes a block of matrices and loops over it."""
+    product; matrices on the last two axes, one or a stack."""
 
-    point = _PsdPoints
-
-    @staticmethod
-    def asarray(v) -> np.ndarray:
-        return np.array([_symmetrized(a) for a in v])
+    point = _PsdPoint
+    asarray = staticmethod(_symmetrized)
 
     @staticmethod
     def dist2(y: np.ndarray) -> np.ndarray:
-        return np.array([dist2_psd(a) for a in y])
+        return _dist2(eig_sym(y).lam)
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.array([float(np.trace(p @ q)) for p, q in zip(a, b)])
+        return np.trace(a @ b, axis1=-2, axis2=-1)
 
     @staticmethod
     def sym(g: np.ndarray) -> np.ndarray:
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
+        return 0.5 * (g + _T(g))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +292,8 @@ class MatrixLinearMap:
     offset: np.ndarray
 
     def __post_init__(self) -> None:
-        off = _symmetrized(self.offset)
-        off.setflags(write=False)
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "offset", _matrix(self.offset))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.scale * y + self.offset
@@ -385,8 +381,8 @@ class MatrixComparisonProblem:
             raise DimensionMismatch("matrix models must share the mark measure")
         if not (0.0 <= self.t0 < self.T):
             raise ModelError("horizon must satisfy 0 <= t0 < T")
-        x1 = _symmetrized(self.x1)
-        x2 = _symmetrized(self.x2)
+        x1 = _matrix(self.x1)
+        x2 = _matrix(self.x2)
         if x1.shape != (self.model1.m,) * 2 or x2.shape != (self.model1.m,) * 2:
             raise DimensionMismatch("initial states must be symmetric m x m matrices")
         diff = x1 - x2
@@ -430,7 +426,8 @@ def eval_theorem37(
     Under the trace inner product it has the convention of the vector
     inequality (``conditions.ii_prime_terms``), which it equals at m = 1.
     """
-    return generator(PsdCone, problem, [t], [x], [x_prime]).probe(0)
+    return generator(PsdCone, problem, [t], [np.atleast_2d(x)],
+                     [np.atleast_2d(x_prime)]).probe(0)
 
 
 def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Config parsing, report serialization, exit codes, gallery wiring."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from jumpcompare import cli
 from jumpcompare.cli import (
     GALLERY_IDS,
     OrderError,
@@ -514,6 +516,37 @@ class TestReports:
         a = json.dumps(report_to_dict(run_full(cfg)), sort_keys=True)
         b = json.dumps(report_to_dict(run_full(cfg)), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("make, model1_drift", [
+        (minimal_vector_dict, {"c": [-0.5]}),
+        (matrix_dict, {"b": {"scale": 0.5, "offset": [[0.4, 0.1], [0.1, -0.4]]}}),
+    ], ids=["vector", "matrix"])
+    def test_problem_is_built_once_and_again_after_a_change(self, make, model1_drift,
+                                                             monkeypatch):
+        # a failing pair, so that the check seed moves its witnesses
+        def data(seed):
+            out = make()
+            out["model1"].update(model1_drift)
+            out["check"]["seed"] = seed
+            return out
+
+        def report(cfg):
+            return json.dumps(report_to_dict(run_check(cfg)), sort_keys=True)
+
+        def fresh(seed):
+            return report(config_from_dict(data(seed)))
+
+        builds = []
+        real = cli._build
+        monkeypatch.setattr(cli, "_build", lambda cfg: builds.append(cfg.id) or real(cfg))
+        cfg = config_from_dict(data(4))
+        first = report(cfg)
+        assert len(builds) == 1  # the run reuses the problem built at parse time
+        # a copy with another check seed, as --seed makes it
+        reseeded = dataclasses.replace(cfg, check=dataclasses.replace(cfg.check, seed=11))
+        assert report(reseeded) == fresh(11) != first
+        cfg.check.seed = 12  # a change in place
+        assert report(cfg) == fresh(12) != first
 
     def test_paths_csv_format(self, tmp_path):
         records = PathRecords(

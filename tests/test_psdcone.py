@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from jumpcompare import psdcone
+from jumpcompare.cli import build_problem, gallery_configs
 from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime, ii_prime_terms
+from jumpcompare.geometry import GeneratorValue, generator
 from jumpcompare.model import (
     AffineCoefficients,
     CoefficientTriple,
@@ -111,10 +113,38 @@ class TestEigSym:
         (np.ones((2, 3)), DimensionMismatch, "square"),
         (np.array([[0.0, 1.0], [0.0, 0.0]]), ModelError, "not symmetric"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), ModelError, "finite"),
-    ], ids=["non-square", "non-symmetric", "non-finite"])
+        (np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), DimensionMismatch, "square"),
+    ], ids=["non-square", "non-symmetric", "non-finite", "stack"])
     def test_bad_input_raises(self, y, error, match):
-        with pytest.raises(error, match=match):
-            eig_sym(y)
+        # eig_sym takes a stack; svec, map offsets and initial states take
+        # one matrix only
+        takes = [svec, lambda a: MatrixLinearMap(1.0, a),
+                 lambda a: matrix_pair(2, gap=np.zeros((2, 2)), x1=a),
+                 lambda a: matrix_pair(2, gap=np.zeros((2, 2)), x1=np.eye(2), x2=a)]
+        for take in takes + ([eig_sym] if y.ndim == 2 else []):
+            with pytest.raises(error, match=match):
+                take(y)
+
+    def test_stack_symmetry_tolerance_is_per_matrix(self):
+        # the asymmetry of the small matrix is far below the large one's scale
+        small = np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]])
+        with pytest.raises(ModelError, match="not symmetric"):
+            eig_sym(np.array([1e6 * np.eye(2), small]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+    def test_stack_gets_the_bits_of_each_matrix_alone(self, m):
+        rng = np.random.default_rng(300 + m)
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        repeated = (Q * np.repeat([-1.5, 2.0], [m - m // 2, m // 2])) @ Q.T
+        scales = 10.0 ** rng.uniform(-100.0, 100.0, (m, m))
+        mats = [rand_sym(rng, m, 3.0) for _ in range(5)] + [
+            0.5 * (repeated + repeated.T), np.zeros((m, m)), -np.eye(m),
+            rand_sym(rng, m) * 0.5 * (scales + scales.T)]
+        stack = eig_sym(np.array(mats))
+        for i, y in enumerate(mats):
+            alone = eig_sym(y)
+            assert stack.lam[i].tobytes() == alone.lam.tobytes()
+            assert stack.Q[i].tobytes() == alone.Q.tobytes()
 
 
 class TestSplit:
@@ -247,7 +277,7 @@ class TestHessQuadForm:
 
     def test_degenerate_flag(self):
         out = hess_quadform_psd(np.diag([0.0, 1.0]), np.eye(2))
-        assert out.degenerate
+        assert out.degenerate and np.isnan(out.value)
 
     def test_coincident_eigenvalues(self):
         out = hess_quadform_psd(-np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -319,7 +349,15 @@ class TestEvalTheorem37:
         monkeypatch.setattr(psdcone, "eval_theorem37", counting)
         v = check_theorem37(p)
         assert 0 < degenerate[0] < calls[0]
-        assert v.samples_used == calls[0] - degenerate[0]
+        assert v.samples_used == calls[0] - degenerate[0] == 72
+        assert v.status == NO_VIOLATION
+
+    def test_degenerate_probe_has_no_hessian_value(self):
+        p = matrix_pair(2, gap=0.4 * np.eye(2), s_scale=0.4)
+        out = eval_theorem37(p, 0.2, np.diag([0.0, 1.0]), np.eye(2))
+        assert out.degenerate
+        assert np.isnan(out.diffusion) and np.isnan(out.lhs)
+        assert np.isfinite([out.drift, out.jump, out.rhs]).all()
 
     def test_one_eigen_solve_of_x_per_probe(self, monkeypatch):
         p = matrix_pair(3, gap=np.diag([0.5, -0.2, 0.1]), s_scale=0.4,
@@ -336,7 +374,8 @@ class TestEvalTheorem37:
         monkeypatch.setattr(psdcone, "eig_sym", counting)
         out = eval_theorem37(p, 0.2, x, np.eye(3))
         assert not out.degenerate and out.diffusion > 0.0
-        assert sum(np.array_equal(y, x) for y in calls) == 1
+        # count the matrices inside each (possibly stacked) call
+        assert sum(np.array_equal(a, x) for y in calls for a in y.reshape(-1, 3, 3)) == 1
 
     def test_jump_gap_nonnegative_passes(self):
         # gamma1 = gamma2 + c*I with c >= 0 and compensator-adjusted drifts equal
@@ -355,6 +394,37 @@ class TestEvalTheorem37:
 
 
 TERMS = ("drift", "diffusion", "jump", "lhs", "rhs")
+
+
+def _block_problems():
+    gallery = [build_problem(c) for c in gallery_configs() if c.kind == "matrix"]
+    marks = MarkMeasure.from_atoms([([1.0], 0.7), ([-0.5], 1.3)])
+    rng = np.random.default_rng(7)
+    jumps = [tuple((s, rand_sym(rng, 3)) for s in (0.4, -0.2)) for _ in range(2)]
+    p = matrix_pair(3, gap=np.diag([0.5, -0.2, 0.1]), s_scale=0.4, s_off=rand_sym(rng, 3),
+                    marks=marks, jumps1=jumps[0], jumps2=jumps[1])
+    jump = MatrixComparisonProblem(
+        model1=p.model1, model2=p.model2, t0=0.0, T=1.0, x1=p.x1, x2=p.x2,
+        sampling=SampleDomain(box=6.0, count=256, ladder=(1e-9, 1e-3, 1.0), seed=5))
+    return gallery + [jump]
+
+
+@pytest.mark.parametrize("problem", _block_problems(),
+                         ids=["matrix-pass", "matrix-drift-fail", "jump-atoms"])
+def test_probe_block_gets_the_bits_of_each_probe(problem):
+    # the PSD cone's generator over a whole probe block against
+    # eval_theorem37, one probe at a time, as check_theorem37 calls it
+    rng = np.random.default_rng((int(problem.sampling.seed) << 8) ^ 0x37)
+    t, x, xp = zip(*psdcone._theorem37_probes(problem, rng))
+    block = generator(psdcone.PsdCone, problem, t, x, xp)
+    alone = GeneratorValue.stack([eval_theorem37(problem, *probe) for probe in zip(t, x, xp)])
+    assert np.array_equal(block.degenerate, alone.degenerate)
+    live = ~alone.degenerate
+    for term in TERMS:
+        assert getattr(block, term)[live].tobytes() == getattr(alone, term)[live].tobytes(), term
+    assert np.isnan(block.diffusion[~live]).all() and np.isnan(block.lhs[~live]).all()
+    if problem.sampling.ladder[0] < 1e-8:
+        assert 0 < np.count_nonzero(~live) < live.size
 
 
 class TestScalarReduction:
