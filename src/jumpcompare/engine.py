@@ -12,7 +12,9 @@ thread) serves every path: it is re-keyed to (seed, path_index) with a zero
 counter before each path's draws instead of being built anew, which yields
 the same stream.  A realization is stored sparsely: its jump times, their
 mark atoms and one Brownian increment per segment; the merged time list and
-the per-segment atoms are derived on access.
+the per-segment atoms are derived on access.  The sampler never builds that
+list: it scales its normals by the grid's shared root step lengths, with
+each step that holds a jump point split at it.
 
 The Monte Carlo kernel advances a chunk of paths through the uniform grid in
 event rounds.  In step i, round 0 is one block Euler step of every path,
@@ -21,10 +23,18 @@ advances, as one batch, every path with at least r jumps in the step, from
 its r-th jump to the next jump or the grid point.  Chunks run one after
 another, in path order, and per-path results are concatenated before any
 reduction.
+
+A step computes X + drift*dt + sigma dW with the operands, and so the bits,
+of that formula, in few contiguous numpy calls.  The affine constants are
+tiled over the chunk's rows once and a per-row dt fills a (paths, m) array,
+so each add or multiply is one flat loop instead of one short loop per row;
+the one-term contractions (the d = 1 noise, the m = 1 diffusion) are
+products plus 0.0, which is what einsum returns for them.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
@@ -89,14 +99,15 @@ def uniform_grid(t0: float, T: float, h: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_steps(t0: float, T: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``uniform_grid(t0, T, h)`` and the square roots of its step lengths,
-    computed once per horizon and step and shared read-only."""
+def _grid_steps(t0: float, T: float, h: float) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    """``uniform_grid(t0, T, h)``, the square roots of its step lengths and
+    its points as a tuple of floats, computed once per horizon and step and
+    shared read-only."""
     grid = uniform_grid(t0, T, h)
     sqrt_dt = np.sqrt(np.diff(grid))
     grid.setflags(write=False)
     sqrt_dt.setflags(write=False)
-    return grid, sqrt_dt
+    return grid, sqrt_dt, tuple(grid.tolist())
 
 
 def _jump_slots(grid: np.ndarray, jump_times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -120,6 +131,49 @@ def _merged_times(grid: np.ndarray, jump_times: np.ndarray) -> np.ndarray:
     times[idx] = jump_times[new]
     times[from_grid] = grid
     return times
+
+
+def _spliced_sqrt_dt(
+    points: tuple, sqrt_dt: np.ndarray, jump_times: Sequence[float]
+) -> np.ndarray:
+    """``sqrt(diff(_merged_times(grid, jump_times)))`` from the grid's own
+    ``sqrt_dt``: each step that holds jump points gets the square roots of
+    its sub-segments, and every other step keeps its entry.  ``points`` is
+    the grid as a tuple and ``jump_times`` are strictly increasing floats.
+
+    The sub-segments take the merged list's subtractions, and ``math.sqrt``
+    rounds as ``np.sqrt`` does, so the bits are those of the merged list.
+    The work beyond four numpy calls is a few float operations per jump.
+    """
+    steps: List[int] = []  # the step of each jump that adds a point
+    slots: List[int] = []  # where each new square root goes in the result
+    roots: List[float] = []
+    prev = -math.inf  # the last jump that added a point
+    for t in jump_times:
+        i = bisect.bisect_left(points, t)  # points[i - 1] < t <= points[i]
+        right = points[i]
+        if t == right:
+            continue  # a jump on a grid point adds no point
+        left = points[i - 1]
+        q = len(steps)
+        if prev > left:
+            # the previous jump lies in this step: the segment from it ends
+            # here, not at the grid point
+            roots[-1] = math.sqrt(t - prev)
+        else:
+            slots.append(i - 1 + q)
+            roots.append(math.sqrt(t - left))
+        slots.append(i + q)
+        roots.append(math.sqrt(right - t))
+        steps.append(i - 1)
+        prev = t
+    if not steps:
+        return sqrt_dt
+    # one entry per segment: a step with c new points repeats c + 1 times,
+    # then every repeat takes its own root
+    out = np.repeat(sqrt_dt, np.bincount(steps, minlength=sqrt_dt.shape[0]) + 1)
+    out[slots] = roots
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,7 +225,6 @@ class DriverRealization:
         return int(self.jump_times.shape[0])
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
 _rngs = threading.local()
 
 
@@ -179,22 +232,28 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     """This thread's generator, re-keyed to the start of stream (seed, path_index).
 
     Setting the Philox state (key, zero counter, empty buffer) gives the draws
-    of ``Generator(Philox(key=(seed, path_index)))`` without building one.  The
-    generator is made on first use, so importing the package does not load
-    ``numpy.random``.
+    of ``Generator(Philox(key=(seed, path_index)))`` without building one.
+    The state dict is made once per thread and only its key is rewritten: the
+    setter copies the values.  The generator is made on first use, so
+    importing the package does not load ``numpy.random``.
     """
     rng = getattr(_rngs, "rng", None)
     if rng is None:
         rng = _rngs.rng = np.random.Generator(np.random.Philox(0))
-    key = np.array([int(seed) & _MASK64, int(path_index) & _MASK64], dtype=np.uint64)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        zero4 = np.zeros(4, dtype=np.uint64)
+        _rngs.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero4, "key": np.zeros(2, dtype=np.uint64)},
+            "buffer": zero4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    state = _rngs.state
+    key = state["state"]["key"]
+    key[0] = int(seed) & _MASK64
+    key[1] = int(path_index) & _MASK64
+    rng.bit_generator.state = state
     return rng
 
 
@@ -216,7 +275,7 @@ def sample_drivers(
     share randomness regardless of evaluation order.
     """
     t0, T = float(horizon[0]), float(horizon[1])
-    grid, sqrt_dt = _grid_steps(t0, T, float(h))
+    _, sqrt_dt, points = _grid_steps(t0, T, float(h))
     rng = _path_rng(seed, path_index)
 
     lam = marks.total_mass
@@ -245,9 +304,8 @@ def sample_drivers(
 
     if jump_times:
         jt = np.array(jump_times)
-        jm = np.searchsorted(np.cumsum(marks.weights) / lam, uniforms, side="right")
-        times = _merged_times(grid, jt)
-        sqrt_dt = np.sqrt(times[1:] - times[:-1])
+        jm = np.searchsorted(marks.atom_cdf, uniforms, side="right")
+        sqrt_dt = _spliced_sqrt_dt(points, sqrt_dt, jump_times)
     else:
         jt, jm = np.zeros(0), np.zeros(0, dtype=np.int64)
     dW = rng.standard_normal((sqrt_dt.shape[0], d))
@@ -393,38 +451,47 @@ class McReport:
 
 
 class _BatchCoefficients:
-    """Row-vectorized coefficient evaluation for one model.
+    """Row-vectorized coefficient evaluation for one model, on blocks of at
+    most ``rows`` rows (one chunk).
 
     Affine models evaluate in closed form on (paths, m) blocks; black-box
     models through ``_net_drift`` and the triple's row evaluators, calling
-    the coefficients at each row's own time.
+    the coefficients at each row's own time.  The affine constants (the net
+    drift's and U) are tiled over ``rows`` rows once: a block adds a leading
+    slice in one flat loop, where adding a length-m vector to a (paths, m)
+    block runs one loop of m per row.
     """
 
-    def __init__(self, model: SdeModel):
+    def __init__(self, model: SdeModel, rows: int):
         self.model = model
         self.coeffs = model.coefficients
         aff = model.coefficients.affine
         self.affine = aff
         if aff is not None:
-            self._M, self._dvec = aff.net_drift_blocks(model.marks)
+            self._M, dvec = aff.net_drift_blocks(model.marks)
+            self._d_rows = np.tile(dvec, (rows, 1))
+            self._U_rows = np.tile(aff.U, (rows, 1, 1))
 
     def net_drift_rows(self, t, X: np.ndarray, per_path) -> np.ndarray:
-        """The net drift at each row of X.  Affine rows ``per_path`` (True:
-        all, False: none, or an index array) take one matrix-vector product
-        each, as BLAS rounds a lone row (gemv) differently from a block (gemm):
-        a jump path's state must not depend on which paths share its round."""
+        """The net drift at each row of X, a new array.  Affine rows
+        ``per_path`` (True: all, False: none, or an index array) take one
+        matrix-vector product each, as BLAS rounds a lone row (gemv)
+        differently from a block (gemm): a jump path's state must not depend
+        on which paths share its round."""
         if self.affine is None:
             return _net_drift(self.model, t, X)
         if per_path is True:
-            return (X[:, None, :] @ self._M.T)[:, 0] + self._dvec
-        out = X @ self._M.T + self._dvec
-        if per_path is not False:
-            out[per_path] = (X[per_path, None, :] @ self._M.T)[:, 0] + self._dvec
+            out = (X[:, None, :] @ self._M.T)[:, 0]
+        else:
+            out = X @ self._M.T
+            if per_path is not False:
+                out[per_path] = (X[per_path, None, :] @ self._M.T)[:, 0]
+        out += self._d_rows[: X.shape[0]]
         return out
 
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
-            return self.affine.diffusion_rows(t, X)
+            return self.affine.diffusion_rows(t, X, self._U_rows)
         return self.coeffs.sigma_rows(t, X)
 
     def jump_rows(self, t: np.ndarray, X: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -453,13 +520,31 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _noise_rows(sig: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """``np.einsum("pkd,pd->pk", sig, dW)``, bit for bit.  At d = 1 the sum
+    has one term, which einsum returns as 0 + sig * dW: one multiply per
+    coordinate column (a (paths, 1) factor would broadcast row by row) and
+    an add of 0.0, which turns -0.0 into +0.0 as einsum does."""
+    if dW.shape[1] != 1:
+        return np.einsum("pkd,pd->pk", sig, dW)
+    out = np.empty(sig.shape[:2])
+    for k in range(out.shape[1]):
+        np.multiply(sig[:, k, 0], dW[:, 0], out=out[:, k])
+    out += 0.0
+    return out
+
+
 def _step_rows(
     bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray, per_path
 ) -> np.ndarray:
-    """One Euler step of the rows of X from time(s) t over step(s) dt."""
+    """One Euler step of the rows of X from time(s) t over step(s) dt:
+    ``X + drift * dt + einsum("pkd,pd->pk", sigma, dW)``, operand for operand.
+    A per-row dt is a (paths, m) array, or a column on small blocks."""
     drift = bat.net_drift_rows(t, X, per_path)
-    sig = bat.sigma_rows(t, X)
-    return X + drift * dt + np.einsum("pkd,pd->pk", sig, dW)
+    drift *= dt
+    out = X + drift
+    out += _noise_rows(bat.sigma_rows(t, X), dW)
+    return out
 
 
 @dataclass(frozen=True)
@@ -526,7 +611,7 @@ def _event_rounds(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Ro
 
 
 def _run_chunk(
-    batches: Sequence[_BatchCoefficients],
+    models: Sequence[SdeModel],
     starts: Sequence[np.ndarray],
     drivers: Sequence[DriverRealization],
     grid: np.ndarray,
@@ -534,7 +619,9 @@ def _run_chunk(
     eps_path: float,
 ):
     K = len(drivers)
+    batches = [_BatchCoefficients(model, K) for model in models]
     X = [np.tile(np.asarray(x0, dtype=float), (K, 1)) for x0 in starts]
+    m = X[0].shape[1]  # the models of a problem share m
     coupled = len(batches) == 2 and stat_fn is not None
 
     dW_flat = np.concatenate([drv.dW for drv in drivers], axis=0)
@@ -566,8 +653,8 @@ def _run_chunk(
             if rounds:
                 sl = slice(ev.start[rounds[0]], ev.start[rounds[0] + 1])
                 jumping = ev.path[sl]
-                dt = np.full((K, 1), tr - tl)
-                dt[jumping, 0] = ev.t_end[sl] - tl
+                dt = np.full((K, m), tr - tl)
+                dt[jumping] = (ev.t_end[sl] - tl)[:, None]
             # (np.take: a row gather several times cheaper than dW_flat[nxt])
             dWi = np.take(dW_flat, nxt, axis=0)
             for mi, bat in enumerate(batches):
@@ -615,7 +702,7 @@ def _run_chunk(
 
 
 def _chunks(
-    batches: Sequence[_BatchCoefficients],
+    models: Sequence[SdeModel],
     starts: Sequence[np.ndarray],
     grid: np.ndarray,
     paths: int,
@@ -625,14 +712,14 @@ def _chunks(
     eps_path: float,
 ) -> Iterator[tuple]:
     """Yield ``_run_chunk``'s results for paths 0..paths-1, in blocks of _CHUNK."""
-    model = batches[0].model  # the models of a problem share their marks and d
+    model = models[0]  # the models of a problem share their marks and d
     horizon = (float(grid[0]), float(grid[-1]))
     for lo in range(0, paths, _CHUNK):
         drivers = [
             sample_drivers(model.marks, horizon, h, seed, p, d=model.d)
             for p in range(lo, min(lo + _CHUNK, paths))
         ]
-        yield _run_chunk(batches, starts, drivers, grid, stat_fn, eps_path)
+        yield _run_chunk(models, starts, drivers, grid, stat_fn, eps_path)
 
 
 def mc_comparison(
@@ -662,10 +749,10 @@ def mc_comparison(
     else:
         eps_path = default_eps_path(h, problem.x1, problem.x2)
     stat = stat_fn if stat_fn is not None else componentwise_stat
-    batches = (_BatchCoefficients(problem.model1), _BatchCoefficients(problem.model2))
+    models = (problem.model1, problem.model2)
     starts = (problem.x1, problem.x2)
     # keep each chunk's per-path records and drop its terminal states
-    records = [c[:3] for c in _chunks(batches, starts, grid, paths, h, seed, stat, eps_path)]
+    records = [c[:3] for c in _chunks(models, starts, grid, paths, h, seed, stat, eps_path)]
     viol, first_t, failed = (np.concatenate(r) for r in zip(*records))
 
     ok = ~failed
@@ -702,5 +789,7 @@ def sample_terminal_states(
     seed = check_seed(seed)
     grid = uniform_grid(t0, T, h)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    chunks = _chunks((_BatchCoefficients(model),), (x0,), grid, paths, h, seed, None, 0.0)
+    if x0.shape != (model.m,):
+        raise ValueError(f"x0 must be a vector of length {model.m}")
+    chunks = _chunks((model,), (x0,), grid, paths, h, seed, None, 0.0)
     return np.concatenate([X[0] for *_, X in chunks], axis=0)

@@ -134,6 +134,15 @@ class MarkMeasure:
         """Sum of the weights, computed on first read and kept."""
         return float(np.sum(self.weights))
 
+    @functools.cached_property
+    def atom_cdf(self) -> np.ndarray:
+        """The cumulative weights over the total mass, computed on first read
+        and kept (read-only): a uniform u draws atom ``searchsorted(atom_cdf,
+        u, side="right")``.  Only defined for a positive total mass."""
+        cdf = np.cumsum(self.weights) / self.total_mass
+        cdf.setflags(write=False)
+        return cdf
+
     def same_atoms(self, other: "MarkMeasure") -> bool:
         return (
             self.dimension == other.dimension
@@ -266,11 +275,27 @@ class AffineCoefficients:
         return not self.V.any() and not np.any(np.signbit(self.U) & (self.U == 0.0))
 
     # batch evaluation over rows of X, used by the vectorized engine
-    def diffusion_rows(self, t: float, X: np.ndarray) -> np.ndarray:
+    def diffusion_rows(
+        self, t: float, X: np.ndarray, U_rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """einsum("kaj,pj->pka", V, X) + U at every row of X, bit for bit.
+
+        ``U_rows`` is U repeated over at least X's rows, C-contiguous: adding
+        a leading slice of it is one flat loop, where adding U itself runs
+        one short loop per row.  At m = 1 the sum has one term, which einsum
+        returns as 0 + V x: that is ``X * V + 0.0`` (+0.0 for -0.0, NaN and
+        inf as in the product), one multiply by a scalar at d = 1.
+        """
         if self._diffusion_is_U:
             # a constant diffusion: every row is U, a read-only broadcast
             return np.broadcast_to(self.U, (X.shape[0],) + self.U.shape)
-        return np.einsum("kaj,pj->pka", self.V, X) + self.U
+        if self.m == 1:
+            out = X[:, :, None] * self.V[:, :, 0]
+            out += 0.0
+        else:
+            out = np.einsum("kaj,pj->pka", self.V, X)
+        out += self.U if U_rows is None else U_rows[: X.shape[0]]
+        return out
 
     def net_drift_blocks(self, marks: MarkMeasure) -> Tuple[np.ndarray, np.ndarray]:
         """Linear part and constant of the compensator-adjusted drift b - sum(w*gamma)."""

@@ -95,6 +95,8 @@ def _symmetrized(arr) -> np.ndarray:
     a = np.atleast_2d(np.asarray(arr, dtype=float))
     if a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("matrix must be square")
+    if a.shape[-1] == 0:
+        raise DimensionMismatch("matrix must have at least one row")
     scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
     if (np.abs(a - _T(a)) > _SYM_RTOL * (1.0 + scale)).any():
         raise ModelError("matrix is not symmetric")

@@ -186,6 +186,58 @@ class TestDrivers:
             "dd3af2e795758d358d5730bd49fcac78810a9e0f3c5ab3fff885b2082acee26d",
         )
 
+    @pytest.mark.parametrize("case", ["grid-point-and-two-in-a-step", "mass16", "mass1"])
+    def test_increments_are_normals_times_root_segment_lengths(self, case, monkeypatch):
+        # dW is built from the grid's own root step lengths, spliced at each
+        # jump; it must be z * sqrt(diff(times)) of the merged time list
+        normals = []
+
+        class Recorder:
+            """The path's generator, with scripted interarrivals if given."""
+
+            def __init__(self, rng, arrivals):
+                self.rng, self.arrivals = rng, arrivals
+
+            def standard_exponential(self):
+                if self.arrivals is None:
+                    return self.rng.standard_exponential()
+                return self.arrivals.pop(0)
+
+            def random(self):
+                return self.rng.random()
+
+            def standard_normal(self, shape):
+                normals.append(self.rng.standard_normal(shape))
+                return normals[-1].copy()
+
+        path_rng = engine._path_rng
+        if case == "grid-point-and-two-in-a-step":
+            # unit mass: t = 0.5 (a grid point), 0.625 and 0.6875 (one step),
+            # 0.8125, then past T
+            marks, h, d, paths = ONE_ATOM, 0.25, 2, 1
+            arrivals = [0.5, 0.125, 0.0625, 0.125, 1.0]
+        elif case == "mass16":
+            marks = MarkMeasure.from_atoms([([0.5], 6.0), ([-0.7], 7.0), ([0.2], 3.0)])
+            h, d, paths, arrivals = 2.0**-5, 2, 60, None
+        else:
+            marks, h, d, paths, arrivals = ONE_ATOM, 2.0**-9, 1, 60, None
+        monkeypatch.setattr(engine, "_path_rng", lambda s, p: Recorder(
+            path_rng(s, p), None if arrivals is None else list(arrivals)))
+        grid = uniform_grid(0.0, 1.0, h)
+        on_grid = shared_step = 0
+        for p in range(paths):
+            drv = sample_drivers(marks, (0.0, 1.0), h, seed=3, path_index=p, d=d)
+            z = normals.pop()
+            assert drv.dW.tobytes() == (z * np.sqrt(np.diff(drv.times))[:, None]).tobytes()
+            on_grid += np.isin(drv.jump_times, grid).sum()
+            shared_step += (np.diff(np.searchsorted(grid, drv.jump_times)) == 0).sum()
+        if case == "grid-point-and-two-in-a-step":
+            assert drv.jump_times.tolist() == [0.5, 0.625, 0.6875, 0.8125]
+            assert drv.times.tolist() == [0.0, 0.25, 0.5, 0.625, 0.6875, 0.75, 0.8125, 1.0]
+            assert on_grid == 1 and shared_step == 1
+        if case == "mass16":
+            assert shared_step > paths
+
     def test_no_jump_lands_on_t0(self):
         # near t0 = 2^53 a first interarrival below 1 leaves t at t0; that
         # jump goes to the next double, t0 + 2, and the later ones follow it
@@ -524,6 +576,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="paths must be >= 1"):
             sample_terminal_states(model, [1.0], 0.0, 1.0, 0, 2.0**-4, seed=1)
 
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [], [[1.0]]], ids=["long", "empty", "2-d"])
+    def test_terminal_states_reject_a_start_of_the_wrong_shape(self, x0):
+        model = scalar_model(bslope=-1.0, sigma=0.5)
+        with pytest.raises(ValueError, match="x0 must be a vector of length 1"):
+            sample_terminal_states(model, x0, 0.0, 1.0, 4, 2.0**-4, seed=1)
+        drv = sample_drivers(model.marks, (0.0, 1.0), 2.0**-4, seed=1, path_index=0, d=1)
+        with pytest.raises(ValueError, match="x0 must be a vector of length 1"):
+            simulate_path(model, x0, 0.0, drv)
+
+    def test_terminal_states_take_a_scalar_start_for_m_1(self):
+        model = scalar_model(bslope=-1.0, sigma=0.5)
+        a = sample_terminal_states(model, 1.0, 0.0, 1.0, 4, 2.0**-4, seed=1)
+        assert a.tobytes() == sample_terminal_states(model, [1.0], 0.0, 1.0, 4, 2.0**-4,
+                                                     seed=1).tobytes()
+
     def test_martingale_of_compensated_jumps(self):
         # no drift, no diffusion, constant jump amplitude: compensated form
         # makes X_T - x0 mean-zero
@@ -535,7 +602,7 @@ class TestMonteCarlo:
         assert abs(mean) <= 3.0 * se + 1e-3
 
 
-def _evaluated_diffusion(self, t, X):
+def _evaluated_diffusion(self, t, X, U_rows=None):
     """The affine diffusion as its formula, evaluated at every row."""
     return np.einsum("kaj,pj->pka", self.V, X) + self.U
 
@@ -591,6 +658,105 @@ class TestConstantDiffusion:
         assert fast_terms[finite].tobytes() == ref_terms[finite].tobytes()
 
 
+SPECIAL = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e-300,
+           1e300, -1.0, 0.75]
+
+
+def _special_rows(rng, K, m):
+    """K rows of m states: normal draws with about half the entries
+    replaced by -0.0, +-inf, NaN, subnormals and extremes."""
+    X = rng.standard_normal((K, m))
+    pick = rng.random((K, m)) < 0.5
+    X[pick] = rng.choice(SPECIAL, int(pick.sum()))
+    return X
+
+
+def _special_model(rng, m, d):
+    """An affine model with -0.0 and subnormal entries in every block."""
+    def block(*shape):
+        a = rng.standard_normal(shape)
+        flat = a.reshape(-1)  # a view: a is new and contiguous
+        flat[::3] = rng.choice([-0.0, 0.0, 5e-324, -1e-310], flat[::3].size)
+        return a
+    marks = MarkMeasure.from_atoms([([1.0], 0.7), ([-0.5], 1.3)])
+    return affine_model(block(m, m), block(m), block(m, d, m), block(m, d),
+                        block(2, m, m), block(2, m), marks)
+
+
+class TestBitwiseStep:
+    """The block Euler step, its drift and its diffusion give the bits of
+    the formulas ``X + drift * dt + einsum("pkd,pd->pk", sigma, dW)``,
+    ``X @ M.T + d`` (gemm for a block, gemv per row) and
+    ``einsum("kaj,pj->pka", V, X) + U``, on special values too."""
+
+    ROWS = 2048  # the tile of a full chunk
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            yield
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_step_drift_and_diffusion_match_the_formulas(self, m, d):
+        rng = np.random.default_rng(100 * m + d)
+        model = _special_model(rng, m, d)
+        aff = model.coefficients.affine
+        M, dvec = aff.net_drift_blocks(model.marks)
+        bat = engine._BatchCoefficients(model, self.ROWS)
+        for K in (1, 2, 7, self.ROWS):
+            X = _special_rows(rng, K, m)
+            dW = rng.standard_normal((K, d))
+            dW[rng.random((K, d)) < 0.1] = rng.choice(SPECIAL, 1)
+            sig_ref = np.einsum("kaj,pj->pka", aff.V, X) + aff.U
+            sig = bat.sigma_rows(0.0, X)
+            assert sig.tobytes() == sig_ref.tobytes()
+            assert aff.diffusion_rows(0.0, X).tobytes() == sig_ref.tobytes()
+            assert engine._noise_rows(sig, dW).tobytes() == \
+                np.einsum("pkd,pd->pk", sig, dW).tobytes()
+
+            gemm = X @ M.T + dvec
+            gemv = (X[:, None, :] @ M.T)[:, 0] + dvec
+            rows = rng.permutation(K)[: K // 3]
+            mixed = gemm.copy()
+            mixed[rows] = gemv[rows]
+            dt_col = rng.uniform(0.0, 2.0**-9, (K, 1))
+            dt_col[0] = 0.0
+            for per_path, drift in ((False, gemm), (True, gemv), (rows, mixed)):
+                assert bat.net_drift_rows(0.0, X, per_path).tobytes() == drift.tobytes()
+                for dt, dt_ref in ((2.0**-9, 2.0**-9), (np.repeat(dt_col, m, axis=1), dt_col),
+                                   (dt_col, dt_col)):
+                    got = engine._step_rows(bat, 0.0, X, dt, dW, per_path)
+                    ref = X + drift * dt_ref + np.einsum("pkd,pd->pk", sig_ref, dW)
+                    assert got.tobytes() == ref.tobytes(), (K, per_path)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_noise_of_a_constant_diffusion_matches_einsum(self, m):
+        # V = 0 and U without -0.0: sigma is U broadcast to every row
+        rng = np.random.default_rng(m)
+        model = affine_model(-np.eye(m), np.zeros(m), np.zeros((m, 1, m)),
+                             rng.standard_normal((m, 1)), np.zeros((0, m, m)),
+                             np.zeros((0, m)), MarkMeasure.from_atoms([], dimension=1))
+        sig = engine._BatchCoefficients(model, 16).sigma_rows(0.0, np.zeros((7, m)))
+        assert sig.strides[0] == 0
+        dW = rng.standard_normal((7, 1))
+        dW[3:5, 0] = (math.nan, -0.0)
+        assert engine._noise_rows(sig, dW).tobytes() == \
+            np.einsum("pkd,pd->pk", sig, dW).tobytes()
+
+    def test_one_term_products_are_einsum_on_special_values(self):
+        # every pair of special values, as the d = 1 noise and the m = 1
+        # diffusion (V must be finite): einsum's one-term sum is 0 + a*b
+        a, b = (v.reshape(-1, 1) for v in np.meshgrid(SPECIAL, SPECIAL))
+        noise = engine._noise_rows(a[:, :, None], b)
+        assert noise.tobytes() == np.einsum("pkd,pd->pk", a[:, :, None], b).tobytes()
+        X = np.array(SPECIAL)[:, None]
+        for v in filter(math.isfinite, SPECIAL):
+            aff = AffineCoefficients(B=[[0.0]], c=[0.0], V=[[[v]]], U=[[-0.0]], G=[], g=[])
+            assert aff.diffusion_rows(0.0, X).tobytes() == \
+                (np.einsum("kaj,pj->pka", aff.V, X) + aff.U).tobytes(), v
+
+
 class TestPerPathRecords:
     def test_first_violation_time_recorded(self):
         m1 = scalar_model(b=-1.0)
@@ -605,8 +771,8 @@ class TestPerPathRecords:
 
 
 def _run_pair_chunk(problem, drivers, grid, stat_fn=engine.componentwise_stat):
-    batches = tuple(engine._BatchCoefficients(m) for m in (problem.model1, problem.model2))
-    return engine._run_chunk(batches, (problem.x1, problem.x2), drivers, grid, stat_fn, 0.1)
+    return engine._run_chunk((problem.model1, problem.model2), (problem.x1, problem.x2),
+                             drivers, grid, stat_fn, 0.1)
 
 
 class TestEventRounds:

@@ -114,7 +114,8 @@ class TestEigSym:
         (np.array([[0.0, 1.0], [0.0, 0.0]]), ModelError, "not symmetric"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), ModelError, "finite"),
         (np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), DimensionMismatch, "square"),
-    ], ids=["non-square", "non-symmetric", "non-finite", "stack"])
+        (np.zeros((0, 0)), DimensionMismatch, "at least one row"),
+    ], ids=["non-square", "non-symmetric", "non-finite", "stack", "empty"])
     def test_bad_input_raises(self, y, error, match):
         # eig_sym takes a stack; svec, map offsets and initial states take
         # one matrix only
