@@ -20,16 +20,18 @@ The Monte Carlo kernel advances a chunk of paths through the uniform grid in
 event rounds.  In step i, round 0 is one block Euler step of every path,
 each to its first jump time in the step or to the grid point; round r >= 1
 advances, as one batch, every path with at least r jumps in the step, from
-its r-th jump to the next jump or the grid point.  Chunks run one after
-another, in path order, and per-path results are concatenated before any
-reduction.
+its r-th jump to the next jump or the grid point.  The rounds only record
+their rows of X2 - X1; one call of the violation statistic per grid step
+judges them with the block.  Chunks run in path order, and per-path results
+are concatenated before any reduction.
 
 A step computes X + drift*dt + sigma dW with the operands, and so the bits,
 of that formula, in few contiguous numpy calls.  The affine constants are
 tiled over the chunk's rows once and a per-row dt fills a (paths, m) array,
 so each add or multiply is one flat loop instead of one short loop per row;
 the one-term contractions (the d = 1 noise, the m = 1 diffusion) are
-products plus 0.0, which is what einsum returns for them.
+products plus 0.0, which is what einsum returns for them, and the m = 1
+drift is the product that gemm and gemv alike compute.
 """
 
 from __future__ import annotations
@@ -469,18 +471,23 @@ class _BatchCoefficients:
         self.affine = aff
         if aff is not None:
             self._M, dvec = aff.net_drift_blocks(model.marks)
-            self._d_rows = np.tile(dvec, (rows, 1))
+            # at m = 1, gemm and gemv both give (0 + x*M) + d, which is
+            # x*M + (d + 0.0): a -0.0 in d only leaves a +0.0 sum as it is
+            self._scale = float(self._M[0, 0]) if model.m == 1 else None
+            self._d_rows = np.tile(dvec if self._scale is None else dvec + 0.0, (rows, 1))
             self._U_rows = np.tile(aff.U, (rows, 1, 1))
 
     def net_drift_rows(self, t, X: np.ndarray, per_path) -> np.ndarray:
         """The net drift at each row of X, a new array.  Affine rows
         ``per_path`` (True: all, False: none, or an index array) take one
         matrix-vector product each, as BLAS rounds a lone row (gemv)
-        differently from a block (gemm): a jump path's state must not depend
-        on which paths share its round."""
+        differently from a block (gemm) when m >= 2: a jump path's state
+        must not depend on which paths share its round."""
         if self.affine is None:
             return _net_drift(self.model, t, X)
-        if per_path is True:
+        if self._scale is not None:
+            out = X * self._scale
+        elif per_path is True:
             out = (X[:, None, :] @ self._M.T)[:, 0]
         else:
             out = X @ self._M.T
@@ -551,20 +558,24 @@ def _step_rows(
 class _Rounds:
     """The jump sub-steps of a chunk, grouped into event rounds.
 
-    Sub-step q of path ``path[q]`` runs from ``t_left[q]`` to ``t_end[q]``
-    and then applies atom ``atom[q]`` (-1: none, the sub-step ends at the
-    grid point).  Sub-steps are sorted by (uniform step, round, path); round
-    g covers ``start[g]:start[g + 1]`` and lies in uniform step ``step[g]``.
-    The first round of a step starts at its grid point, so ``_run_chunk``
-    takes it within the step's block step and only applies its atoms.
+    Sub-step q of path ``path[q]`` runs from ``t_left[q]`` to ``t_end[q]``,
+    over segment ``seg[q]`` of the path's time list, then applies atom
+    ``atom[q]`` (-1: none, it ends at the grid point).  Sorted by (uniform
+    step, round, atom < 0, path), round g covers ``start[g]:start[g + 1]``,
+    ends at a jump up to ``jump_end[g]`` and lies in uniform step
+    ``step[g]``.  Round 0 of a step starts at its grid point: ``_run_chunk``
+    takes it within the block step, and gathers every sub-step's length and
+    increment once per chunk.
     """
 
     path: np.ndarray
     t_left: np.ndarray
     t_end: np.ndarray
+    seg: np.ndarray
     atom: np.ndarray
     step: np.ndarray
     start: np.ndarray
+    jump_end: np.ndarray
 
 
 def _event_rounds(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Rounds:
@@ -588,26 +599,41 @@ def _event_rounds(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Ro
     last = np.ones(jt.shape[0], dtype=bool)
     last[:-1] = first[1:]
     # the sub-step ending at a jump starts at the previous jump of the step,
-    # or at the grid point for the first, and runs in round rnd
+    # or at the grid point for the first, and runs in round rnd; its segment
+    # is its step plus the points the path's earlier jumps added
     rnd = pos - np.maximum.accumulate(np.where(first, pos, 0))
     prev = np.where(first, grid[step], np.roll(jt, 1))
+    added = np.concatenate([[0], np.cumsum(jt < right)])
+    seg = step + added[:-1] - added[np.cumsum(n_jumps) - n_jumps][path]
     # the closing sub-step from the last jump to the grid point
     close = last & (jt < right)
 
     path = np.concatenate([path, path[close]])
     step = np.concatenate([step, step[close]])
     rnd = np.concatenate([rnd, rnd[close] + 1])
-    order = np.lexsort((path, rnd, step))
+    atom = np.concatenate([atom, np.full(int(close.sum()), -1)])
+    order = np.lexsort((path, 2 * rnd + (atom < 0), step))  # jumps first
     key = (step * (int(rnd.max(initial=0)) + 1) + rnd)[order]
     _, start = np.unique(key, return_index=True)
     return _Rounds(
         path=path[order],
         t_left=np.concatenate([prev, jt[close]])[order],
         t_end=np.concatenate([jt, right[close]])[order],
-        atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[order],
+        seg=np.concatenate([seg, seg[close] + 1])[order],
+        atom=atom[order],
         step=step[order][start],
         start=np.append(start, order.shape[0]),
+        jump_end=start + np.add.reduceat(atom[order] >= 0, start, dtype=np.intp),
     )
+
+
+def _run_max(run: np.ndarray, s: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``run`` after a step with grid values ``s`` (overwritten) and sub-step
+    values ``v`` of paths ``P`` in time order: each path's largest value, the
+    earliest of equals (ufunc.at keeps the later, so the rows go in
+    backwards), replaces the old one if greater; a tie keeps the old one."""
+    np.maximum.at(s, P[::-1], v[::-1])
+    return np.where(s > run, s, run)
 
 
 def _run_chunk(
@@ -628,10 +654,14 @@ def _run_chunk(
     seg_counts = np.array([drv.dW.shape[0] for drv in drivers])
     nxt = np.cumsum(seg_counts) - seg_counts  # next dW row of each path
     ev = _event_rounds(drivers, grid)
+    # every sub-step's length and increment, once per chunk
+    sub_dt = (ev.t_end - ev.t_left)[:, None]
+    sub_dW = np.take(dW_flat, nxt[ev.path] + ev.seg, axis=0)
     # rounds of uniform step i: first_round[i] up to first_round[i + 1]
     first_round = np.searchsorted(ev.step, np.arange(grid.shape[0])).tolist()
+    start, jump_end = ev.start.tolist(), ev.jump_end.tolist()
 
-    failed = np.zeros(K, dtype=bool)
+    failed, any_failed = np.zeros(K, dtype=bool), False
     first_t = np.full(K, np.nan)
     if coupled:
         run_signed = stat_fn(X[1] - X[0])
@@ -646,55 +676,64 @@ def _run_chunk(
             tl = float(grid[i])
             tr = float(grid[i + 1])
             rounds = range(first_round[i], first_round[i + 1])
+            lo, hi = start[rounds.start], start[rounds.stop]  # its sub-steps
             # one block step of every path: to the grid point, or, for a path
             # that jumps in this step, to its first jump (round 0, which
             # starts at the grid point and keeps its row-by-row drift)
             dt, jumping = tr - tl, False
             if rounds:
-                sl = slice(ev.start[rounds[0]], ev.start[rounds[0] + 1])
-                jumping = ev.path[sl]
+                jumping = ev.path[lo : start[rounds[0] + 1]]
                 dt = np.full((K, m), tr - tl)
-                dt[jumping] = (ev.t_end[sl] - tl)[:, None]
+                dt[jumping] = sub_dt[lo : start[rounds[0] + 1]]
             # (np.take: a row gather several times cheaper than dW_flat[nxt])
             dWi = np.take(dW_flat, nxt, axis=0)
             for mi, bat in enumerate(batches):
                 X[mi] = _step_rows(bat, tl, X[mi], dt, dWi, jumping)
             nxt += 1
+            # the step's statistic rows: each sub-step's, then the grid point's
+            rows = np.empty((hi - lo + K, m)) if coupled else None
             for q in rounds:
-                sl = slice(ev.start[q], ev.start[q + 1])
-                p, t_left, t_end, atom = ev.path[sl], ev.t_left[sl], ev.t_end[sl], ev.atom[sl]
-                if q > rounds[0]:
-                    # round r >= 1 steps its paths on from their r-th jump
-                    dWr = np.take(dW_flat, nxt[p], axis=0)
-                    dt = (t_end - t_left)[:, None]
-                    nxt[p] += 1
-                jumps = atom >= 0
-                any_jump = bool(jumps.any())
-                for mi, bat in enumerate(batches):
-                    Xr = X[mi][p]
+                a, j, b = start[q], jump_end[q], start[q + 1]
+                p = ev.path[a:b]
+                ends = []
+                for bat, XM in zip(batches, X):
+                    Xr = XM[p]
                     if q > rounds[0]:
-                        Xr = _step_rows(bat, t_left, Xr, dt, dWr, True)
-                    if any_jump:
-                        Xr[jumps] = bat.jump_rows(t_end[jumps], Xr[jumps], atom[jumps])
-                    X[mi][p] = Xr
+                        # round r >= 1 steps its paths on from their r-th jump
+                        Xr = _step_rows(bat, ev.t_left[a:b], Xr, sub_dt[a:b], sub_dW[a:b], True)
+                    if j > a:  # the sub-steps that end at a jump come first
+                        Xr[: j - a] = bat.jump_rows(ev.t_end[a:j], Xr[: j - a], ev.atom[a:j])
+                    XM[p] = Xr
+                    ends.append(Xr)
                 if coupled:
-                    live = ~failed[p]
-                    p, t_end = p[live], t_end[live]
-                    if p.size:
-                        val = stat_fn(X[1][p] - X[0][p])
-                        ok = np.isfinite(val)
-                        run_signed[p] = np.where(ok & (val > run_signed[p]), val, run_signed[p])
-                        newly = ok & (val > eps_path) & np.isnan(first_t[p])
-                        first_t[p[newly]] = t_end[newly]
-            # end-of-step bookkeeping
-            for XM in X:
-                failed |= ~_finite_rows(XM)
-            if coupled:
-                s = stat_fn(X[1] - X[0])
-                ok = np.isfinite(s) & ~failed
-                run_signed = np.where(ok, np.maximum(run_signed, s), run_signed)
-                newly = ok & (s > eps_path) & np.isnan(first_t)
-                first_t[newly] = tr
+                    np.subtract(ends[1], ends[0], out=rows[a - lo : b - lo])
+            if len(rounds) > 1:  # the rows its later rounds read
+                np.add.at(nxt, ev.path[start[rounds[0] + 1] : hi], 1)
+            if not coupled:
+                continue  # a lone model's run only returns its states
+            # end-of-step bookkeeping, in one statistic call
+            P, TE = ev.path[lo:hi], ev.t_end[lo:hi]
+            diff = np.subtract(X[1], X[0], out=rows[hi - lo :])
+            if any_failed:  # judge sub-steps by the failures at the step's start
+                live = ~failed[P]
+                P, TE = P[live], TE[live]
+                rows = np.concatenate([rows[: hi - lo][live], diff])
+            if not np.isfinite(diff).all():  # else both sides are finite
+                for XM in X:
+                    failed |= ~_finite_rows(XM)
+                any_failed = bool(failed.any())
+            val, n = stat_fn(rows), P.shape[0]
+            # rows that do not count (NaN, inf, failed at the grid point): -inf
+            ok = np.isfinite(val)
+            if any_failed:
+                ok[n:] &= ~failed
+            val = np.where(ok, val, -np.inf)
+            hot = val > eps_path
+            unset = np.isnan(first_t)
+            first_t[unset & hot[n:]] = tr
+            hit = unset[P] & hot[:n]
+            np.fmin.at(first_t, P[hit], TE[hit])  # the earliest sub-step wins
+            run_signed = _run_max(run_signed, val[n:], P, val[:n])
 
     viol = np.maximum(run_signed, 0.0)
     viol[failed] = np.nan

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jumpcompare import engine
+from jumpcompare.cli import build_problem, gallery_configs
 from jumpcompare.engine import (
     InvalidStep,
     NonFiniteState,
@@ -533,6 +534,32 @@ class TestMonteCarlo:
             monkeypatch.setattr(engine, "_CHUNK", chunk)
             assert run() == whole, chunk
 
+    @pytest.mark.parametrize("scenario", ["corollary33-pass", "jump-monotone-fail"])
+    def test_one_path_chunks_match_at_m_1(self, scenario, monkeypatch):
+        # at m = 1 the drift is a product, so a lone row gets the bits it
+        # gets in any block; at m >= 2 BLAS still runs a lone row as gemv
+        problem = build_problem(next(c for c in gallery_configs() if c.id == scenario))
+        assert problem.m == 1 and problem.marks.total_mass > 0.0
+        h, seed, paths = 2.0**-5, 11, 40
+
+        def run():
+            rep = mc_comparison(problem, paths, h, seed, keep_paths=True)
+            rows = [rep.per_path.violation, rep.per_path.first_violation_time,
+                    rep.per_path.failed]
+            rows += [sample_terminal_states(model, x0, problem.t0, problem.T, paths, h, seed)
+                     for model, x0 in ((problem.model1, problem.x1),
+                                       (problem.model2, problem.x2))]
+            return rep, [r.tobytes() for r in rows]
+
+        rep, whole = run()
+        drivers = [sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
+                   for p in range(paths)]
+        assert sum(drv.jump_count for drv in drivers) > paths // 2
+        assert (rep.violating > 0) == scenario.endswith("-fail")
+        for chunk in (1, 3):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            assert run()[1] == whole, chunk
+
     @pytest.mark.parametrize("seed", [-3, 2**64])
     def test_seeds_outside_the_key_range_are_rejected(self, seed):
         model = scalar_model(bslope=-1.0, sigma=0.5)
@@ -744,6 +771,47 @@ class TestBitwiseStep:
         assert engine._noise_rows(sig, dW).tobytes() == \
             np.einsum("pkd,pd->pk", sig, dW).tobytes()
 
+    M1_SCALES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, -1e308, 2.5, -3.7e-300,
+                 2.2250738585072014e-308, 1e200, 1e-200]
+    M1_ROWS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-300, 1e300, -1.7976931348623157e308, -1.0,
+               0.75, 3.0, -2.5e-310, 1e-200]
+
+    @pytest.mark.parametrize("const", [0.0, -0.0, 1.5, -5e-324], ids=repr)
+    def test_m1_drift_is_a_product_on_special_values(self, const):
+        # at m = 1 the drift x*M + (d + 0.0) gives the bits of gemm and of
+        # per-row gemv, on every finite scale and 16 special states at
+        # every position of blocks of 1, 2, 3, 7 and 2048 rows
+        marks = MarkMeasure.from_atoms([], dimension=1)
+        for scale in self.M1_SCALES:
+            model = affine_model([[scale]], [const], np.zeros((1, 1, 1)), [[0.0]],
+                                 np.zeros((0, 1, 1)), np.zeros((0, 1)), marks)
+            M, dvec = model.coefficients.affine.net_drift_blocks(marks)
+            bat = engine._BatchCoefficients(model, self.ROWS)
+            for K in (1, 2, 3, 7, self.ROWS):
+                for shift in range(len(self.M1_ROWS)):
+                    X = np.resize(np.roll(self.M1_ROWS, shift), (K, 1))
+                    gemm = X @ M.T + dvec
+                    assert (X[:, None, :] @ M.T)[:, 0].tobytes() + dvec.tobytes() == \
+                        (X @ M.T).tobytes() + dvec.tobytes()
+                    for per_path in (False, True, np.arange(0, K, 2)):
+                        got = bat.net_drift_rows(0.0, X, per_path)
+                        assert got.tobytes() == gemm.tobytes(), (scale, K, shift)
+
+    def test_m1_drift_folds_the_plus_zero_into_the_constant(self):
+        # BLAS gives 0 + x*M, so a -0.0 product becomes +0.0 before d is
+        # added; with d = -0.0 the bare product plus d would keep -0.0
+        model = affine_model([[-1.0]], [-0.0], np.zeros((1, 1, 1)), [[0.0]],
+                             np.zeros((0, 1, 1)), np.zeros((0, 1)),
+                             MarkMeasure.from_atoms([], dimension=1))
+        M, dvec = model.coefficients.affine.net_drift_blocks(model.marks)
+        X = np.array([[0.0], [-0.0], [2.0]])
+        gemm = X @ M.T + dvec
+        assert np.signbit(gemm[:, 0]).tolist() == [False, False, True]
+        assert np.signbit(X * -1.0 + dvec)[0, 0]  # the product alone keeps -0.0
+        bat = engine._BatchCoefficients(model, 8)
+        assert bat.net_drift_rows(0.0, X, False).tobytes() == gemm.tobytes()
+
     def test_one_term_products_are_einsum_on_special_values(self):
         # every pair of special values, as the d = 1 noise and the m = 1
         # diffusion (V must be finite): einsum's one-term sum is 0 + a*b
@@ -830,3 +898,145 @@ class TestEventRounds:
         # a row at the start and after each of the 4 steps, plus one per
         # sub-step: one in each step ending on a jump, two in (0.5, 0.75]
         assert sum(rows) == 5 + 4
+        # in one call per grid step: the step's sub-step rows and its grid row
+        assert _substeps_per_step(drv, grid).tolist() == [0, 1, 2, 1]
+        assert rows == [1, 1, 2, 3, 2]
+
+
+def _substeps_per_step(drv, grid):
+    """The jump-adapted sub-steps of one path in each uniform step, counted
+    segment by segment from its time list: every segment of a step that
+    holds a jump is one sub-step."""
+    times, atoms = drv.times, drv.jump_atoms
+    steps = np.searchsorted(grid, times[1:], side="left") - 1
+    out = np.zeros(grid.shape[0] - 1, dtype=int)
+    for i in np.unique(steps[atoms >= 0]):
+        out[i] = np.count_nonzero(steps == i)
+    return out
+
+
+# Scripted paths for the statistic's bookkeeping: scalar models whose state
+# moves only at jumps (no diffusion, and a drift that cancels the
+# compensator exactly), on the grid 0, 0.25, ..., 1, with eps_path = 0.1.
+# Atom k shifts model 2 by SHIFTS[k] (atom 1 also scales both by 1 + 2^500),
+# so X2 - X1 moves by the shift; _stat reads a gap over 50 as inf.
+SHIFTS = [1.0, 0.0, 100.0, -100.5]
+SCRIPTED = {
+    "A": ([0.3], [0]),  # gap 1 from its jump on: violates at 0.3
+    "B": ([0.3, 0.4], [0, 0]),  # gap 1, then 2, in one step
+    "C": ([0.3, 0.35, 0.4, 0.45], [0, 1, 1, 1]),  # violates at 0.3, overflows at 0.45
+    "D": ([0.3, 0.35, 0.4], [0, 2, 3]),  # gap 1, then one whose statistic is inf, then 0.5
+}
+
+
+def _stat(diff):
+    return np.where(diff[:, 0] > 50.0, np.inf, diff[:, 0])
+
+
+def _scripted_run():
+    marks = MarkMeasure.from_atoms([([k + 1.0], 1.0) for k in range(len(SHIFTS))])
+    scale = [2.0**500 if k == 1 else 0.0 for k in range(len(SHIFTS))]
+    m1 = scalar_model(b=0.0, bslope=2.0**500, marks=marks,
+                      jumps=[(G, 0.0) for G in scale])
+    m2 = scalar_model(b=sum(SHIFTS), bslope=2.0**500, marks=marks,
+                      jumps=list(zip(scale, SHIFTS)))
+    for model in (m1, m2):
+        M, d = model.coefficients.affine.net_drift_blocks(marks)
+        assert M.tolist() == [[0.0]] and d.tolist() == [0.0]
+    problem = pair_problem(m1, m2, [1.0], [1.0])
+    grid = uniform_grid(0.0, 1.0, 0.25)
+    drivers = []
+    for times, atoms in SCRIPTED.values():
+        jt = np.array(times)
+        n_seg = 4 + int(np.count_nonzero(~np.isin(jt, grid)))
+        drivers.append(engine.DriverRealization(
+            t0=0.0, T=1.0, h=0.25, jump_times=jt, jump_marks=np.array(atoms, dtype=np.int64),
+            dW=np.zeros((n_seg, 1))))
+    viol, first_t, failed, _ = _run_pair_chunk(problem, drivers, grid, _stat)
+    return {name: (viol[p], first_t[p], failed[p]) for p, name in enumerate(SCRIPTED)}
+
+
+def _run_max_reference(run, s, P, v):
+    """One row at a time, the sub-step rows in time order and then the grid
+    row: a value replaces the run maximum only if greater."""
+    run = run.copy()
+    for p, value in [*zip(P.tolist(), v.tolist()), *enumerate(s.tolist())]:
+        if value > run[p]:
+            run[p] = value
+    return run
+
+
+class TestOneCallStatistic:
+    """The violation statistic is taken once per grid step, on the step's
+    sub-step rows and then the grid point's, with the rules of one call per
+    round: sub-step rows are judged against the failures at the step's
+    start, the earliest violating sub-step gives the first violation time,
+    and a value equal to the run maximum keeps the old one."""
+
+    def test_one_call_per_grid_step_sees_every_row(self, monkeypatch):
+        problem = dense_jump_problem(2)
+        h, seed, paths = 2.0**-4, 4, 12
+        grid = uniform_grid(problem.t0, problem.T, h)
+        n_steps = grid.shape[0] - 1
+        calls = []
+
+        def counting(diff):
+            calls.append(diff.shape[0])
+            return engine.componentwise_stat(diff)
+
+        monkeypatch.setattr(engine, "_CHUNK", 5)
+        rep = mc_comparison(problem, paths, h, seed, stat_fn=counting)
+        assert rep.failed == 0
+        per_step = [_substeps_per_step(
+            sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d), grid)
+            for p in range(paths)]
+        assert max(s.max() for s in per_step) >= 3
+        for lo in range(0, paths, 5):
+            K = min(5, paths - lo)
+            sub = np.sum(per_step[lo : lo + K], axis=0)
+            chunk, calls = calls[: n_steps + 1], calls[n_steps + 1 :]
+            assert chunk == [K] + (K + sub).tolist()
+            assert sum(chunk) == K * (n_steps + 1) + sub.sum()
+        assert calls == []
+
+    def test_first_violation_time_is_the_earliest_sub_step(self):
+        got = _scripted_run()
+        # over eps at its jump and again at the grid point: the jump time
+        assert got["A"] == (1.0, 0.3, False)
+        # over eps at both jumps of one step: the earlier
+        assert got["B"] == (2.0, 0.3, False)
+
+    def test_overflow_within_a_step(self):
+        got = _scripted_run()
+        # the state overflows at 0.45; its row at 0.3 still counts, since
+        # the path had not failed at the step's start
+        viol, first_t, failed = got["C"]
+        assert math.isnan(viol) and first_t == 0.3 and failed
+        # a statistic row that is not finite is skipped: the run maximum
+        # stays that of the earlier sub-step row
+        assert got["D"] == (1.0, 0.3, False)
+
+    def test_ties_with_the_run_maximum_keep_the_old_value(self):
+        # final violations read max(run, 0.0), which is +0.0 for both zeros,
+        # so the tie rule is checked on the step's run maximum itself
+        run = np.array([0.0, -0.0, -1.0, np.nan, 1.0, 1.0])
+        s = np.array([-0.0, 0.0, 0.0, 0.0, -np.inf, 0.5])  # -inf: not counted
+        P = np.array([0, 1, 2, 3, 4, 5, 2, 4])  # round 0, then round 1
+        v = np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf, 0.0, 2.0])
+        got = engine._run_max(run, s.copy(), P, v)
+        want = np.array([0.0, -0.0, -0.0, np.nan, 3.0, 1.0])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _run_max_reference(run, s, P, v).tobytes()
+
+    def test_run_max_matches_row_by_row_on_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        values = np.array([-0.0, 0.0, -1.0, 1.0, 2.0, -np.inf])
+        for K in (1, 3, 8):
+            for _ in range(200):
+                run = rng.choice(values[:-1], K)
+                s = rng.choice(values, K)
+                P = np.concatenate([rng.permutation(K)[: rng.integers(0, K + 1)]
+                                    for _ in range(3)])
+                v = rng.choice(values, P.shape[0])
+                got = engine._run_max(run, s.copy(), P, v)
+                assert got.tobytes() == _run_max_reference(run, s, P, v).tobytes()
