@@ -30,8 +30,11 @@ of that formula, in few contiguous numpy calls.  The affine constants are
 tiled over the chunk's rows once and a per-row dt fills a (paths, m) array,
 so each add or multiply is one flat loop instead of one short loop per row;
 the one-term contractions (the d = 1 noise, the m = 1 diffusion) are
-products plus 0.0, which is what einsum returns for them, and the m = 1
-drift is the product that gemm and gemv alike compute.
+products plus 0.0, which is what einsum returns for them.  The m = 1 drift
+is the product that gemm and gemv alike compute, and the m >= 2 drift is
+one gemm per block, a lone row run as the first of two, since BLAS runs a
+one-row product as gemv, which rounds differently.  A row thus gets the same
+bits in any block, and a one-path chunk those of any larger chunk.
 """
 
 from __future__ import annotations
@@ -49,16 +52,11 @@ from .model import ComparisonProblem, MarkMeasure, SdeModel, check_seed
 
 __all__ = [
     "InvalidStep",
-    "NonFiniteState",
     "DriverRealization",
-    "Trajectory",
     "McReport",
     "PathRecords",
     "uniform_grid",
     "sample_drivers",
-    "simulate_path",
-    "simulate_coupled",
-    "violation_stat",
     "mc_comparison",
     "sample_terminal_states",
     "default_eps_path",
@@ -71,14 +69,6 @@ _CHUNK = 2048  # paths per chunk; bounds the working memory of one _run_chunk ca
 
 class InvalidStep(ValueError):
     """Step size is nonpositive or exceeds the horizon length."""
-
-
-class NonFiniteState(RuntimeError):
-    """Integration produced an overflow or NaN; carries the first bad time."""
-
-    def __init__(self, time: float):
-        super().__init__(f"non-finite state first encountered at t={time!r}")
-        self.time = float(time)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +205,6 @@ class DriverRealization:
     def n_segments(self) -> int:
         return self.dW.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.dW.shape[1]
-
-    def jump_events(self) -> List[Tuple[float, int]]:
-        return list(zip(self.jump_times.tolist(), self.jump_marks.tolist()))
-
-    @property
-    def jump_count(self) -> int:
-        return int(self.jump_times.shape[0])
-
 
 _rngs = threading.local()
 
@@ -316,91 +295,6 @@ def sample_drivers(
 
 
 # ---------------------------------------------------------------------------
-# Trajectories (per-path reference integrator)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Times and post-event states of one path (cadlag convention:
-    the stored value at a jump time is the post-jump state; the pre-jump
-    value is the previous entry evolved to the jump time)."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def _net_drift(model: SdeModel, t, X: np.ndarray) -> np.ndarray:
-    """The compensator-adjusted drift b - sum_j w_j gamma(., ., j) at each
-    row of X, at time t (or t[i]), through the coefficients' row evaluators."""
-    coeffs = model.coefficients
-    out = coeffs.b_rows(t, X)
-    for j, w in enumerate(model.marks.weights):
-        if w != 0.0:
-            out = out - w * coeffs.gamma_rows(t, X, j)
-    return out
-
-
-def simulate_path(
-    model: SdeModel, x0, t0: float, drivers: DriverRealization
-) -> Trajectory:
-    """Integrate one SDE against a fixed driver realization.
-
-    Raises NonFiniteState at the first time the state overflows.
-    """
-    if drivers.t0 != float(t0):
-        raise ValueError(f"drivers start at t0={drivers.t0}, path starts at {t0}")
-    if drivers.d != model.d:
-        raise ValueError(f"drivers carry d={drivers.d} increments, model has d={model.d}")
-    coeffs = model.coefficients
-    times = drivers.times
-    jump_atoms = drivers.jump_atoms
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if x.shape != (model.m,):
-        raise ValueError(f"x0 must be a vector of length {model.m}")
-    states = np.empty((times.shape[0], model.m))
-    states[0] = x
-    # overflow is reported through NonFiniteState, not per-element warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(times.shape[0] - 1):
-            tl = times[i]
-            dt = times[i + 1] - tl
-            x = x + _net_drift(model, tl, x[None])[0] * dt + coeffs.sigma(tl, x) @ drivers.dW[i]
-            atom = int(jump_atoms[i])
-            if atom >= 0:
-                x = x + coeffs.gamma(times[i + 1], x, atom)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(times[i + 1])
-            states[i + 1] = x
-    return Trajectory(times=times, states=states)
-
-
-def simulate_coupled(
-    problem: ComparisonProblem, drivers: DriverRealization
-) -> Tuple[Trajectory, Trajectory]:
-    """Integrate both models of a problem against the identical drivers."""
-    traj1 = simulate_path(problem.model1, problem.x1, problem.t0, drivers)
-    traj2 = simulate_path(problem.model2, problem.x2, problem.t0, drivers)
-    return traj1, traj2
-
-
-def violation_stat(pair: Tuple[Trajectory, Trajectory]) -> float:
-    """Worst ordering violation over the shared time list.
-
-    Returns max over times and coordinates of the positive part of X2 - X1;
-    zero means the ordering held on this path.
-    """
-    traj1, traj2 = pair
-    if not np.array_equal(traj1.times, traj2.times):
-        raise ValueError("trajectories must share the same time list")
-    diff = traj2.states - traj1.states
-    return float(max(0.0, float(diff.max())))
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo (vectorized chunk integrator)
 # ---------------------------------------------------------------------------
 
@@ -452,6 +346,17 @@ class McReport:
     per_path: Optional[PathRecords] = None
 
 
+def _net_drift(model: SdeModel, t, X: np.ndarray) -> np.ndarray:
+    """The compensator-adjusted drift b - sum_j w_j gamma(., ., j) at each
+    row of X, at time t (or t[i]), through the coefficients' row evaluators."""
+    coeffs = model.coefficients
+    out = coeffs.b_rows(t, X)
+    for j, w in enumerate(model.marks.weights):
+        if w != 0.0:
+            out = out - w * coeffs.gamma_rows(t, X, j)
+    return out
+
+
 class _BatchCoefficients:
     """Row-vectorized coefficient evaluation for one model, on blocks of at
     most ``rows`` rows (one chunk).
@@ -477,22 +382,19 @@ class _BatchCoefficients:
             self._d_rows = np.tile(dvec if self._scale is None else dvec + 0.0, (rows, 1))
             self._U_rows = np.tile(aff.U, (rows, 1, 1))
 
-    def net_drift_rows(self, t, X: np.ndarray, per_path) -> np.ndarray:
-        """The net drift at each row of X, a new array.  Affine rows
-        ``per_path`` (True: all, False: none, or an index array) take one
-        matrix-vector product each, as BLAS rounds a lone row (gemv)
-        differently from a block (gemm) when m >= 2: a jump path's state
-        must not depend on which paths share its round."""
+    def net_drift_rows(self, t, X: np.ndarray) -> np.ndarray:
+        """The net drift at each row of X, a new array, with the bits a row
+        gets in any block.  At m >= 2 that is one gemm ``X @ M.T``: a lone
+        row goes in as the first of two, since BLAS runs a one-row product
+        as gemv, which rounds unlike gemm."""
         if self.affine is None:
             return _net_drift(self.model, t, X)
         if self._scale is not None:
             out = X * self._scale
-        elif per_path is True:
-            out = (X[:, None, :] @ self._M.T)[:, 0]
+        elif X.shape[0] == 1:
+            out = (np.concatenate((X, X)) @ self._M.T)[:1]
         else:
             out = X @ self._M.T
-            if per_path is not False:
-                out[per_path] = (X[per_path, None, :] @ self._M.T)[:, 0]
         out += self._d_rows[: X.shape[0]]
         return out
 
@@ -541,13 +443,11 @@ def _noise_rows(sig: np.ndarray, dW: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_rows(
-    bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray, per_path
-) -> np.ndarray:
+def _step_rows(bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray) -> np.ndarray:
     """One Euler step of the rows of X from time(s) t over step(s) dt:
     ``X + drift * dt + einsum("pkd,pd->pk", sigma, dW)``, operand for operand.
     A per-row dt is a (paths, m) array, or a column on small blocks."""
-    drift = bat.net_drift_rows(t, X, per_path)
+    drift = bat.net_drift_rows(t, X)
     drift *= dt
     out = X + drift
     out += _noise_rows(bat.sigma_rows(t, X), dW)
@@ -679,16 +579,16 @@ def _run_chunk(
             lo, hi = start[rounds.start], start[rounds.stop]  # its sub-steps
             # one block step of every path: to the grid point, or, for a path
             # that jumps in this step, to its first jump (round 0, which
-            # starts at the grid point and keeps its row-by-row drift)
-            dt, jumping = tr - tl, False
+            # starts at the grid point)
+            dt = tr - tl
             if rounds:
-                jumping = ev.path[lo : start[rounds[0] + 1]]
+                round0 = slice(lo, start[rounds[0] + 1])  # its sub-steps
                 dt = np.full((K, m), tr - tl)
-                dt[jumping] = sub_dt[lo : start[rounds[0] + 1]]
+                dt[ev.path[round0]] = sub_dt[round0]
             # (np.take: a row gather several times cheaper than dW_flat[nxt])
             dWi = np.take(dW_flat, nxt, axis=0)
             for mi, bat in enumerate(batches):
-                X[mi] = _step_rows(bat, tl, X[mi], dt, dWi, jumping)
+                X[mi] = _step_rows(bat, tl, X[mi], dt, dWi)
             nxt += 1
             # the step's statistic rows: each sub-step's, then the grid point's
             rows = np.empty((hi - lo + K, m)) if coupled else None
@@ -700,7 +600,7 @@ def _run_chunk(
                     Xr = XM[p]
                     if q > rounds[0]:
                         # round r >= 1 steps its paths on from their r-th jump
-                        Xr = _step_rows(bat, ev.t_left[a:b], Xr, sub_dt[a:b], sub_dW[a:b], True)
+                        Xr = _step_rows(bat, ev.t_left[a:b], Xr, sub_dt[a:b], sub_dW[a:b])
                     if j > a:  # the sub-steps that end at a jump come first
                         Xr[: j - a] = bat.jump_rows(ev.t_end[a:j], Xr[: j - a], ev.atom[a:j])
                     XM[p] = Xr

@@ -158,7 +158,7 @@ def test_criterion_5_engine_oracles():
 
     rate_marks = MarkMeasure.from_atoms([([1.0], 1.5), ([-1.0], 0.5)])
     counts = [
-        engine.sample_drivers(rate_marks, (0.0, 1.0), 2.0**-5, 73, p, d=1).jump_count
+        engine.sample_drivers(rate_marks, (0.0, 1.0), 2.0**-5, 73, p, d=1).jump_times.size
         for p in range(10_000)
     ]
     cmean = float(np.mean(counts))

@@ -7,18 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from jumpcompare import engine
+from jumpcompare import engine, psdcone
 from jumpcompare.cli import build_problem, gallery_configs
 from jumpcompare.engine import (
     InvalidStep,
-    NonFiniteState,
     mc_comparison,
     sample_drivers,
     sample_terminal_states,
-    simulate_coupled,
-    simulate_path,
     uniform_grid,
-    violation_stat,
     wilson_interval,
 )
 from jumpcompare.model import (
@@ -30,6 +26,7 @@ from jumpcompare.model import (
     SdeModel,
     Tolerances,
 )
+from jumpcompare.psdcone import mc_matrix_comparison, svec
 
 from suitegen import dense_jump_problem, random_problem, strip_affine
 
@@ -70,6 +67,11 @@ def pair_problem(m1, m2, x1, x2, eps_path=None):
 ONE_ATOM = MarkMeasure.from_atoms([([1.0], 1.0)])
 
 
+def _events_repr(drv):
+    """The (time, atom) pairs of a realization's jumps, as bytes to hash."""
+    return repr(list(zip(drv.jump_times.tolist(), drv.jump_marks.tolist()))).encode()
+
+
 class TestGrid:
     def test_dyadic_grid(self):
         g = uniform_grid(0.0, 1.0, 0.25)
@@ -91,7 +93,7 @@ class TestDrivers:
     def test_no_atoms_pure_diffusion(self):
         marks = MarkMeasure.from_atoms([], dimension=1)
         drv = sample_drivers(marks, (0.0, 1.0), 0.25, seed=1, path_index=0, d=2)
-        assert drv.jump_count == 0
+        assert drv.jump_times.size == 0
         assert np.array_equal(drv.times, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert drv.dW.shape == (4, 2)
 
@@ -114,7 +116,7 @@ class TestDrivers:
         marks = MarkMeasure.from_atoms([([1.0], 1.5), ([-1.0], 0.5)])
         n = 10_000
         counts = [
-            sample_drivers(marks, (0.0, 1.0), 2.0**-3, seed=5, path_index=p, d=1).jump_count
+            sample_drivers(marks, (0.0, 1.0), 2.0**-3, seed=5, path_index=p, d=1).jump_times.size
             for p in range(n)
         ]
         mean = float(np.mean(counts))
@@ -138,7 +140,7 @@ class TestDrivers:
         drv = sample_drivers(marks, (0.0, 1.0), 0.25, seed=11, path_index=3, d=1)
         assert np.all(np.diff(drv.times) > 0)
         assert drv.times[0] == 0.0 and drv.times[-1] == 1.0
-        for tau, _ in drv.jump_events():
+        for tau in drv.jump_times:
             assert tau in drv.times
 
     @pytest.mark.parametrize("atoms,h,seed,path,d,digests", [
@@ -162,7 +164,7 @@ class TestDrivers:
             drv.times.tobytes(),
             drv.dW.tobytes(),
             drv.jump_atoms.astype(np.int64).tobytes(),
-            repr(drv.jump_events()).encode(),
+            _events_repr(drv),
         )
         assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests
 
@@ -177,9 +179,9 @@ class TestDrivers:
         assert t0 < drv.jump_times[0] and np.all(np.diff(drv.jump_times) > 0)
         assert np.isin(drv.jump_times, grid).sum() == 4
         # 4 grid steps, split once more by each of the jumps off the grid
-        assert drv.n_segments == drv.times.shape[0] - 1 == 4 + (drv.jump_count - 4)
+        assert drv.n_segments == drv.times.shape[0] - 1 == 4 + (drv.jump_times.size - 4)
         got = (drv.times.tobytes(), drv.dW.tobytes(),
-               drv.jump_atoms.astype(np.int64).tobytes(), repr(drv.jump_events()).encode())
+               drv.jump_atoms.astype(np.int64).tobytes(), _events_repr(drv))
         assert tuple(hashlib.sha256(b).hexdigest() for b in got) == (
             "56b42677a3c13d1935372f8b6f96de1e473f2a99ffbad6896a62dfacb8e53e63",
             "4168b3138f86993c5c7ed9d2b175996909c05bc97fdbbcedfc9c366a8918f162",
@@ -254,7 +256,7 @@ class TestDrivers:
         # Brownian row of its path would be read one segment off
         model = scalar_model(marks=marks, jumps=[(0.0, 1.0), (0.0, 1.0)])
         drv = sample_drivers(marks, horizon, 16.0, seed=14, path_index=0, d=1)
-        assert drv.jump_times[0] == t0 + 2.0 and drv.jump_count == 28
+        assert drv.jump_times[0] == t0 + 2.0 and drv.jump_times.size == 28
         x_T = sample_terminal_states(model, [0.0], *horizon, 1, 16.0, seed=14)
         assert x_T[0, 0] == pytest.approx(-1.1 * 64.0 + 28, abs=1e-9)
 
@@ -350,12 +352,53 @@ class TestRowReductions:
         assert np.array_equal(engine._finite_rows(rows), np.isfinite(rows).all(axis=1))
 
 
-class TestSimulatePath:
+def _run_pair_chunk(problem, drivers, grid, stat_fn=engine.componentwise_stat):
+    return engine._run_chunk((problem.model1, problem.model2), (problem.x1, problem.x2),
+                             drivers, grid, stat_fn, 0.1)
+
+
+def _recording(rows):
+    """The componentwise statistic, keeping a copy of every block it judges."""
+    def stat(diff):
+        rows.append(diff.copy())
+        return engine.componentwise_stat(diff)
+    return stat
+
+
+def _row_times(drv, grid):
+    """The time of each statistic row of a one-path kernel run: the start,
+    then in each grid step its sub-steps' ends (each jump, and the grid point
+    after a last jump off it) and the grid point."""
+    out = [grid[0]]
+    step = np.searchsorted(grid, drv.jump_times, side="left") - 1
+    for i in range(grid.shape[0] - 1):
+        ends = drv.jump_times[step == i].tolist()
+        if ends and ends[-1] < grid[i + 1]:
+            ends.append(grid[i + 1])
+        out += ends + [grid[i + 1]]
+    return np.array(out)
+
+
+def _trace(model, x0, drv, grid):
+    """(times, states) of one path of ``model``, from a one-path kernel run
+    coupled to a model that stays at 0: each statistic row is X - 0 = X."""
+    m, d, n = model.m, model.d, model.marks.n_atoms
+    still = affine_model(np.zeros((m, m)), np.zeros(m), np.zeros((m, d, m)), np.zeros((m, d)),
+                         np.zeros((n, m, m)), np.zeros((n, m)), model.marks)
+    rows = []
+    engine._run_chunk((still, model), (np.zeros(m), x0), [drv], grid, _recording(rows), 0.1)
+    return _row_times(drv, grid), np.concatenate(rows)
+
+
+class TestOnePath:
+    """One path through the kernel, against states known in closed form."""
+
     def test_constant_when_all_zero(self):
         model = scalar_model(marks=ONE_ATOM, jumps=[(0.0, 0.0)])
         drv = sample_drivers(ONE_ATOM, (0.0, 1.0), 0.25, seed=1, path_index=0, d=1)
-        traj = simulate_path(model, [1.5], 0.0, drv)
-        assert np.all(traj.states == 1.5)
+        times, states = _trace(model, [1.5], drv, uniform_grid(0.0, 1.0, 0.25))
+        assert drv.jump_times.size > 0
+        assert states.shape == (times.shape[0], 1) and np.all(states == 1.5)
 
     def test_ou_mean_sanity(self):
         # mean-reverting drift, constant diffusion: E X_T = exp(-1) * x0
@@ -376,17 +419,27 @@ class TestSimulatePath:
         se = math.sqrt(2.0 / len(increments))
         assert abs(mean - 2.0) <= 3.0 * se
 
-    def test_jump_times_are_trajectory_points(self):
+    def test_jump_only_linear_model_has_its_closed_form(self):
+        # each jump maps x to 2x + 1/2; the drift 2x + 1 is the compensator
+        # of that jump at rate 2, so the net drift is 0 and, without
+        # diffusion, X_t = 2^N(t) (x0 + 1/2) - 1/2 exactly, N(t) the number
+        # of jumps up to t: the state moves at each jump time and only there
         marks = MarkMeasure.from_atoms([([1.0], 2.0)])
-        model = scalar_model(b=0.1, sigma=0.2, marks=marks, jumps=[(0.0, 0.3)])
-        drv = sample_drivers(marks, (0.0, 1.0), 0.125, seed=17, path_index=5, d=1)
-        traj = simulate_path(model, [0.0], 0.0, drv)
-        assert np.array_equal(traj.times, drv.times)
-        for tau, _ in drv.jump_events():
-            assert tau in traj.times
+        model = scalar_model(b=1.0, bslope=2.0, marks=marks, jumps=[(1.0, 0.5)])
+        M, dvec = model.coefficients.affine.net_drift_blocks(marks)
+        assert M.tolist() == [[0.0]] and dvec.tolist() == [0.0]
+        grid = uniform_grid(0.0, 1.0, 0.25)
+        drv = sample_drivers(marks, (0.0, 1.0), 0.25, seed=17, path_index=7, d=1)
+        # four jumps, the last two in the last grid step
+        assert (np.searchsorted(grid, drv.jump_times) - 1).tolist() == [1, 2, 3, 3]
+        times, states = _trace(model, [0.75], drv, grid)
+        n = np.searchsorted(drv.jump_times, times, side="right")
+        assert states[:, 0].tolist() == (2.0**n * 1.25 - 0.5).tolist()
+        assert states[-1, 0] == 19.5
 
-    def test_nonfinite_raises_with_time(self):
-        # cubically exploding drift overflows quickly
+    def test_overflow_fails_the_path_from_its_first_bad_time(self):
+        # x' = x^3 from 1e4 at h = 1/16 overflows on its fifth step:
+        # 6.25e10, 1.5e31, 2.1e92, 5.9e275, then inf at t = 5/16
         marks = MarkMeasure.from_atoms([], dimension=1)
         triple = CoefficientTriple(
             m=1, d=1,
@@ -396,10 +449,14 @@ class TestSimulatePath:
         )
         model = SdeModel(coefficients=triple, marks=marks,
                          budget=RegularityBudget(mu=1.0, rho=np.zeros(0)))
+        grid = uniform_grid(0.0, 1.0, 2.0**-4)
         drv = sample_drivers(marks, (0.0, 1.0), 2.0**-4, seed=2, path_index=0, d=1)
-        with pytest.raises(NonFiniteState) as err:
-            simulate_path(model, [1e4], 0.0, drv)
-        assert 0.0 < err.value.time <= 1.0
+        times, states = _trace(model, [1e4], drv, grid)
+        bad = ~np.isfinite(states[:, 0])
+        assert times[bad][0] == 5 * 2.0**-4 and bad[np.argmax(bad):].all()
+        viol, _, failed, _ = _run_pair_chunk(pair_problem(model, model, [1e4], [1e4]), [drv],
+                                             grid)
+        assert failed[0] and math.isnan(viol[0])
 
 
 class TestCoupled:
@@ -408,45 +465,50 @@ class TestCoupled:
         model = scalar_model(b=0.3, bslope=-0.2, sigma=0.4, marks=marks, jumps=[(0.1, 0.2)])
         problem = pair_problem(model, model, [0.7], [0.7])
         drv = sample_drivers(marks, (0.0, 1.0), 2.0**-5, seed=4, path_index=0, d=1)
-        t1, t2 = simulate_coupled(problem, drv)
-        assert np.array_equal(t1.states, t2.states)
-        assert violation_stat((t1, t2)) == 0.0
+        grid = uniform_grid(0.0, 1.0, 2.0**-5)
+        rows = []
+        viol, _, failed, (X1, X2) = _run_pair_chunk(problem, [drv], grid, _recording(rows))
+        assert drv.jump_times.size > 0
+        assert X1.tobytes() == X2.tobytes()
+        assert viol[0] == 0.0 and not failed[0]
+        assert not np.concatenate(rows).any()
 
     def test_coupling_replays_same_drivers(self):
         # coupled integration consumes exactly the per-model replay of the
         # same driver realization
         problem, _ = random_problem(21, failing=False)
-        drv = sample_drivers(problem.marks, problem.horizon, 2.0**-5, seed=10,
-                             path_index=2, d=problem.d)
-        t1, t2 = simulate_coupled(problem, drv)
-        r1 = simulate_path(problem.model1, problem.x1, problem.t0, drv)
-        r2 = simulate_path(problem.model2, problem.x2, problem.t0, drv)
-        assert np.array_equal(t1.states, r1.states)
-        assert np.array_equal(t2.states, r2.states)
+        h = 2.0**-5
+        grid = uniform_grid(problem.t0, problem.T, h)
+        drv = sample_drivers(problem.marks, problem.horizon, h, seed=10, path_index=2,
+                             d=problem.d)
+        *_, coupled = _run_pair_chunk(problem, [drv], grid)
+        for model, x0, X in zip((problem.model1, problem.model2), (problem.x1, problem.x2),
+                                coupled):
+            alone = engine._run_chunk((model,), (x0,), [drv], grid, None, 0.0)[3]
+            assert X.tobytes() == alone[0].tobytes()
 
     def test_deterministic_drift_gap_difference(self):
-        # b1 - b2 = 1, everything else equal: difference grows linearly, exactly
-        m1 = scalar_model(b=1.0, sigma=0.3)
-        m2 = scalar_model(b=0.0, sigma=0.3)
-        problem = pair_problem(m1, m2, [0.0], [0.0])
-        drv = sample_drivers(problem.marks, (0.0, 1.0), 2.0**-5, seed=6, path_index=0, d=1)
-        t1, t2 = simulate_coupled(problem, drv)
-        diff = t1.states[:, 0] - t2.states[:, 0]
-        assert np.allclose(diff, drv.times, atol=1e-12)
-
-    def test_violation_stat_cases(self):
-        times = np.array([0.0, 0.5, 1.0])
-        zeros = engine.Trajectory(times=times, states=np.zeros((3, 1)))
-        ones = engine.Trajectory(times=times, states=np.ones((3, 1)))
-        assert violation_stat((zeros, zeros)) == 0.0
-        assert violation_stat((zeros, ones)) == 1.0
-        # negative drift gap: difference is -t, terminal violation T - t0
-        m1 = scalar_model(b=-1.0)
-        m2 = scalar_model(b=0.0)
-        problem = pair_problem(m1, m2, [0.0], [0.0])
-        drv = sample_drivers(problem.marks, (0.0, 1.0), 2.0**-5, seed=6, path_index=0, d=1)
-        pair = simulate_coupled(problem, drv)
-        assert violation_stat(pair) == pytest.approx(1.0, abs=1e-12)
+        # b1 - b2 = 1, everything else equal: X2 - X1 = -t at every row;
+        # the dyadic steps make it exact without diffusion, and rounding in
+        # the shared noise sums is all that moves it with diffusion
+        grid = uniform_grid(0.0, 1.0, 2.0**-5)
+        for sigma in (0.0, 0.3):
+            m1, m2 = scalar_model(b=1.0, sigma=sigma), scalar_model(b=0.0, sigma=sigma)
+            drv = sample_drivers(m1.marks, (0.0, 1.0), 2.0**-5, seed=6, path_index=0, d=1)
+            rows = []
+            viol, first_t, _, _ = _run_pair_chunk(pair_problem(m1, m2, [0.0], [0.0]), [drv],
+                                                  grid, _recording(rows))
+            diff = np.concatenate(rows)[:, 0]
+            if sigma == 0.0:
+                assert diff.tolist() == (-grid).tolist()
+            else:
+                assert np.allclose(diff, -grid, rtol=0.0, atol=1e-12)
+            assert viol[0] == 0.0 and math.isnan(first_t[0])
+        # the gap the other way: X2 - X1 = t, so the violation is T - t0 and
+        # first exceeds eps_path = 0.1 at the grid point 0.125
+        m1, m2 = scalar_model(b=-1.0), scalar_model(b=0.0)
+        viol, first_t, _, _ = _run_pair_chunk(pair_problem(m1, m2, [0.0], [0.0]), [drv], grid)
+        assert viol[0] == 1.0 and first_t[0] == 0.125
 
 
 class TestMonteCarlo:
@@ -475,14 +537,21 @@ class TestMonteCarlo:
         assert rep.violation_fraction == 0.0
         assert rep.max_violation == 0.0
 
-    def test_chunked_matches_reference(self):
+    def test_one_path_kernel_calls_match_the_chunk(self):
+        # each path of an m = 3 pair with jumps, run alone through the
+        # kernel, gets the per-path records it gets in one chunk of 48
         problem, _ = random_problem(33, failing=False)
         h = 2.0**-5
         rep = mc_comparison(problem, 48, h, seed=77, keep_paths=True)
-        for p in range(48):
-            drv = sample_drivers(problem.marks, problem.horizon, h, 77, p, d=problem.d)
-            ref = violation_stat(simulate_coupled(problem, drv))
-            assert rep.per_path.violation[p] == pytest.approx(ref, abs=1e-10)
+        grid = uniform_grid(problem.t0, problem.T, h)
+        alone = [engine._run_chunk(
+            (problem.model1, problem.model2), (problem.x1, problem.x2),
+            [sample_drivers(problem.marks, problem.horizon, h, 77, p, d=problem.d)], grid,
+            engine.componentwise_stat, rep.eps_path) for p in range(48)]
+        assert problem.m == 3 and problem.marks.total_mass > 0.0
+        for i, field in enumerate(("violation", "first_violation_time", "failed")):
+            got = np.concatenate([a[i] for a in alone])
+            assert got.tobytes() == getattr(rep.per_path, field).tobytes(), field
 
     def test_chunk_size_invariance(self, monkeypatch):
         problem, _ = random_problem(34, failing=True)
@@ -514,9 +583,9 @@ class TestMonteCarlo:
         assert term1.tobytes() == term2.tobytes()
 
     def test_small_chunks_match_one_chunk(self, monkeypatch):
-        # with 2 or 3 paths a chunk, some grid step jumps every path but one;
-        # that path still steps in the chunk's block, so it takes the same
-        # drift product (gemm) as in one chunk of all 7
+        # with 2 or 3 paths a chunk, some grid step jumps every path but one,
+        # and with 1 every block and round is a lone row: each row takes the
+        # bits it takes in one chunk of all 7
         problem = dense_jump_problem(3, kind="jump-row-gap")
         h, seed, paths = 2.0**-5, 3, 7
 
@@ -530,31 +599,40 @@ class TestMonteCarlo:
             return [r.tobytes() for r in rows]
 
         whole = run()
-        for chunk in (2, 3):
+        for chunk in (1, 2, 3):
             monkeypatch.setattr(engine, "_CHUNK", chunk)
             assert run() == whole, chunk
 
-    @pytest.mark.parametrize("scenario", ["corollary33-pass", "jump-monotone-fail"])
-    def test_one_path_chunks_match_at_m_1(self, scenario, monkeypatch):
-        # at m = 1 the drift is a product, so a lone row gets the bits it
-        # gets in any block; at m >= 2 BLAS still runs a lone row as gemv
-        problem = build_problem(next(c for c in gallery_configs() if c.id == scenario))
-        assert problem.m == 1 and problem.marks.total_mass > 0.0
-        h, seed, paths = 2.0**-5, 11, 40
+    @pytest.mark.parametrize("scenario", ["corollary33-pass", "corollary34-pass", "example36",
+                                          "jump-monotone-fail", "drift-order-fail",
+                                          "sigma-coupling-fail", "matrix-pass"])
+    def test_one_path_chunks_match(self, scenario, monkeypatch):
+        # a lone row gets the bits it gets in any block: the m = 1 drift is
+        # a product, and at m >= 2 the row goes into gemm as the first of two
+        cfg = next(c for c in gallery_configs() if c.id == scenario)
+        problem = build_problem(cfg)
+        h, seed, paths = 2.0**-7, 11, 40
+        if cfg.kind == "matrix":
+            mc = mc_matrix_comparison
+            starts = [(psdcone._vector_model(model), svec(x0)) for model, x0 in
+                      ((problem.model1, problem.x1), (problem.model2, problem.x2))]
+        else:
+            mc = mc_comparison
+            starts = [(problem.model1, problem.x1), (problem.model2, problem.x2)]
 
         def run():
-            rep = mc_comparison(problem, paths, h, seed, keep_paths=True)
+            rep = mc(problem, paths, h, seed, keep_paths=True)
             rows = [rep.per_path.violation, rep.per_path.first_violation_time,
                     rep.per_path.failed]
             rows += [sample_terminal_states(model, x0, problem.t0, problem.T, paths, h, seed)
-                     for model, x0 in ((problem.model1, problem.x1),
-                                       (problem.model2, problem.x2))]
+                     for model, x0 in starts]
             return rep, [r.tobytes() for r in rows]
 
         rep, whole = run()
-        drivers = [sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
-                   for p in range(paths)]
-        assert sum(drv.jump_count for drv in drivers) > paths // 2
+        if problem.m == 1:
+            drivers = [sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
+                       for p in range(paths)]
+            assert sum(drv.jump_times.size for drv in drivers) > paths // 2
         assert (rep.violating > 0) == scenario.endswith("-fail")
         for chunk in (1, 3):
             monkeypatch.setattr(engine, "_CHUNK", chunk)
@@ -608,9 +686,6 @@ class TestMonteCarlo:
         model = scalar_model(bslope=-1.0, sigma=0.5)
         with pytest.raises(ValueError, match="x0 must be a vector of length 1"):
             sample_terminal_states(model, x0, 0.0, 1.0, 4, 2.0**-4, seed=1)
-        drv = sample_drivers(model.marks, (0.0, 1.0), 2.0**-4, seed=1, path_index=0, d=1)
-        with pytest.raises(ValueError, match="x0 must be a vector of length 1"):
-            simulate_path(model, x0, 0.0, drv)
 
     def test_terminal_states_take_a_scalar_start_for_m_1(self):
         model = scalar_model(bslope=-1.0, sigma=0.5)
@@ -713,8 +788,9 @@ def _special_model(rng, m, d):
 class TestBitwiseStep:
     """The block Euler step, its drift and its diffusion give the bits of
     the formulas ``X + drift * dt + einsum("pkd,pd->pk", sigma, dW)``,
-    ``X @ M.T + d`` (gemm for a block, gemv per row) and
-    ``einsum("kaj,pj->pka", V, X) + U``, on special values too."""
+    ``X @ M.T + d`` (one gemm) and ``einsum("kaj,pj->pka", V, X) + U``, on
+    special values too, and any rows of a block, a lone row included, get
+    the bits they get in the block."""
 
     ROWS = 2048  # the tile of a full chunk
 
@@ -742,20 +818,54 @@ class TestBitwiseStep:
             assert engine._noise_rows(sig, dW).tobytes() == \
                 np.einsum("pkd,pd->pk", sig, dW).tobytes()
 
-            gemm = X @ M.T + dvec
-            gemv = (X[:, None, :] @ M.T)[:, 0] + dvec
-            rows = rng.permutation(K)[: K // 3]
-            mixed = gemm.copy()
-            mixed[rows] = gemv[rows]
+            # one gemm, of at least two rows (BLAS runs a lone row as gemv)
+            drift = (np.concatenate((X, X)) @ M.T)[:K] + dvec
+            assert bat.net_drift_rows(0.0, X).tobytes() == drift.tobytes()
             dt_col = rng.uniform(0.0, 2.0**-9, (K, 1))
             dt_col[0] = 0.0
-            for per_path, drift in ((False, gemm), (True, gemv), (rows, mixed)):
-                assert bat.net_drift_rows(0.0, X, per_path).tobytes() == drift.tobytes()
-                for dt, dt_ref in ((2.0**-9, 2.0**-9), (np.repeat(dt_col, m, axis=1), dt_col),
-                                   (dt_col, dt_col)):
-                    got = engine._step_rows(bat, 0.0, X, dt, dW, per_path)
-                    ref = X + drift * dt_ref + np.einsum("pkd,pd->pk", sig_ref, dW)
-                    assert got.tobytes() == ref.tobytes(), (K, per_path)
+            for dt, dt_ref in ((2.0**-9, 2.0**-9), (np.repeat(dt_col, m, axis=1), dt_col),
+                               (dt_col, dt_col)):
+                got = engine._step_rows(bat, 0.0, X, dt, dW)
+                ref = X + drift * dt_ref + np.einsum("pkd,pd->pk", sig_ref, dW)
+                assert got.tobytes() == ref.tobytes(), K
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_any_rows_get_their_bits_in_the_tile(self, m, d):
+        # K rows picked anywhere in the tile, a lone row and the whole tile
+        # shuffled included: the drift, the diffusion, the noise and the
+        # step of those rows are those rows of the tile's, bit for bit; only
+        # a step's NaN may differ in sign, since IEEE 754 leaves open which
+        # NaN a sum of two NaNs returns and numpy's loops differ by code path
+        rng = np.random.default_rng(1000 + 100 * m + d)
+        bat = engine._BatchCoefficients(_special_model(rng, m, d), self.ROWS)
+        X = _special_rows(rng, self.ROWS, m)
+        dW = rng.standard_normal((self.ROWS, d))
+        dW[rng.random((self.ROWS, d)) < 0.1] = rng.choice(SPECIAL, 1)
+        dt_col = rng.uniform(0.0, 2.0**-9, (self.ROWS, 1))
+        dt_col[0] = 0.0
+        dt = np.repeat(dt_col, m, axis=1)
+
+        def parts(rows):
+            sig = bat.sigma_rows(0.0, X[rows])
+            return (bat.net_drift_rows(0.0, X[rows]), sig, engine._noise_rows(sig, dW[rows]),
+                    engine._step_rows(bat, 0.0, X[rows], dt[rows], dW[rows]),
+                    engine._step_rows(bat, 0.0, X[rows], dt_col[rows], dW[rows]))
+
+        def same_bits_but_nan_signs(a, b):
+            nan = np.isnan(a)
+            return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+        tile = parts(slice(None))
+        for K in (1, 2, 3, 7, self.ROWS):
+            for _ in range(8 if K < self.ROWS else 1):
+                rows = rng.permutation(self.ROWS)[:K]
+                drift, sig, noise, *steps = parts(rows)
+                assert drift.tobytes() == tile[0][rows].tobytes(), K
+                assert sig.tobytes() == tile[1][rows].tobytes(), K
+                assert noise.tobytes() == tile[2][rows].tobytes(), K
+                for got, whole in zip(steps, tile[3:]):
+                    assert same_bits_but_nan_signs(got, whole[rows]), K
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_noise_of_a_constant_diffusion_matches_einsum(self, m):
@@ -780,8 +890,8 @@ class TestBitwiseStep:
     @pytest.mark.parametrize("const", [0.0, -0.0, 1.5, -5e-324], ids=repr)
     def test_m1_drift_is_a_product_on_special_values(self, const):
         # at m = 1 the drift x*M + (d + 0.0) gives the bits of gemm and of
-        # per-row gemv, on every finite scale and 16 special states at
-        # every position of blocks of 1, 2, 3, 7 and 2048 rows
+        # gemv, on every finite scale and 16 special states at every
+        # position of blocks of 1, 2, 3, 7 and 2048 rows
         marks = MarkMeasure.from_atoms([], dimension=1)
         for scale in self.M1_SCALES:
             model = affine_model([[scale]], [const], np.zeros((1, 1, 1)), [[0.0]],
@@ -794,9 +904,8 @@ class TestBitwiseStep:
                     gemm = X @ M.T + dvec
                     assert (X[:, None, :] @ M.T)[:, 0].tobytes() + dvec.tobytes() == \
                         (X @ M.T).tobytes() + dvec.tobytes()
-                    for per_path in (False, True, np.arange(0, K, 2)):
-                        got = bat.net_drift_rows(0.0, X, per_path)
-                        assert got.tobytes() == gemm.tobytes(), (scale, K, shift)
+                    got = bat.net_drift_rows(0.0, X)
+                    assert got.tobytes() == gemm.tobytes(), (scale, K, shift)
 
     def test_m1_drift_folds_the_plus_zero_into_the_constant(self):
         # BLAS gives 0 + x*M, so a -0.0 product becomes +0.0 before d is
@@ -810,7 +919,7 @@ class TestBitwiseStep:
         assert np.signbit(gemm[:, 0]).tolist() == [False, False, True]
         assert np.signbit(X * -1.0 + dvec)[0, 0]  # the product alone keeps -0.0
         bat = engine._BatchCoefficients(model, 8)
-        assert bat.net_drift_rows(0.0, X, False).tobytes() == gemm.tobytes()
+        assert bat.net_drift_rows(0.0, X).tobytes() == gemm.tobytes()
 
     def test_one_term_products_are_einsum_on_special_values(self):
         # every pair of special values, as the d = 1 noise and the m = 1
@@ -838,14 +947,9 @@ class TestPerPathRecords:
             assert eps <= ft <= eps + 2.0**-5
 
 
-def _run_pair_chunk(problem, drivers, grid, stat_fn=engine.componentwise_stat):
-    return engine._run_chunk((problem.model1, problem.model2), (problem.x1, problem.x2),
-                             drivers, grid, stat_fn, 0.1)
-
-
 class TestEventRounds:
     @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "blackbox"])
-    def test_dense_jumps_match_reference(self, blackbox):
+    def test_dense_jumps_one_path_calls_match_the_block(self, blackbox):
         problem = dense_jump_problem(8, kind="jump-row-gap")
         if blackbox:
             problem = strip_affine(problem)
@@ -857,50 +961,56 @@ class TestEventRounds:
         per_step = [np.bincount(np.searchsorted(grid, drv.jump_times) - 1) for drv in drivers]
         assert max(c.max(initial=0) for c in per_step) >= 3
 
-        viol, _, failed, terminals = _run_pair_chunk(problem, drivers, grid)
+        viol, first_t, failed, terminals = _run_pair_chunk(problem, drivers, grid)
         assert not failed.any()
-        assert viol.max() > 0.0
-        for p, drv in enumerate(drivers):
-            t1, t2 = simulate_coupled(problem, drv)
-            assert viol[p] == pytest.approx(violation_stat((t1, t2)), abs=1e-10)
-            assert np.allclose(terminals[0][p], t1.terminal(), rtol=0.0, atol=1e-10)
-            assert np.allclose(terminals[1][p], t2.terminal(), rtol=0.0, atol=1e-10)
+        assert viol.max() > 0.0 and np.isfinite(first_t).any()
+        # each path run alone: every record and terminal state, bit for bit
+        alone = [_run_pair_chunk(problem, [drv], grid) for drv in drivers]
+        for i, block in enumerate((viol, first_t, failed, *terminals)):
+            got = np.concatenate([a[i] if i < 3 else a[3][i - 3] for a in alone])
+            assert got.tobytes() == block.tobytes(), i
 
     def test_jump_on_grid_point_is_merged(self):
+        # net drift -3/2 x + d, diffusion 1/2 and jump x -> 3/2 x + g, with
+        # (d, g) = (5/8, -1/4) for model 1 and (-1/4, 1/4) for model 2
         marks = MarkMeasure.from_atoms([([1.0], 2.0)])
-        m1 = scalar_model(b=0.3, bslope=-0.5, sigma=0.4, marks=marks, jumps=[(0.5, 0.3)])
-        m2 = scalar_model(b=0.1, bslope=-0.5, sigma=0.4, marks=marks, jumps=[(0.5, -0.2)])
-        problem = pair_problem(m1, m2, [0.2], [0.0])
+        m1 = scalar_model(b=0.125, bslope=-0.5, sigma=0.5, marks=marks, jumps=[(0.5, -0.25)])
+        m2 = scalar_model(b=0.25, bslope=-0.5, sigma=0.5, marks=marks, jumps=[(0.5, 0.25)])
+        problem = pair_problem(m1, m2, [1.0], [0.5])
         grid = uniform_grid(0.0, 1.0, 0.25)
         # jumps on the grid point 0.5, inside (0.5, 0.75] and on T: the time
-        # list is 0, 0.25, 0.5, 0.6, 0.75, 1 and has five segments
+        # list is 0, 0.25, 0.5, 0.625, 0.75, 1 and has five segments
         drv = engine.DriverRealization(
-            t0=0.0, T=1.0, h=0.25, jump_times=np.array([0.5, 0.6, 1.0]),
+            t0=0.0, T=1.0, h=0.25, jump_times=np.array([0.5, 0.625, 1.0]),
             jump_marks=np.zeros(3, dtype=np.int64), dW=np.arange(1.0, 6.0)[:, None] / 4.0,
         )
-        assert np.array_equal(drv.times, [0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
+        assert np.array_equal(drv.times, [0.0, 0.25, 0.5, 0.625, 0.75, 1.0])
         assert drv.n_segments == drv.times.shape[0] - 1 == 5
         assert drv.jump_atoms.tolist() == [-1, 0, 0, -1, 0]
 
+        # x + (-3/2 x + d) dt + dW/2 on each segment, then the jump, by hand
+        # (every value is dyadic, so exact):
+        #   t     dt    dW    model 1 (from 1)       model 2 (from 1/2)
+        #   1/4   1/4   1/4   29/32                  3/8
+        #   1/2   1/4   1/2   619/512 (jumped)       113/128 (jumped)
+        #   5/8   1/8   3/4   31181/2^14 (jumped)    7543/2^12 (jumped)
+        #   3/4   1/8   1     556905/2^18            128779/2^16
+        #   1     1/4   5/4   12220199/2^22 (jumped) 3078565/2^20 (jumped)
         rows = []
-
-        def stat(diff):
-            rows.append(diff.shape[0])
-            return engine.componentwise_stat(diff)
-
-        # one path: a sixth dW row would be out of range, and a skipped last
-        # row would leave the terminal state off the reference
-        viol, _, _, terminals = _run_pair_chunk(problem, [drv], grid, stat)
-        t1, t2 = simulate_coupled(problem, drv)
-        assert viol[0] == pytest.approx(violation_stat((t1, t2)), abs=1e-12)
-        assert terminals[0][0] == pytest.approx(t1.terminal(), abs=1e-12)
-        assert terminals[1][0] == pytest.approx(t2.terminal(), abs=1e-12)
-        # a row at the start and after each of the 4 steps, plus one per
-        # sub-step: one in each step ending on a jump, two in (0.5, 0.75]
-        assert sum(rows) == 5 + 4
-        # in one call per grid step: the step's sub-step rows and its grid row
+        viol, _, _, terminals = _run_pair_chunk(problem, [drv], grid, _recording(rows))
+        assert terminals[0][0, 0] == 12220199 / 2**22
+        assert terminals[1][0, 0] == 3078565 / 2**20
+        # one call per grid step: a row at the start, then the step's sub-step
+        # rows (one in each step ending on a jump, two in (0.5, 0.75]) and
+        # its grid row; a sixth dW row would be out of range, and a skipped
+        # last row would leave the terminal state off
+        assert [r.shape[0] for r in rows] == [1, 1, 2, 3, 2]
         assert _substeps_per_step(drv, grid).tolist() == [0, 1, 2, 1]
-        assert rows == [1, 1, 2, 3, 2]
+        # X2 - X1 at 0, 1/4, 1/2, 5/8, 3/4 and 1: positive only at T
+        gaps = [-1 / 2, -17 / 32, -167 / 512, -1009 / 2**14, -41789 / 2**18, 94061 / 2**22]
+        got = np.concatenate(rows)[:, 0].tolist()
+        assert got == [gaps[i] for i in (0, 1, 2, 2, 3, 4, 4, 5, 5)]
+        assert viol[0] == 94061 / 2**22
 
 
 def _substeps_per_step(drv, grid):

@@ -9,10 +9,14 @@ statistic), the dense-jump pairs of seeds 1-3, passing and
 ``jump-row-gap``, and an m = 2 pair with coupled diffusion whose paths
 overflow on their fourth jump, so that failed flags, violation times before
 a failure and NaN terminal states are pinned too.  A kernel change that moves one bit of one path fails here.
+Each case's violating and failed counts are pinned as well, so a re-pinned
+digest shows whether a count moved with it.  The dense and exploding cases
+also run one path a chunk, which must give the same digests.
 
-Run as a script, ``PYTHONPATH=src python tests/test_mc_pins.py`` prints every
-case's digest; a new case is pinned by running the same file on the checkout
-the kernel change starts from.
+Run as a script, ``PYTHONPATH=src python tests/test_mc_pins.py [CHUNK]``
+prints every case's digest and counts, at CHUNK paths a chunk if given, and
+whether they match the pins; a new case is pinned by running the same file on
+the checkout the kernel change starts from.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from jumpcompare import psdcone
+from jumpcompare import engine, psdcone
 from jumpcompare.cli import build_problem, gallery_configs
 from jumpcompare.engine import mc_comparison, sample_terminal_states
 from jumpcompare.model import (AffineCoefficients, CoefficientTriple, ComparisonProblem,
@@ -44,13 +48,29 @@ PINNED_MC_PATHS = {
     "example36": "158d72d3a4c6c81d0ada930b3160e3f5e6dc0b944fea1a2b7e23a031e34e15d0",
     "jump-monotone-fail": "a19debb961484881c20dce8d2b07b211ece94a9f5b013950296465a41f15a7f9",
     "matrix-pass": "2fce1a936411e7810034d0c37b96501ecb8867b5eb4fe4a858168271c386d149",
-    "dense-1-pass": "9062c1c8587d1d65d9d66c1fb41469c1d0b3ceccb24919c586e84b1ef1fc3440",
-    "dense-1-jump-row-gap": "0d884eac054a29fda4f4ac2ee30ed10221c045429fd5a1d1fea63b24fe8f7c3e",
-    "dense-2-pass": "1ed87309e4ca6da3893c4852391a1bdaf67ad501543142d47f3dbf0b28d2092e",
-    "dense-2-jump-row-gap": "888afc20e64ee920f8c51c3106361f507833957dee3f5e159304a39f966d2e60",
-    "dense-3-pass": "0fd11e243f651c88f9f9a8e199e68d5a5f5b32583e3d3456c79c6b11c45cbe5c",
-    "dense-3-jump-row-gap": "481e5dd8a349db5135602443ee97bc3a61b7b69eec91a34547602326e82590a4",
+    "dense-1-pass": "08a5e94619bea80eb548c61f7365cbf1085d45c549b86ac85d248d3ddf921189",
+    "dense-1-jump-row-gap": "b891049a45be96639a6593a24f19f1f4321859b3c702b11702c956fef3291450",
+    "dense-2-pass": "c30f708741caa75d74966d31c22cc411267bd212817713b831376d805761e34d",
+    "dense-2-jump-row-gap": "563e65ba0241283e0f09facccc9708ae824352608289b66d3bcb7af0a53bf80e",
+    "dense-3-pass": "257329ad911f2ddb1624668361c63a9a9a39b3acffe3ed38f68ba9736a4e39aa",
+    "dense-3-jump-row-gap": "c75d15cb49a757eb44f9dc0a8d58fd192d4c65a71de7da2357de3311168c030d",
     "exploding-coupled": "9ec60328c310cedf49bf4638343b103581722476fc99ebd3706bca640e38254e",
+}
+
+# (violating, failed) of each case
+PINNED_MC_COUNTS = {
+    "corollary33-pass": (0, 0),
+    "corollary34-pass": (0, 0),
+    "example36": (0, 0),
+    "jump-monotone-fail": (186, 0),
+    "matrix-pass": (0, 0),
+    "dense-1-pass": (0, 0),
+    "dense-1-jump-row-gap": (0, 0),
+    "dense-2-pass": (0, 0),
+    "dense-2-jump-row-gap": (0, 0),
+    "dense-3-pass": (0, 0),
+    "dense-3-jump-row-gap": (0, 0),
+    "exploding-coupled": (17, 64),
 }
 
 
@@ -99,19 +119,27 @@ def _case(name):
     return mc, starts, problem.t0, problem.T, h, seed
 
 
-def mc_paths_sha256(name) -> str:
+def mc_pin(name):
+    """(sha256 of the case's per-path rows, (violating, failed))."""
     mc, starts, t0, T, h, seed = _case(name)
     rows = [mc.per_path.violation, mc.per_path.first_violation_time, mc.per_path.failed]
     rows += [sample_terminal_states(model, x0, t0, T, PATHS, h, seed) for model, x0 in starts]
     digest = hashlib.sha256()
     for arr in rows:
         digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
+    return digest.hexdigest(), (mc.violating, mc.failed)
 
 
 @pytest.mark.parametrize("name", GALLERY_CASES + DENSE_CASES + EXPLODING_CASES)
 def test_per_path_rows_are_pinned(name):
-    assert mc_paths_sha256(name) == PINNED_MC_PATHS[name]
+    assert mc_pin(name) == (PINNED_MC_PATHS[name], PINNED_MC_COUNTS[name])
+
+
+@pytest.mark.parametrize("name", DENSE_CASES + EXPLODING_CASES)
+def test_one_path_chunks_give_the_pinned_rows(name, monkeypatch):
+    # every block step and event round of a one-path chunk is a lone row
+    monkeypatch.setattr(engine, "_CHUNK", 1)
+    assert mc_pin(name) == (PINNED_MC_PATHS[name], PINNED_MC_COUNTS[name])
 
 
 def test_cases_cover_what_they_name():
@@ -133,5 +161,11 @@ def test_exploding_case_fails_some_paths_mid_horizon():
 
 
 if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) > 1:
+        engine._CHUNK = int(sys.argv[1])
     for case in GALLERY_CASES + DENSE_CASES + EXPLODING_CASES:
-        print(case, mc_paths_sha256(case))
+        digest, counts = mc_pin(case)
+        same = (digest, counts) == (PINNED_MC_PATHS[case], PINNED_MC_COUNTS[case])
+        print(case, digest, *counts, "pinned" if same else "MOVED")
