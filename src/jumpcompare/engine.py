@@ -16,25 +16,28 @@ the per-segment atoms are derived on access.  The sampler never builds that
 list: it scales its normals by the grid's shared root step lengths, with
 each step that holds a jump point split at it.
 
-The Monte Carlo kernel advances a chunk of paths through the uniform grid in
-event rounds.  In step i, round 0 is one block Euler step of every path,
-each to its first jump time in the step or to the grid point; round r >= 1
-advances, as one batch, every path with at least r jumps in the step, from
-its r-th jump to the next jump or the grid point.  The rounds only record
-their rows of X2 - X1; one call of the violation statistic per grid step
-judges them with the block.  Chunks run in path order, and per-path results
-are concatenated before any reduction.
+The Monte Carlo kernel advances a chunk of paths in waves: wave k is one
+block Euler step of every path over its own segment k (a jump inside a grid
+step splits it), after which the rows whose segment ends at a jump get
+their atoms.  A path with J jumps off the grid takes n_steps + J waves, so
+only the last few waves run on fewer than all paths.  Each wave takes one
+call of the violation statistic on its rows of X2 - X1, and one on its rows
+that close a grid step holding a jump, judged again as the step's sub-step
+rows.  A path fails at a grid point only, and its other rows are judged by
+its failure at their step's start.  Chunks run in path order, and per-path
+results are concatenated before any reduction.
 
 A step computes X + drift*dt + sigma dW with the operands, and so the bits,
 of that formula, in few contiguous numpy calls.  The affine constants are
-tiled over the chunk's rows once and a per-row dt fills a (paths, m) array,
-so each add or multiply is one flat loop instead of one short loop per row;
-the one-term contractions (the d = 1 noise, the m = 1 diffusion) are
-products plus 0.0, which is what einsum returns for them.  The m = 1 drift
-is the product that gemm and gemv alike compute, and the m >= 2 drift is
-one gemm per block, a lone row run as the first of two, since BLAS runs a
-one-row product as gemv, which rounds differently.  A row thus gets the same
-bits in any block, and a one-path chunk those of any larger chunk.
+tiled over the chunk's rows once and a per-row dt fills a (paths, m) array
+(a column, on a grid of unequal steps), so each add or multiply is one flat
+loop instead of one short loop per row; the one-term contractions (the d = 1
+noise, the m = 1 diffusion) are products plus 0.0, as einsum returns them.
+The m = 1 drift is the product that gemm and gemv alike compute, and the
+m >= 2 drift is one gemm per block, a lone row run as the first of two,
+since BLAS runs a one-row product as gemv, which rounds differently.  A row
+thus gets the same bits in any block, and a one-path chunk those of any
+larger chunk.
 """
 
 from __future__ import annotations
@@ -446,7 +449,8 @@ def _noise_rows(sig: np.ndarray, dW: np.ndarray) -> np.ndarray:
 def _step_rows(bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray) -> np.ndarray:
     """One Euler step of the rows of X from time(s) t over step(s) dt:
     ``X + drift * dt + einsum("pkd,pd->pk", sigma, dW)``, operand for operand.
-    A per-row dt is a (paths, m) array, or a column on small blocks."""
+    A per-row dt is a (paths, m) array or a column; t is read by black-box
+    coefficients only."""
     drift = bat.net_drift_rows(t, X)
     drift *= dt
     out = X + drift
@@ -455,85 +459,87 @@ def _step_rows(bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray) ->
 
 
 @dataclass(frozen=True)
-class _Rounds:
-    """The jump sub-steps of a chunk, grouped into event rounds.
-
-    Sub-step q of path ``path[q]`` runs from ``t_left[q]`` to ``t_end[q]``,
-    over segment ``seg[q]`` of the path's time list, then applies atom
-    ``atom[q]`` (-1: none, it ends at the grid point).  Sorted by (uniform
-    step, round, atom < 0, path), round g covers ``start[g]:start[g + 1]``,
-    ends at a jump up to ``jump_end[g]`` and lies in uniform step
-    ``step[g]``.  Round 0 of a step starts at its grid point: ``_run_chunk``
-    takes it within the block step, and gathers every sub-step's length and
-    increment once per chunk.
+class _Waves:
+    """A chunk's paths laid out for waves.  Rows hold the paths longest
+    first, so the paths with more than k segments, wave k's, are the first
+    ``live[k]`` rows; ``row_of[p]`` is path p's row, and ``dW[k, r]`` row r's
+    increment over its segment k.  The jump-adjacent segments are sorted by
+    (segment, kind, row), kind 0 ending at a jump off the grid, 1 at a jump
+    on a grid point, 2 at the grid point after a step's last jump off it.
+    Entry q takes row ``row[q]`` from ``t_left[q]`` to ``t_end[q]``, over
+    ``dt[q]``, then applies atom ``atom[q]`` (-1: none).  Segment k's entries
+    of kind c start at ``bounds[3k + c]`` and end at ``bounds[3k + 3]``.
     """
 
-    path: np.ndarray
+    row_of: np.ndarray
+    live: List[int]
+    dW: np.ndarray
+    row: np.ndarray
     t_left: np.ndarray
     t_end: np.ndarray
-    seg: np.ndarray
+    dt: np.ndarray
     atom: np.ndarray
-    step: np.ndarray
-    start: np.ndarray
-    jump_end: np.ndarray
+    bounds: List[int]
 
 
-def _event_rounds(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Rounds:
-    """Split every path's jump steps into sub-steps between consecutive events.
+def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
+    """Lay out the paths' increments time-major and list the segments that
+    end at a jump, or end at a grid point of a step that holds one."""
+    K = len(drivers)
+    n_seg = np.array([drv.dW.shape[0] for drv in drivers])
+    order = np.argsort(-n_seg, kind="stable")  # row r holds path order[r]
+    row_of = np.empty(K, dtype=np.intp)
+    row_of[order] = np.arange(K)
+    n_sorted = n_seg[order]
+    live = np.searchsorted(-n_sorted, -np.arange(n_sorted[0]), side="left")
+    dW = np.empty((int(n_sorted[0]), K, drivers[0].dW.shape[1]))
+    # rows of one segment count, in blocks of 32 that a stack copies in cache
+    edges = sorted({0, K, *range(32, K, 32), *(np.flatnonzero(np.diff(n_sorted)) + 1).tolist()})
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        dW[: n_sorted[lo], lo:hi] = np.stack([drivers[p].dW for p in order[lo:hi]], axis=1)
 
-    A step of path p with c jumps takes c + 1 sub-steps: one ending at each
-    jump and a last one ending at the grid point, which is dropped when the
-    last jump falls on the grid point itself.  Round r of the step holds the
-    r-th sub-step of every path that has one; round 0 starts at the grid point.
-    """
     n_jumps = np.array([drv.jump_times.shape[0] for drv in drivers])
     jt = np.concatenate([drv.jump_times for drv in drivers])
     atom = np.concatenate([drv.jump_marks for drv in drivers])
-    path = np.repeat(np.arange(len(drivers)), n_jumps)
+    path = np.repeat(np.arange(K), n_jumps)
     step = np.searchsorted(grid, jt, side="left") - 1
     right = grid[step + 1]
+    on = jt == right
     # first / last jump of its path in its step
-    pos = np.arange(jt.shape[0])
     first = np.ones(jt.shape[0], dtype=bool)
     first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
-    last = np.ones(jt.shape[0], dtype=bool)
-    last[:-1] = first[1:]
-    # the sub-step ending at a jump starts at the previous jump of the step,
-    # or at the grid point for the first, and runs in round rnd; its segment
-    # is its step plus the points the path's earlier jumps added
-    rnd = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    last = np.roll(first, -1)
+    # the segment ending at a jump starts at the previous jump of the step,
+    # or at the grid point for the first; its index is its step plus the
+    # points the path's earlier jumps added
     prev = np.where(first, grid[step], np.roll(jt, 1))
-    added = np.concatenate([[0], np.cumsum(jt < right)])
+    added = np.concatenate([[0], np.cumsum(~on)])
     seg = step + added[:-1] - added[np.cumsum(n_jumps) - n_jumps][path]
-    # the closing sub-step from the last jump to the grid point
-    close = last & (jt < right)
+    close = last & ~on  # then a segment from the last jump to the grid point
 
-    path = np.concatenate([path, path[close]])
-    step = np.concatenate([step, step[close]])
-    rnd = np.concatenate([rnd, rnd[close] + 1])
-    atom = np.concatenate([atom, np.full(int(close.sum()), -1)])
-    order = np.lexsort((path, 2 * rnd + (atom < 0), step))  # jumps first
-    key = (step * (int(rnd.max(initial=0)) + 1) + rnd)[order]
-    _, start = np.unique(key, return_index=True)
-    return _Rounds(
-        path=path[order],
-        t_left=np.concatenate([prev, jt[close]])[order],
-        t_end=np.concatenate([jt, right[close]])[order],
-        seg=np.concatenate([seg, seg[close] + 1])[order],
-        atom=atom[order],
-        step=step[order][start],
-        start=np.append(start, order.shape[0]),
-        jump_end=start + np.add.reduceat(atom[order] >= 0, start, dtype=np.intp),
+    key = 3 * np.concatenate([seg, seg[close] + 1])
+    key += np.concatenate([on, np.full(int(close.sum()), 2)])
+    row = row_of[np.concatenate([path, path[close]])]
+    q = np.lexsort((row, key))
+    t_left = np.concatenate([prev, jt[close]])[q]
+    t_end = np.concatenate([jt, right[close]])[q]
+    return _Waves(
+        row_of=row_of,
+        live=live.tolist(),
+        dW=dW,
+        row=row[q],
+        t_left=t_left,
+        t_end=t_end,
+        dt=(t_end - t_left)[:, None],
+        atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[q],
+        bounds=np.searchsorted(key[q], np.arange(3 * dW.shape[0] + 1)).tolist(),
     )
 
 
-def _run_max(run: np.ndarray, s: np.ndarray, P: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``run`` after a step with grid values ``s`` (overwritten) and sub-step
-    values ``v`` of paths ``P`` in time order: each path's largest value, the
-    earliest of equals (ufunc.at keeps the later, so the rows go in
-    backwards), replaces the old one if greater; a tie keeps the old one."""
-    np.maximum.at(s, P[::-1], v[::-1])
-    return np.where(s > run, s, run)
+def _raise_max(run: np.ndarray, rows, val: np.ndarray) -> None:
+    """``run[rows]`` becomes ``val`` where that is greater: of equal values
+    (-0.0 and +0.0) a path keeps its earliest."""
+    run[rows] = np.where(val > run[rows], val, run[rows])
 
 
 def _run_chunk(
@@ -549,95 +555,89 @@ def _run_chunk(
     X = [np.tile(np.asarray(x0, dtype=float), (K, 1)) for x0 in starts]
     m = X[0].shape[1]  # the models of a problem share m
     coupled = len(batches) == 2 and stat_fn is not None
-
-    dW_flat = np.concatenate([drv.dW for drv in drivers], axis=0)
-    seg_counts = np.array([drv.dW.shape[0] for drv in drivers])
-    nxt = np.cumsum(seg_counts) - seg_counts  # next dW row of each path
-    ev = _event_rounds(drivers, grid)
-    # every sub-step's length and increment, once per chunk
-    sub_dt = (ev.t_end - ev.t_left)[:, None]
-    sub_dW = np.take(dW_flat, nxt[ev.path] + ev.seg, axis=0)
-    # rounds of uniform step i: first_round[i] up to first_round[i + 1]
-    first_round = np.searchsorted(ev.step, np.arange(grid.shape[0])).tolist()
-    start, jump_end = ev.start.tolist(), ev.jump_end.tolist()
+    wv = _waves(drivers, grid)
+    steps = np.diff(grid)
+    uniform = bool((steps == steps[0]).all())
+    timed = any(bat.affine is None for bat in batches)  # black-box models read t
+    off = np.zeros(K, dtype=np.intp)  # jumps off the grid each row has passed
+    jumped = False  # any(off): else wave k is grid step k on every row
 
     failed, any_failed = np.zeros(K, dtype=bool), False
     first_t = np.full(K, np.nan)
     if coupled:
-        run_signed = stat_fn(X[1] - X[0])
-        first_t[run_signed > eps_path] = grid[0]
+        run = np.array(stat_fn(X[1] - X[0]), dtype=float)
+        first_t[run > eps_path] = grid[0]
     else:
-        run_signed = np.zeros(K)
+        run = np.zeros(K)
 
     # overflow / NaN on exploding paths is expected and handled through the
     # failed flag, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.shape[0] - 1):
-            tl = float(grid[i])
-            tr = float(grid[i + 1])
-            rounds = range(first_round[i], first_round[i + 1])
-            lo, hi = start[rounds.start], start[rounds.stop]  # its sub-steps
-            # one block step of every path: to the grid point, or, for a path
-            # that jumps in this step, to its first jump (round 0, which
-            # starts at the grid point)
-            dt = tr - tl
-            if rounds:
-                round0 = slice(lo, start[rounds[0] + 1])  # its sub-steps
-                dt = np.full((K, m), tr - tl)
-                dt[ev.path[round0]] = sub_dt[round0]
-            # (np.take: a row gather several times cheaper than dW_flat[nxt])
-            dWi = np.take(dW_flat, nxt, axis=0)
+        for k, n in enumerate(wv.live):
+            a, e1, e2, b = wv.bounds[3 * k : 3 * k + 4]
+            i = k - off[:n] if jumped else k  # each row's grid step
+            dt = steps[0] if uniform else steps[i][:, None] if jumped else steps[k]
+            t = grid[i] if timed else None
+            if a < b:
+                p = wv.row[a:b]
+                dt = np.full((n, m), dt)
+                dt[p] = wv.dt[a:b]
+                if timed:
+                    t = np.full(n, t)
+                    t[p] = wv.t_left[a:b]
             for mi, bat in enumerate(batches):
-                X[mi] = _step_rows(bat, tl, X[mi], dt, dWi)
-            nxt += 1
-            # the step's statistic rows: each sub-step's, then the grid point's
-            rows = np.empty((hi - lo + K, m)) if coupled else None
-            for q in rounds:
-                a, j, b = start[q], jump_end[q], start[q + 1]
-                p = ev.path[a:b]
-                ends = []
-                for bat, XM in zip(batches, X):
-                    Xr = XM[p]
-                    if q > rounds[0]:
-                        # round r >= 1 steps its paths on from their r-th jump
-                        Xr = _step_rows(bat, ev.t_left[a:b], Xr, sub_dt[a:b], sub_dW[a:b])
-                    if j > a:  # the sub-steps that end at a jump come first
-                        Xr[: j - a] = bat.jump_rows(ev.t_end[a:j], Xr[: j - a], ev.atom[a:j])
-                    XM[p] = Xr
-                    ends.append(Xr)
-                if coupled:
-                    np.subtract(ends[1], ends[0], out=rows[a - lo : b - lo])
-            if len(rounds) > 1:  # the rows its later rounds read
-                np.add.at(nxt, ev.path[start[rounds[0] + 1] : hi], 1)
-            if not coupled:
-                continue  # a lone model's run only returns its states
-            # end-of-step bookkeeping, in one statistic call
-            P, TE = ev.path[lo:hi], ev.t_end[lo:hi]
-            diff = np.subtract(X[1], X[0], out=rows[hi - lo :])
-            if any_failed:  # judge sub-steps by the failures at the step's start
-                live = ~failed[P]
-                P, TE = P[live], TE[live]
-                rows = np.concatenate([rows[: hi - lo][live], diff])
-            if not np.isfinite(diff).all():  # else both sides are finite
-                for XM in X:
-                    failed |= ~_finite_rows(XM)
-                any_failed = bool(failed.any())
-            val, n = stat_fn(rows), P.shape[0]
-            # rows that do not count (NaN, inf, failed at the grid point): -inf
-            ok = np.isfinite(val)
-            if any_failed:
-                ok[n:] &= ~failed
-            val = np.where(ok, val, -np.inf)
-            hot = val > eps_path
-            unset = np.isnan(first_t)
-            first_t[unset & hot[n:]] = tr
-            hit = unset[P] & hot[:n]
-            np.fmin.at(first_t, P[hit], TE[hit])  # the earliest sub-step wins
-            run_signed = _run_max(run_signed, val[n:], P, val[:n])
+                Xk = _step_rows(bat, t, X[mi][:n], dt, wv.dW[k, :n])
+                if e2 > a:  # the rows whose segment ends at a jump
+                    pj = wv.row[a:e2]
+                    Xk[pj] = bat.jump_rows(wv.t_end[a:e2], Xk[pj], wv.atom[a:e2])
+                X[mi] = Xk if n == K else np.concatenate((Xk, X[mi][n:]))
+            mid = wv.row[a:e1]  # the rows that end at a jump off the grid
+            if coupled:
+                # sub-step rows count by the failures at their step's start;
+                # the rows closing a step with a jump are its sub-step rows too
+                dup = wv.row[e1:b]
+                diff = X[1][:n] - X[0][:n]
+                if any_failed:
+                    dup = dup[~failed[dup]]
+                if any_failed and failed[mid].any():  # left out, as failed
+                    keep = np.ones(n, dtype=bool)
+                    keep[mid[failed[mid]]] = False
+                    val = np.full(n, np.nan)
+                    if keep.any():
+                        val[keep] = stat_fn(diff[keep])
+                else:
+                    val = stat_fn(diff)
+                if not np.isfinite(diff).all():  # else both sides are finite
+                    bad = ~_finite_rows(X[0][:n]) | ~_finite_rows(X[1][:n])
+                    bad[mid] = False  # a path fails only at a grid point
+                    failed[:n] |= bad
+                    any_failed = bool(failed.any())
+                # rows that do not count (NaN, inf, failed at the grid
+                # point, left out): -inf
+                ok = np.isfinite(val)
+                if any_failed:
+                    ok &= ~failed[:n]
+                val = np.where(ok, val, -np.inf)
+                hot = (val > eps_path) & np.isnan(first_t[:n])
+                if hot.any():  # a first violation, at its row's end time
+                    r = np.flatnonzero(hot)
+                    first_t[r] = grid[k + 1 - off[r]]
+                    first_t[mid[hot[mid]]] = wv.t_end[a:e1][hot[mid]]
+                _raise_max(run, slice(0, n), val)
+                if dup.size:
+                    val = stat_fn(diff[dup])
+                    val = np.where(np.isfinite(val), val, -np.inf)
+                    r = dup[(val > eps_path) & np.isnan(first_t[dup])]
+                    first_t[r] = grid[k + 1 - off[r]]
+                    _raise_max(run, dup, val)
+            if e1 > a:
+                off[mid] += 1
+                jumped = True
 
-    viol = np.maximum(run_signed, 0.0)
+    viol = np.maximum(run, 0.0)
     viol[failed] = np.nan
-    return viol, first_t, failed, X
+    rows = wv.row_of  # back to path order
+    return viol[rows], first_t[rows], failed[rows], [XM[rows] for XM in X]
 
 
 def _chunks(

@@ -947,19 +947,29 @@ class TestPerPathRecords:
             assert eps <= ft <= eps + 2.0**-5
 
 
-class TestEventRounds:
+class TestWaves:
+    @pytest.mark.parametrize("h", [2.0**-4, 0.1], ids=["dyadic", "uneven"])
     @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "blackbox"])
-    def test_dense_jumps_one_path_calls_match_the_block(self, blackbox):
+    def test_dense_jumps_one_path_calls_match_the_block(self, blackbox, h):
+        # at h = 0.1 the grid's step lengths differ in their last bits, so
+        # the rows of one wave, in different grid steps, take different ones
         problem = dense_jump_problem(8, kind="jump-row-gap")
         if blackbox:
             problem = strip_affine(problem)
-        h = 2.0**-4
         grid = uniform_grid(problem.t0, problem.T, h)
         drivers = [sample_drivers(problem.marks, problem.horizon, h, 5, p, d=problem.d)
                    for p in range(24)]
-        # some path has three jumps in one step, so rounds r >= 2 run
+        # and a path with jumps on a grid point, just after it and on T
+        jt = np.array([grid[3], np.nextafter(grid[3], 2.0), 0.55, grid[-1]])
+        drivers.insert(5, engine.DriverRealization(
+            t0=0.0, T=1.0, h=h, jump_times=jt, jump_marks=np.array([2, 0, 1, 2]),
+            dW=np.random.default_rng(0).standard_normal((grid.shape[0] + 1, problem.d)) * 0.3))
+        # some path has three jumps in one step, and the paths' segment
+        # counts differ by 5 or more, so the last waves run on ever fewer rows
         per_step = [np.bincount(np.searchsorted(grid, drv.jump_times) - 1) for drv in drivers]
         assert max(c.max(initial=0) for c in per_step) >= 3
+        n_segments = [drv.n_segments for drv in drivers]
+        assert max(n_segments) - min(n_segments) >= 5
 
         viol, first_t, failed, terminals = _run_pair_chunk(problem, drivers, grid)
         assert not failed.any()
@@ -1000,16 +1010,17 @@ class TestEventRounds:
         viol, _, _, terminals = _run_pair_chunk(problem, [drv], grid, _recording(rows))
         assert terminals[0][0, 0] == 12220199 / 2**22
         assert terminals[1][0, 0] == 3078565 / 2**20
-        # one call per grid step: a row at the start, then the step's sub-step
-        # rows (one in each step ending on a jump, two in (0.5, 0.75]) and
-        # its grid row; a sixth dW row would be out of range, and a skipped
-        # last row would leave the terminal state off
-        assert [r.shape[0] for r in rows] == [1, 1, 2, 3, 2]
+        # a call at the start, then one per wave (segment), and after each
+        # wave that ends at the grid point of a step holding a jump (1/2,
+        # 3/4 and 1) a second one with that row again, as the step's sub-step
+        # row; a sixth dW row would be out of range, and a skipped last wave
+        # would leave the terminal state off
         assert _substeps_per_step(drv, grid).tolist() == [0, 1, 2, 1]
         # X2 - X1 at 0, 1/4, 1/2, 5/8, 3/4 and 1: positive only at T
         gaps = [-1 / 2, -17 / 32, -167 / 512, -1009 / 2**14, -41789 / 2**18, 94061 / 2**22]
-        got = np.concatenate(rows)[:, 0].tolist()
-        assert got == [gaps[i] for i in (0, 1, 2, 2, 3, 4, 4, 5, 5)]
+        assert [r[:, 0].tolist() for r in rows] == [
+            [gaps[0]], [gaps[1]], [gaps[2]], [gaps[2]], [gaps[3]],
+            [gaps[4]], [gaps[4]], [gaps[5]], [gaps[5]]]
         assert viol[0] == 94061 / 2**22
 
 
@@ -1066,24 +1077,43 @@ def _scripted_run():
     return {name: (viol[p], first_t[p], failed[p]) for p, name in enumerate(SCRIPTED)}
 
 
-def _run_max_reference(run, s, P, v):
-    """One row at a time, the sub-step rows in time order and then the grid
-    row: a value replaces the run maximum only if greater."""
+def _wave_calls(drivers, grid):
+    """The row count of each statistic call of one chunk, derived from the
+    drivers' time lists: the start, then for each wave k one call on every
+    path with more than k segments and, if any, one on the paths whose
+    segment k ends at the grid point of a step holding a jump."""
+    dups = []  # per path: does segment k close a grid step holding a jump
+    for drv in drivers:
+        times, jumped = drv.times[1:], drv.jump_atoms >= 0
+        steps = np.searchsorted(grid, times, side="left") - 1
+        dups.append((np.isin(times, grid) & np.isin(steps, steps[jumped])).tolist())
+    calls = [len(drivers)]
+    for k in range(max(len(d) for d in dups)):
+        calls.append(sum(k < len(d) for d in dups))
+        n_dup = sum(d[k] for d in dups if k < len(d))
+        calls += [n_dup] if n_dup else []
+    return calls
+
+
+def _raise_reference(run, waves):
+    """One row at a time, in wave order: a value replaces the run maximum
+    only if greater."""
     run = run.copy()
-    for p, value in [*zip(P.tolist(), v.tolist()), *enumerate(s.tolist())]:
-        if value > run[p]:
-            run[p] = value
+    for rows, val in waves:
+        for p, value in zip(np.arange(run.shape[0])[rows].tolist(), val.tolist()):
+            if value > run[p]:
+                run[p] = value
     return run
 
 
-class TestOneCallStatistic:
-    """The violation statistic is taken once per grid step, on the step's
-    sub-step rows and then the grid point's, with the rules of one call per
-    round: sub-step rows are judged against the failures at the step's
-    start, the earliest violating sub-step gives the first violation time,
-    and a value equal to the run maximum keeps the old one."""
+class TestWaveStatistic:
+    """The violation statistic is taken once per wave on every live row, and
+    once more on the wave's rows that close a grid step holding a jump.
+    Sub-step rows are judged against the failures at the step's start, the
+    earliest violating row gives the first violation time, and a value
+    equal to the run maximum keeps the old one."""
 
-    def test_one_call_per_grid_step_sees_every_row(self, monkeypatch):
+    def test_one_call_per_wave_sees_every_row(self, monkeypatch):
         problem = dense_jump_problem(2)
         h, seed, paths = 2.0**-4, 4, 12
         grid = uniform_grid(problem.t0, problem.T, h)
@@ -1097,16 +1127,18 @@ class TestOneCallStatistic:
         monkeypatch.setattr(engine, "_CHUNK", 5)
         rep = mc_comparison(problem, paths, h, seed, stat_fn=counting)
         assert rep.failed == 0
-        per_step = [_substeps_per_step(
-            sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d), grid)
-            for p in range(paths)]
+        drivers = [sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
+                   for p in range(paths)]
+        per_step = [_substeps_per_step(drv, grid) for drv in drivers]
         assert max(s.max() for s in per_step) >= 3
         for lo in range(0, paths, 5):
             K = min(5, paths - lo)
-            sub = np.sum(per_step[lo : lo + K], axis=0)
-            chunk, calls = calls[: n_steps + 1], calls[n_steps + 1 :]
-            assert chunk == [K] + (K + sub).tolist()
-            assert sum(chunk) == K * (n_steps + 1) + sub.sum()
+            want = _wave_calls(drivers[lo : lo + K], grid)
+            chunk, calls = calls[: len(want)], calls[len(want) :]
+            assert chunk == want
+            # a row per path at the start and at each grid point, and one
+            # per sub-step
+            assert sum(chunk) == K * (n_steps + 1) + np.sum(per_step[lo : lo + K])
         assert calls == []
 
     def test_first_violation_time_is_the_earliest_sub_step(self):
@@ -1128,25 +1160,33 @@ class TestOneCallStatistic:
 
     def test_ties_with_the_run_maximum_keep_the_old_value(self):
         # final violations read max(run, 0.0), which is +0.0 for both zeros,
-        # so the tie rule is checked on the step's run maximum itself
+        # so the tie rule is checked on the run maximum itself
         run = np.array([0.0, -0.0, -1.0, np.nan, 1.0, 1.0])
-        s = np.array([-0.0, 0.0, 0.0, 0.0, -np.inf, 0.5])  # -inf: not counted
-        P = np.array([0, 1, 2, 3, 4, 5, 2, 4])  # round 0, then round 1
-        v = np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf, 0.0, 2.0])
-        got = engine._run_max(run, s.copy(), P, v)
+        waves = [
+            (slice(0, 6), np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf])),  # -inf: not counted
+            (np.array([2, 4]), np.array([0.0, 2.0])),  # the duplicate rows
+            (slice(0, 3), np.array([-0.0, 0.0, 0.0])),
+        ]
+        got = run.copy()
+        for rows, val in waves:
+            engine._raise_max(got, rows, val)
         want = np.array([0.0, -0.0, -0.0, np.nan, 3.0, 1.0])
         assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == _run_max_reference(run, s, P, v).tobytes()
+        assert got.tobytes() == _raise_reference(run, waves).tobytes()
 
-    def test_run_max_matches_row_by_row_on_signed_zeros(self):
+    def test_wave_ties_match_row_by_row_on_signed_zeros(self):
         rng = np.random.default_rng(5)
         values = np.array([-0.0, 0.0, -1.0, 1.0, 2.0, -np.inf])
         for K in (1, 3, 8):
             for _ in range(200):
                 run = rng.choice(values[:-1], K)
-                s = rng.choice(values, K)
-                P = np.concatenate([rng.permutation(K)[: rng.integers(0, K + 1)]
-                                    for _ in range(3)])
-                v = rng.choice(values, P.shape[0])
-                got = engine._run_max(run, s.copy(), P, v)
-                assert got.tobytes() == _run_max_reference(run, s, P, v).tobytes()
+                waves = []
+                for n in sorted(rng.integers(1, K + 1, 4).tolist(), reverse=True):
+                    # a wave's live rows, then its duplicate rows
+                    waves.append((slice(0, n), rng.choice(values, n)))
+                    dup = rng.permutation(n)[: rng.integers(0, n + 1)]
+                    waves.append((dup, rng.choice(values, dup.shape[0])))
+                got = run.copy()
+                for rows, val in waves:
+                    engine._raise_max(got, rows, val)
+                assert got.tobytes() == _raise_reference(run, waves).tobytes()

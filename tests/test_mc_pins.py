@@ -6,12 +6,16 @@ per-path row: violation, first violation time, failed flag, and the terminal
 states of model 1 and of model 2.  The cases are the four gallery scenarios
 with jumps, ``matrix-pass`` (on its svec embedding, through the spectral
 statistic), the dense-jump pairs of seeds 1-3, passing and
-``jump-row-gap``, and an m = 2 pair with coupled diffusion whose paths
+``jump-row-gap``, the seed-1 ``jump-row-gap`` pair at the steps 0.3 and 0.01
+(0.3 does not divide the horizon, and the step lengths of both grids differ
+in their last bits), and an m = 2 pair with coupled diffusion whose paths
 overflow on their fourth jump, so that failed flags, violation times before
-a failure and NaN terminal states are pinned too.  A kernel change that moves one bit of one path fails here.
-Each case's violating and failed counts are pinned as well, so a re-pinned
-digest shows whether a count moved with it.  The dense and exploding cases
-also run one path a chunk, which must give the same digests.
+a failure and NaN terminal states are pinned too.  A kernel change that
+moves one bit of one path fails here.  Each case's violating and failed
+counts are pinned as well, so a re-pinned digest shows whether a count moved
+with it.  The dense and exploding cases also run one path a chunk, and with
+the uneven cases 7 paths a chunk, which must give the same digests; the
+exploding case also pins how many rows its violation statistic judges.
 
 Run as a script, ``PYTHONPATH=src python tests/test_mc_pins.py [CHUNK]``
 prints every case's digest and counts, at CHUNK paths a chunk if given, and
@@ -40,7 +44,9 @@ GALLERY_CASES = ("corollary33-pass", "corollary34-pass", "example36", "jump-mono
                  "matrix-pass")
 DENSE_CASES = tuple(f"dense-{seed}-{kind or 'pass'}"
                     for seed in (1, 2, 3) for kind in (None, "jump-row-gap"))
+UNEVEN_CASES = ("uneven-0.3", "uneven-0.01")
 EXPLODING_CASES = ("exploding-coupled",)
+ALL_CASES = GALLERY_CASES + DENSE_CASES + UNEVEN_CASES + EXPLODING_CASES
 
 PINNED_MC_PATHS = {
     "corollary33-pass": "5d4b06de11b944d2e44571721ccdc4a743b366d8351636bc3b1522f2318702aa",
@@ -54,6 +60,8 @@ PINNED_MC_PATHS = {
     "dense-2-jump-row-gap": "563e65ba0241283e0f09facccc9708ae824352608289b66d3bcb7af0a53bf80e",
     "dense-3-pass": "257329ad911f2ddb1624668361c63a9a9a39b3acffe3ed38f68ba9736a4e39aa",
     "dense-3-jump-row-gap": "c75d15cb49a757eb44f9dc0a8d58fd192d4c65a71de7da2357de3311168c030d",
+    "uneven-0.3": "f767d23e616d3406db4d6632ee82168ce958ffba3adac5fc40831c9cd2814436",
+    "uneven-0.01": "f570ff3badf636874fcb1db24a2ce58cd6e69d4fd413e160a916b2d749ccdf72",
     "exploding-coupled": "9ec60328c310cedf49bf4638343b103581722476fc99ebd3706bca640e38254e",
 }
 
@@ -70,8 +78,15 @@ PINNED_MC_COUNTS = {
     "dense-2-jump-row-gap": (0, 0),
     "dense-3-pass": (0, 0),
     "dense-3-jump-row-gap": (0, 0),
+    "uneven-0.3": (0, 0),
+    "uneven-0.01": (0, 0),
     "exploding-coupled": (17, 64),
 }
+
+# rows the exploding case's violation statistic judges: a start and a grid
+# point per path and step, and every sub-step of a path that had not failed
+# at its step's start
+EXPLODING_STAT_ROWS = 20827
 
 
 def exploding_problem() -> ComparisonProblem:
@@ -96,13 +111,16 @@ def exploding_problem() -> ComparisonProblem:
 def _case(name):
     """(MC report with per-path records, ((model, x0), (model, x0)), t0, T,
     h, seed) of a case."""
-    if name.startswith(("dense-", "exploding-")):
+    if name.startswith(("dense-", "uneven-", "exploding-")):
+        h = DENSE_STEP
         if name == "exploding-coupled":
             problem, seed = exploding_problem(), 5
+        elif name.startswith("uneven-"):
+            problem, seed, h = dense_jump_problem(1, kind="jump-row-gap"), 1, float(name[7:])
         else:
             _, seed, kind = name.split("-", 2)
             problem = dense_jump_problem(int(seed), kind=None if kind == "pass" else kind)
-        h, seed = DENSE_STEP, int(seed)
+        seed = int(seed)
         mc = mc_comparison(problem, PATHS, h, seed, keep_paths=True)
         starts = ((problem.model1, problem.x1), (problem.model2, problem.x2))
         return mc, starts, problem.t0, problem.T, h, seed
@@ -130,16 +148,39 @@ def mc_pin(name):
     return digest.hexdigest(), (mc.violating, mc.failed)
 
 
-@pytest.mark.parametrize("name", GALLERY_CASES + DENSE_CASES + EXPLODING_CASES)
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_per_path_rows_are_pinned(name):
     assert mc_pin(name) == (PINNED_MC_PATHS[name], PINNED_MC_COUNTS[name])
 
 
 @pytest.mark.parametrize("name", DENSE_CASES + EXPLODING_CASES)
 def test_one_path_chunks_give_the_pinned_rows(name, monkeypatch):
-    # every block step and event round of a one-path chunk is a lone row
+    # every wave of a one-path chunk steps a lone row
     monkeypatch.setattr(engine, "_CHUNK", 1)
     assert mc_pin(name) == (PINNED_MC_PATHS[name], PINNED_MC_COUNTS[name])
+
+
+@pytest.mark.parametrize("name", DENSE_CASES + UNEVEN_CASES + EXPLODING_CASES)
+def test_partial_chunks_give_the_pinned_rows(name, monkeypatch):
+    # 300 paths in chunks of 7 end in a chunk of 6, and a chunk's last
+    # waves run on its few paths with the most jumps
+    monkeypatch.setattr(engine, "_CHUNK", 7)
+    assert mc_pin(name) == (PINNED_MC_PATHS[name], PINNED_MC_COUNTS[name])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+def test_failed_paths_leave_out_their_sub_step_rows(chunk, monkeypatch):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    rows = []
+
+    def counting(diff):
+        rows.append(diff.shape[0])
+        return engine.componentwise_stat(diff)
+
+    mc = mc_comparison(exploding_problem(), PATHS, DENSE_STEP, 5, stat_fn=counting)
+    assert (mc.violating, mc.failed) == PINNED_MC_COUNTS["exploding-coupled"]
+    assert sum(rows) == EXPLODING_STAT_ROWS
+    assert 0 not in rows
 
 
 def test_cases_cover_what_they_name():
@@ -165,7 +206,7 @@ if __name__ == "__main__":
 
     if len(sys.argv) > 1:
         engine._CHUNK = int(sys.argv[1])
-    for case in GALLERY_CASES + DENSE_CASES + EXPLODING_CASES:
+    for case in ALL_CASES:
         digest, counts = mc_pin(case)
         same = (digest, counts) == (PINNED_MC_PATHS[case], PINNED_MC_COUNTS[case])
         print(case, digest, *counts, "pinned" if same else "MOVED")
