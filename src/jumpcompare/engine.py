@@ -11,20 +11,21 @@ paths run or how they are split into chunks.  One Philox generator (per
 thread) serves every path: it is re-keyed to (seed, path_index) with a zero
 counter before each path's draws instead of being built anew, which yields
 the same stream.  A realization is stored sparsely: its jump times, their
-mark atoms and one Brownian increment per segment; the merged time list and
-the per-segment atoms are derived on access.  The sampler never builds that
-list: it scales its normals by the grid's shared root step lengths, with
-each step that holds a jump point split at it.
+mark atoms and one row of standard normals per segment; the merged time
+list, the per-segment atoms and the Brownian increments are derived on
+access.  The sampler only draws: it counts the segments, the grid's steps
+plus the jumps off its points, and computes no segment length.
 
 The Monte Carlo kernel advances a chunk of paths in waves: wave k is one
 block Euler step of every path over its own segment k (a jump inside a grid
-step splits it), after which the rows whose segment ends at a jump get
-their atoms.  A path with J jumps off the grid takes n_steps + J waves, so
-only the last few waves run on fewer than all paths.  Each wave takes one
-call of the violation statistic on its rows of X2 - X1, and one on its rows
-that close a grid step holding a jump, judged again as the step's sub-step
-rows.  A path fails at a grid point only, and its other rows are judged by
-its failure at their step's start.  Chunks run in path order, and per-path
+step splits it), its normals scaled by the root of the dt the step takes,
+after which the rows whose segment ends at a jump get their atoms.  A path
+with J jumps off the grid takes n_steps + J waves, so only the last few
+waves run on fewer than all paths.  Each wave takes one call of the
+violation statistic on its rows of X2 - X1, and one on its rows that close
+a grid step holding a jump, judged again as the step's sub-step rows.  A
+path fails at a grid point only, and its other rows are judged by its
+failure at their step's start.  Chunks run in path order, and per-path
 results are concatenated before any reduction.
 
 A step computes X + drift*dt + sigma dW with the operands, and so the bits,
@@ -42,7 +43,6 @@ larger chunk.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import threading
@@ -94,15 +94,12 @@ def uniform_grid(t0: float, T: float, h: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_steps(t0: float, T: float, h: float) -> Tuple[np.ndarray, np.ndarray, tuple]:
-    """``uniform_grid(t0, T, h)``, the square roots of its step lengths and
-    its points as a tuple of floats, computed once per horizon and step and
-    shared read-only."""
+def _grid_steps(t0: float, T: float, h: float) -> Tuple[np.ndarray, frozenset]:
+    """``uniform_grid(t0, T, h)``, read-only, and its points as a frozenset
+    of floats, computed once per horizon and step and shared."""
     grid = uniform_grid(t0, T, h)
-    sqrt_dt = np.sqrt(np.diff(grid))
     grid.setflags(write=False)
-    sqrt_dt.setflags(write=False)
-    return grid, sqrt_dt, tuple(grid.tolist())
+    return grid, frozenset(grid.tolist())
 
 
 def _jump_slots(grid: np.ndarray, jump_times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,49 +125,6 @@ def _merged_times(grid: np.ndarray, jump_times: np.ndarray) -> np.ndarray:
     return times
 
 
-def _spliced_sqrt_dt(
-    points: tuple, sqrt_dt: np.ndarray, jump_times: Sequence[float]
-) -> np.ndarray:
-    """``sqrt(diff(_merged_times(grid, jump_times)))`` from the grid's own
-    ``sqrt_dt``: each step that holds jump points gets the square roots of
-    its sub-segments, and every other step keeps its entry.  ``points`` is
-    the grid as a tuple and ``jump_times`` are strictly increasing floats.
-
-    The sub-segments take the merged list's subtractions, and ``math.sqrt``
-    rounds as ``np.sqrt`` does, so the bits are those of the merged list.
-    The work beyond four numpy calls is a few float operations per jump.
-    """
-    steps: List[int] = []  # the step of each jump that adds a point
-    slots: List[int] = []  # where each new square root goes in the result
-    roots: List[float] = []
-    prev = -math.inf  # the last jump that added a point
-    for t in jump_times:
-        i = bisect.bisect_left(points, t)  # points[i - 1] < t <= points[i]
-        right = points[i]
-        if t == right:
-            continue  # a jump on a grid point adds no point
-        left = points[i - 1]
-        q = len(steps)
-        if prev > left:
-            # the previous jump lies in this step: the segment from it ends
-            # here, not at the grid point
-            roots[-1] = math.sqrt(t - prev)
-        else:
-            slots.append(i - 1 + q)
-            roots.append(math.sqrt(t - left))
-        slots.append(i + q)
-        roots.append(math.sqrt(right - t))
-        steps.append(i - 1)
-        prev = t
-    if not steps:
-        return sqrt_dt
-    # one entry per segment: a step with c new points repeats c + 1 times,
-    # then every repeat takes its own root
-    out = np.repeat(sqrt_dt, np.bincount(steps, minlength=sqrt_dt.shape[0]) + 1)
-    out[slots] = roots
-    return out
-
-
 @dataclass(frozen=True)
 class DriverRealization:
     """One realization of the shared noise for one path, stored sparsely.
@@ -178,11 +132,12 @@ class DriverRealization:
     ``jump_times`` are strictly increasing times in (t0, T] and
     ``jump_marks`` their mark-atom indices.  The path's time list is the
     sorted union of the uniform grid and the jump times (a jump time that
-    falls on a grid point is merged with it), and ``dW[i]`` is the
-    d-dimensional Brownian increment over its segment i.  ``times`` and
-    ``jump_atoms`` (the atom applied at each segment end, -1 at a plain grid
-    point) are derived on access; without jumps ``times`` is the shared
-    read-only grid.
+    falls on a grid point is merged with it), and ``normals[i]`` are the d
+    standard normals of its segment i.  ``times``, ``jump_atoms`` (the atom
+    applied at each segment end, -1 at a plain grid point) and ``dW`` (the
+    Brownian increments, each row of normals times the square root of its
+    segment's length) are derived on access; without jumps ``times`` is the
+    shared read-only grid.
     """
 
     t0: float
@@ -190,7 +145,7 @@ class DriverRealization:
     h: float
     jump_times: np.ndarray
     jump_marks: np.ndarray
-    dW: np.ndarray
+    normals: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
@@ -205,8 +160,12 @@ class DriverRealization:
         return atoms
 
     @property
+    def dW(self) -> np.ndarray:
+        return self.normals * np.sqrt(np.diff(self.times))[:, None]
+
+    @property
     def n_segments(self) -> int:
-        return self.dW.shape[0]
+        return self.normals.shape[0]
 
 
 _rngs = threading.local()
@@ -250,7 +209,8 @@ def sample_drivers(
     *,
     d: int,
 ) -> DriverRealization:
-    """Draw one path's noise: jump times, mark atoms, Brownian increments.
+    """Draw one path's noise: jump times, mark atoms, and a row of standard
+    normals per segment, unscaled.
 
     Jump times form a Poisson process of rate equal to the total mark mass
     (exponential interarrivals); atoms are categorical with probability
@@ -259,7 +219,7 @@ def sample_drivers(
     share randomness regardless of evaluation order.
     """
     t0, T = float(horizon[0]), float(horizon[1])
-    _, sqrt_dt, points = _grid_steps(t0, T, float(h))
+    grid, points = _grid_steps(t0, T, float(h))
     rng = _path_rng(seed, path_index)
 
     lam = marks.total_mass
@@ -289,12 +249,12 @@ def sample_drivers(
     if jump_times:
         jt = np.array(jump_times)
         jm = np.searchsorted(marks.atom_cdf, uniforms, side="right")
-        sqrt_dt = _spliced_sqrt_dt(points, sqrt_dt, jump_times)
     else:
         jt, jm = np.zeros(0), np.zeros(0, dtype=np.int64)
-    dW = rng.standard_normal((sqrt_dt.shape[0], d))
-    dW *= sqrt_dt[:, None]
-    return DriverRealization(t0=t0, T=T, h=float(h), jump_times=jt, jump_marks=jm, dW=dW)
+    # a segment per grid step, and one more for each jump off the grid
+    n_segments = grid.shape[0] - 1 + sum(t not in points for t in jump_times)
+    return DriverRealization(t0=t0, T=T, h=float(h), jump_times=jt, jump_marks=jm,
+                             normals=rng.standard_normal((n_segments, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,41 +422,43 @@ def _step_rows(bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray) ->
 class _Waves:
     """A chunk's paths laid out for waves.  Rows hold the paths longest
     first, so the paths with more than k segments, wave k's, are the first
-    ``live[k]`` rows; ``row_of[p]`` is path p's row, and ``dW[k, r]`` row r's
-    increment over its segment k.  The jump-adjacent segments are sorted by
-    (segment, kind, row), kind 0 ending at a jump off the grid, 1 at a jump
-    on a grid point, 2 at the grid point after a step's last jump off it.
-    Entry q takes row ``row[q]`` from ``t_left[q]`` to ``t_end[q]``, over
-    ``dt[q]``, then applies atom ``atom[q]`` (-1: none).  Segment k's entries
-    of kind c start at ``bounds[3k + c]`` and end at ``bounds[3k + 3]``.
+    ``live[k]`` rows; ``row_of[p]`` is path p's row, and ``normals[k, r]``
+    row r's normals of its segment k.  The jump-adjacent segments are sorted
+    by (segment, kind, row), kind 0 ending at a jump off the grid, 1 at a
+    jump on a grid point, 2 at the grid point after a step's last jump off
+    it.  Entry q takes row ``row[q]`` from ``t_left[q]`` to ``t_end[q]``,
+    over ``dt[q]`` (noise scaled by ``root[q]``), then applies ``atom[q]``
+    (-1: none).  Segment k's entries of kind c start at ``bounds[3k + c]``
+    and end at ``bounds[3k + 3]``.
     """
 
     row_of: np.ndarray
     live: List[int]
-    dW: np.ndarray
+    normals: np.ndarray
     row: np.ndarray
     t_left: np.ndarray
     t_end: np.ndarray
     dt: np.ndarray
+    root: np.ndarray
     atom: np.ndarray
     bounds: List[int]
 
 
 def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
-    """Lay out the paths' increments time-major and list the segments that
-    end at a jump, or end at a grid point of a step that holds one."""
+    """Lay out the paths' normals time-major and list the segments that end
+    at a jump, or end at a grid point of a step that holds one."""
     K = len(drivers)
-    n_seg = np.array([drv.dW.shape[0] for drv in drivers])
+    n_seg = np.array([drv.n_segments for drv in drivers])
     order = np.argsort(-n_seg, kind="stable")  # row r holds path order[r]
     row_of = np.empty(K, dtype=np.intp)
     row_of[order] = np.arange(K)
     n_sorted = n_seg[order]
     live = np.searchsorted(-n_sorted, -np.arange(n_sorted[0]), side="left")
-    dW = np.empty((int(n_sorted[0]), K, drivers[0].dW.shape[1]))
+    z = np.empty((int(n_sorted[0]), K, drivers[0].normals.shape[1]))
     # rows of one segment count, in blocks of 32 that a stack copies in cache
     edges = sorted({0, K, *range(32, K, 32), *(np.flatnonzero(np.diff(n_sorted)) + 1).tolist()})
     for lo, hi in zip(edges[:-1], edges[1:]):
-        dW[: n_sorted[lo], lo:hi] = np.stack([drivers[p].dW for p in order[lo:hi]], axis=1)
+        z[: n_sorted[lo], lo:hi] = np.stack([drivers[p].normals for p in order[lo:hi]], axis=1)
 
     n_jumps = np.array([drv.jump_times.shape[0] for drv in drivers])
     jt = np.concatenate([drv.jump_times for drv in drivers])
@@ -526,13 +488,14 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
     return _Waves(
         row_of=row_of,
         live=live.tolist(),
-        dW=dW,
+        normals=z,
         row=row[q],
         t_left=t_left,
         t_end=t_end,
         dt=(t_end - t_left)[:, None],
+        root=np.sqrt(t_end - t_left)[:, None],
         atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[q],
-        bounds=np.searchsorted(key[q], np.arange(3 * dW.shape[0] + 1)).tolist(),
+        bounds=np.searchsorted(key[q], np.arange(3 * z.shape[0] + 1)).tolist(),
     )
 
 
@@ -557,6 +520,7 @@ def _run_chunk(
     coupled = len(batches) == 2 and stat_fn is not None
     wv = _waves(drivers, grid)
     steps = np.diff(grid)
+    roots = np.sqrt(steps)
     uniform = bool((steps == steps[0]).all())
     timed = any(bat.affine is None for bat in batches)  # black-box models read t
     off = np.zeros(K, dtype=np.intp)  # jumps off the grid each row has passed
@@ -576,17 +540,21 @@ def _run_chunk(
         for k, n in enumerate(wv.live):
             a, e1, e2, b = wv.bounds[3 * k : 3 * k + 4]
             i = k - off[:n] if jumped else k  # each row's grid step
-            dt = steps[0] if uniform else steps[i][:, None] if jumped else steps[k]
+            j = 0 if uniform else i[:, None] if jumped else k  # a column of rows' steps
+            dt, root = steps[j], roots[j]
             t = grid[i] if timed else None
             if a < b:
                 p = wv.row[a:b]
                 dt = np.full((n, m), dt)
                 dt[p] = wv.dt[a:b]
+                root = np.full((n, 1), root)
+                root[p] = wv.root[a:b]
                 if timed:
                     t = np.full(n, t)
                     t[p] = wv.t_left[a:b]
+            dW = wv.normals[k, :n] * root
             for mi, bat in enumerate(batches):
-                Xk = _step_rows(bat, t, X[mi][:n], dt, wv.dW[k, :n])
+                Xk = _step_rows(bat, t, X[mi][:n], dt, dW)
                 if e2 > a:  # the rows whose segment ends at a jump
                     pj = wv.row[a:e2]
                     Xk[pj] = bat.jump_rows(wv.t_end[a:e2], Xk[pj], wv.atom[a:e2])
@@ -731,4 +699,6 @@ def sample_terminal_states(
     if x0.shape != (model.m,):
         raise ValueError(f"x0 must be a vector of length {model.m}")
     chunks = _chunks((model,), (x0,), grid, paths, h, seed, None, 0.0)
-    return np.concatenate([X[0] for *_, X in chunks], axis=0)
+    out = np.concatenate([X[0] for *_, X in chunks], axis=0)
+    out[np.isnan(out)] = np.nan  # numpy's add loops give either sign, by block
+    return out

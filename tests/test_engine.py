@@ -189,19 +189,22 @@ class TestDrivers:
             "dd3af2e795758d358d5730bd49fcac78810a9e0f3c5ab3fff885b2082acee26d",
         )
 
-    @pytest.mark.parametrize("case", ["grid-point-and-two-in-a-step", "mass16", "mass1"])
-    def test_increments_are_normals_times_root_segment_lengths(self, case, monkeypatch):
-        # dW is built from the grid's own root step lengths, spliced at each
-        # jump; it must be z * sqrt(diff(times)) of the merged time list
-        normals = []
+    @pytest.mark.parametrize("case", ["grid-point-and-two-in-a-step", "mass16", "mass1",
+                                      "near-2^53"])
+    def test_one_normal_draw_per_segment(self, case, monkeypatch):
+        # the sampler draws its normals in one call of shape (n_steps + the
+        # jumps off the grid, d) and keeps them unscaled; a jump on a grid
+        # point and a repeated time add no segment
+        draws = []
 
         class Recorder:
             """The path's generator, with scripted interarrivals if given."""
 
             def __init__(self, rng, arrivals):
-                self.rng, self.arrivals = rng, arrivals
+                self.rng, self.arrivals, self.n_arrivals = rng, arrivals, 0
 
             def standard_exponential(self):
+                self.n_arrivals += 1
                 if self.arrivals is None:
                     return self.rng.standard_exponential()
                 return self.arrivals.pop(0)
@@ -210,10 +213,17 @@ class TestDrivers:
                 return self.rng.random()
 
             def standard_normal(self, shape):
-                normals.append(self.rng.standard_normal(shape))
-                return normals[-1].copy()
+                draws.append((shape, self.rng.standard_normal(shape)))
+                return draws[-1][1].copy()
 
         path_rng = engine._path_rng
+        recorders = []
+
+        def recording(s, p):
+            recorders.append(Recorder(path_rng(s, p), None if arrivals is None else list(arrivals)))
+            return recorders[-1]
+
+        horizon, seed, arrivals = (0.0, 1.0), 3, None
         if case == "grid-point-and-two-in-a-step":
             # unit mass: t = 0.5 (a grid point), 0.625 and 0.6875 (one step),
             # 0.8125, then past T
@@ -221,17 +231,23 @@ class TestDrivers:
             arrivals = [0.5, 0.125, 0.0625, 0.125, 1.0]
         elif case == "mass16":
             marks = MarkMeasure.from_atoms([([0.5], 6.0), ([-0.7], 7.0), ([0.2], 3.0)])
-            h, d, paths, arrivals = 2.0**-5, 2, 60, None
+            h, d, paths = 2.0**-5, 2, 60
+        elif case == "mass1":
+            marks, h, d, paths = ONE_ATOM, 2.0**-9, 1, 60
         else:
-            marks, h, d, paths, arrivals = ONE_ATOM, 2.0**-9, 1, 60, None
-        monkeypatch.setattr(engine, "_path_rng", lambda s, p: Recorder(
-            path_rng(s, p), None if arrivals is None else list(arrivals)))
-        grid = uniform_grid(0.0, 1.0, h)
+            # the path of test_repeated_and_grid_point_jump_times_are_merged
+            marks = MarkMeasure.from_atoms([([1.0], 0.7), ([2.0], 0.4)])
+            horizon, h, d, paths, seed = (2.0**53, 2.0**53 + 64.0), 16.0, 2, 1, 5
+        monkeypatch.setattr(engine, "_path_rng", recording)
+        grid = uniform_grid(*horizon, h)
         on_grid = shared_step = 0
         for p in range(paths):
-            drv = sample_drivers(marks, (0.0, 1.0), h, seed=3, path_index=p, d=d)
-            z = normals.pop()
-            assert drv.dW.tobytes() == (z * np.sqrt(np.diff(drv.times))[:, None]).tobytes()
+            drv = sample_drivers(marks, horizon, h, seed=seed, path_index=p, d=d)
+            (shape, z), = draws
+            draws.clear()
+            off_grid = int(np.count_nonzero(~np.isin(drv.jump_times, grid)))
+            assert shape == (grid.shape[0] - 1 + off_grid, d) == drv.normals.shape
+            assert drv.normals.tobytes() == z.tobytes()
             on_grid += np.isin(drv.jump_times, grid).sum()
             shared_step += (np.diff(np.searchsorted(grid, drv.jump_times)) == 0).sum()
         if case == "grid-point-and-two-in-a-step":
@@ -240,6 +256,10 @@ class TestDrivers:
             assert on_grid == 1 and shared_step == 1
         if case == "mass16":
             assert shared_step > paths
+        if case == "near-2^53":
+            # four jumps on grid points, and arrivals that repeated a time
+            assert on_grid == 4
+            assert recorders[-1].n_arrivals > drv.jump_times.size + 1
 
     def test_no_jump_lands_on_t0(self):
         # near t0 = 2^53 a first interarrival below 1 leaves t at t0; that
@@ -963,7 +983,7 @@ class TestWaves:
         jt = np.array([grid[3], np.nextafter(grid[3], 2.0), 0.55, grid[-1]])
         drivers.insert(5, engine.DriverRealization(
             t0=0.0, T=1.0, h=h, jump_times=jt, jump_marks=np.array([2, 0, 1, 2]),
-            dW=np.random.default_rng(0).standard_normal((grid.shape[0] + 1, problem.d)) * 0.3))
+            normals=np.random.default_rng(0).standard_normal((grid.shape[0] + 1, problem.d))))
         # some path has three jumps in one step, and the paths' segment
         # counts differ by 5 or more, so the last waves run on ever fewer rows
         per_step = [np.bincount(np.searchsorted(grid, drv.jump_times) - 1) for drv in drivers]
@@ -980,6 +1000,38 @@ class TestWaves:
             got = np.concatenate([a[i] if i < 3 else a[3][i - 3] for a in alone])
             assert got.tobytes() == block.tobytes(), i
 
+    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("h", [2.0**-4, 0.1, 0.3], ids=["dyadic", "uneven", "non-dividing"])
+    def test_kernel_noise_is_the_public_increments(self, h, chunk, monkeypatch):
+        # zero net drift, unit diffusion and zero jumps at m = d = 1: X_T is
+        # x0 plus the path's dW, added segment by segment, so every wave must
+        # scale each row's normals by the root of that row's own segment
+        marks = MarkMeasure.from_atoms([([1.0], 10.0), ([-1.0], 6.0)])
+        model = scalar_model(sigma=1.0, marks=marks, jumps=[(0.0, 0.0), (0.0, 0.0)])
+        grid = uniform_grid(0.0, 1.0, h)
+        # path 5 jumps inside a step, on its grid point, just after it, at
+        # 0.55, inside the last step and on T
+        jt = np.unique([(grid[2] + grid[3]) / 2, grid[3], np.nextafter(grid[3], 2.0), 0.55,
+                        (grid[-2] + grid[-1]) / 2, grid[-1]])
+        scripted = engine.DriverRealization(
+            t0=0.0, T=1.0, h=h, jump_times=jt, jump_marks=np.arange(6) % 2,
+            normals=np.random.default_rng(5).standard_normal((grid.shape[0] + 3, 1)))
+        assert np.isin(jt, grid).sum() == 2
+
+        def drivers(marks, horizon, h, seed, p, *, d):
+            return scripted if p == 5 else sample_drivers(marks, horizon, h, seed, p, d=d)
+
+        monkeypatch.setattr(engine, "sample_drivers", drivers)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        x_T = sample_terminal_states(model, [0.5], 0.0, 1.0, 20, h, seed=9)
+        want = []
+        for p in range(20):
+            x = 0.5
+            for dw in drivers(marks, (0.0, 1.0), h, 9, p, d=1).dW[:, 0].tolist():
+                x = x + dw
+            want.append(x)
+        assert x_T[:, 0].tobytes() == np.array(want).tobytes()
+
     def test_jump_on_grid_point_is_merged(self):
         # net drift -3/2 x + d, diffusion 1/2 and jump x -> 3/2 x + g, with
         # (d, g) = (5/8, -1/4) for model 1 and (-1/4, 1/4) for model 2
@@ -989,13 +1041,18 @@ class TestWaves:
         problem = pair_problem(m1, m2, [1.0], [0.5])
         grid = uniform_grid(0.0, 1.0, 0.25)
         # jumps on the grid point 0.5, inside (0.5, 0.75] and on T: the time
-        # list is 0, 0.25, 0.5, 0.625, 0.75, 1 and has five segments
+        # list is 0, 0.25, 0.5, 0.625, 0.75, 1 and has five segments; the
+        # normals are dW / sqrt(dt), and the two of the 1/8 segments scale
+        # back to 3/4 and 1 exactly
+        root8 = math.sqrt(0.125)
         drv = engine.DriverRealization(
             t0=0.0, T=1.0, h=0.25, jump_times=np.array([0.5, 0.625, 1.0]),
-            jump_marks=np.zeros(3, dtype=np.int64), dW=np.arange(1.0, 6.0)[:, None] / 4.0,
+            jump_marks=np.zeros(3, dtype=np.int64),
+            normals=np.array([0.5, 1.0, 0.75 / root8, 1.0 / root8, 2.5])[:, None],
         )
         assert np.array_equal(drv.times, [0.0, 0.25, 0.5, 0.625, 0.75, 1.0])
         assert drv.n_segments == drv.times.shape[0] - 1 == 5
+        assert drv.dW.tolist() == [[0.25], [0.5], [0.75], [1.0], [1.25]]
         assert drv.jump_atoms.tolist() == [-1, 0, 0, -1, 0]
 
         # x + (-3/2 x + d) dt + dW/2 on each segment, then the jump, by hand
@@ -1072,7 +1129,7 @@ def _scripted_run():
         n_seg = 4 + int(np.count_nonzero(~np.isin(jt, grid)))
         drivers.append(engine.DriverRealization(
             t0=0.0, T=1.0, h=0.25, jump_times=jt, jump_marks=np.array(atoms, dtype=np.int64),
-            dW=np.zeros((n_seg, 1))))
+            normals=np.zeros((n_seg, 1))))
     viol, first_t, failed, _ = _run_pair_chunk(problem, drivers, grid, _stat)
     return {name: (viol[p], first_t[p], failed[p]) for p, name in enumerate(SCRIPTED)}
 

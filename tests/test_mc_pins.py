@@ -62,7 +62,7 @@ PINNED_MC_PATHS = {
     "dense-3-jump-row-gap": "c75d15cb49a757eb44f9dc0a8d58fd192d4c65a71de7da2357de3311168c030d",
     "uneven-0.3": "f767d23e616d3406db4d6632ee82168ce958ffba3adac5fc40831c9cd2814436",
     "uneven-0.01": "f570ff3badf636874fcb1db24a2ce58cd6e69d4fd413e160a916b2d749ccdf72",
-    "exploding-coupled": "9ec60328c310cedf49bf4638343b103581722476fc99ebd3706bca640e38254e",
+    "exploding-coupled": "8a0f498f025c59ad01370ac6039ca5a3ffee5affcd441d764c205893f9981be8",
 }
 
 # (violating, failed) of each case
@@ -181,6 +181,20 @@ def test_failed_paths_leave_out_their_sub_step_rows(chunk, monkeypatch):
     assert (mc.violating, mc.failed) == PINNED_MC_COUNTS["exploding-coupled"]
     assert sum(rows) == EXPLODING_STAT_ROWS
     assert 0 not in rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+def test_terminal_nans_are_numpys_nan(chunk, monkeypatch):
+    # a NaN's sign from numpy's add loops depends on the rows that share
+    # its block; every terminal NaN is written as np.nan
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    problem = exploding_problem()
+    nan_bits = np.array(np.nan).view(np.uint64)
+    for model, x0 in ((problem.model1, problem.x1), (problem.model2, problem.x2)):
+        terms = sample_terminal_states(model, x0, problem.t0, problem.T, PATHS, DENSE_STEP, 5)
+        nans = np.isnan(terms)
+        assert nans.sum() == 2 * PINNED_MC_COUNTS["exploding-coupled"][1]
+        assert (terms.view(np.uint64)[nans] == nan_bits).all()
 
 
 def test_cases_cover_what_they_name():
