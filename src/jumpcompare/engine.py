@@ -21,12 +21,15 @@ block Euler step of every path over its own segment k (a jump inside a grid
 step splits it), its normals scaled by the root of the dt the step takes,
 after which the rows whose segment ends at a jump get their atoms.  A path
 with J jumps off the grid takes n_steps + J waves, so only the last few
-waves run on fewer than all paths.  Each wave takes one call of the
-violation statistic on its rows of X2 - X1, and one on its rows that close
-a grid step holding a jump, judged again as the step's sub-step rows.  A
+waves run on fewer than all paths.  Each wave writes its rows of X2 - X1
+into a buffer, followed by its rows that close a grid step holding a jump,
+to be judged again as the step's sub-step rows; the violation statistic
+then takes one call per block of waves (about _BLOCK_ROWS rows), and the
+running maxima and first violation times are updated once per block.  A
 path fails at a grid point only, and its other rows are judged by its
-failure at their step's start.  Chunks run in path order, and per-path
-results are concatenated before any reduction.
+failure at their step's start; a wave that may fail a path is judged on
+its own.  Chunks run in path order, and per-path results are concatenated
+before any reduction.
 
 A step computes X + drift*dt + sigma dW with the operands, and so the bits,
 of that formula, in few contiguous numpy calls.  The affine constants are
@@ -68,6 +71,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 2048  # paths per chunk; bounds the working memory of one _run_chunk call
+_BLOCK_ROWS = 8192  # rows of X2 - X1 per violation-statistic call, the sub-step repeats aside
 
 
 class InvalidStep(ValueError):
@@ -429,7 +433,12 @@ class _Waves:
     it.  Entry q takes row ``row[q]`` from ``t_left[q]`` to ``t_end[q]``,
     over ``dt[q]`` (noise scaled by ``root[q]``), then applies ``atom[q]``
     (-1: none).  Segment k's entries of kind c start at ``bounds[3k + c]``
-    and end at ``bounds[3k + 3]``.
+    and end at ``bounds[3k + 3]``; ``key[q]`` is 3 * segment + kind.
+
+    The statistic takes, wave by wave, the wave's live rows in row order and
+    then the rows of its entries of kind 1 and 2 again, in entry order, as
+    the sub-step rows of their step: wave k's rows start at ``start[k]`` of
+    that sequence.
     """
 
     row_of: np.ndarray
@@ -442,6 +451,8 @@ class _Waves:
     root: np.ndarray
     atom: np.ndarray
     bounds: List[int]
+    key: np.ndarray
+    start: List[int]
 
 
 def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
@@ -483,26 +494,159 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
     key += np.concatenate([on, np.full(int(close.sum()), 2)])
     row = row_of[np.concatenate([path, path[close]])]
     q = np.lexsort((row, key))
+    key, row = key[q], row[q]
     t_left = np.concatenate([prev, jt[close]])[q]
     t_end = np.concatenate([jt, right[close]])[q]
+    bounds = np.searchsorted(key, np.arange(3 * z.shape[0] + 1))
+    # the statistic's rows in call order: each wave's live rows, then its
+    # rows of kind 1 and 2, which close a grid step holding a jump
+    start = np.concatenate(([0], np.cumsum(live + bounds[3::3] - bounds[1::3])))
     return _Waves(
         row_of=row_of,
         live=live.tolist(),
         normals=z,
-        row=row[q],
+        row=row,
         t_left=t_left,
         t_end=t_end,
         dt=(t_end - t_left)[:, None],
         root=np.sqrt(t_end - t_left)[:, None],
         atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[q],
-        bounds=np.searchsorted(key[q], np.arange(3 * z.shape[0] + 1)).tolist(),
+        bounds=bounds.tolist(),
+        key=key,
+        start=start.tolist(),
     )
 
 
-def _raise_max(run: np.ndarray, rows, val: np.ndarray) -> None:
-    """``run[rows]`` becomes ``val`` where that is greater: of equal values
-    (-0.0 and +0.0) a path keeps its earliest."""
-    run[rows] = np.where(val > run[rows], val, run[rows])
+def _stat_values(stat_fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The statistic on ``rows``: one float per row, else ValueError."""
+    val = np.asarray(stat_fn(rows), dtype=float)
+    if val.shape != rows.shape[:1]:
+        raise ValueError(f"the violation statistic must return shape ({rows.shape[0]},) "
+                         f"for {rows.shape[0]} rows, not {val.shape}")
+    return val
+
+
+def _raise_block(run: np.ndarray, val: np.ndarray, starts: Sequence[int], live: Sequence[int],
+                 cells: np.ndarray, at: np.ndarray,
+                 failed: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold a block's statistic values into the run maximum.
+
+    ``val`` holds them in call order, -inf where a row does not count: wave
+    i's ``live[i]`` rows from ``starts[i] - starts[0]`` on, and at ``at[j]``
+    a repeat of row ``cells[j] % K`` of wave ``cells[j] // K``.  The live
+    rows of a ``failed`` path do not count; its repeats do.  Returns the
+    (waves, paths) table of each row's greatest value per wave (-inf where
+    it has none) and each row's greatest in the block, which replaces its
+    run maximum where greater: of equal ones, -0.0 and +0.0, a row may keep
+    either, which ``np.maximum(run, 0.0)`` does not show.
+    """
+    K, waves = run.shape[0], len(live)
+    if not cells.size and val.shape[0] == waves * K:  # each wave on every row
+        table = val.reshape(waves, K)
+    else:
+        table = np.full((waves, K), -np.inf)
+        for i, (s, n) in enumerate(zip(starts, live)):
+            table[i, :n] = val[s - starts[0] : s - starts[0] + n]
+    if failed is not None:
+        table[:, failed] = -np.inf
+    if cells.size:
+        flat = table.reshape(-1)
+        flat[cells] = np.maximum(flat[cells], val[at])
+    best = table.max(axis=0)
+    np.copyto(run, best, where=best > run)
+    return table, best
+
+
+class _Tally:
+    """A chunk's violation bookkeeping, judged a block of waves at a time.
+
+    A block is at most ``block`` = _BLOCK_ROWS // paths consecutive waves
+    (at least one, at most the chunk's).  Each wave writes its rows of
+    X2 - X1, and the repeats of its rows that close a grid step holding a
+    jump, into ``rows`` at their places in call order (``_Waves.start``);
+    ``judge`` then takes the statistic on the block's rows in one call and
+    folds them into each path's running maximum and first violation time.
+    A path fails at a grid point only, where its state is not finite: a
+    wave whose X2 - X1 may fail a path (a row not finite whose path has not
+    failed yet) ends the block before it and is judged alone, with its
+    states.  Within a block, then, the failures do not change, since a
+    state that is not finite stays so.
+    """
+
+    def __init__(self, wv: _Waves, grid: np.ndarray, stat_fn, eps_path: float,
+                 diff: np.ndarray):
+        K, m = diff.shape
+        self.wv, self.grid, self.stat_fn, self.eps_path = wv, grid, stat_fn, eps_path
+        self.run = np.array(_stat_values(stat_fn, diff))
+        self.first_t = np.full(K, np.nan)
+        self.first_t[self.run > eps_path] = grid[0]
+        self.failed, self.any_failed = np.zeros(K, dtype=bool), False
+        self.block = B = min(max(1, _BLOCK_ROWS // K), len(wv.live))
+        start = np.array(wv.start)
+        self.rows = np.empty((int((start[B:] - start[:-B]).max()), m))
+
+    def may_fail(self, diff: np.ndarray) -> bool:
+        """Whether a wave's X2 - X1 has a row not finite whose path has
+        not failed yet."""
+        if np.isfinite(diff).all():
+            return False
+        return not (self.any_failed and (self.failed[: diff.shape[0]] | _finite_rows(diff)).all())
+
+    def judge(self, k0: int, k1: int, off: np.ndarray, X=None, first: int = 0) -> None:
+        """Judge the waves k0 .. k1 - 1, whose rows fill ``rows`` from
+        ``first`` on, with ``off`` counting their jumps off the grid.  With
+        the states X, of the one wave k0, first mark the paths that fail at
+        its grid point."""
+        wv, failed, waves = self.wv, self.failed, k1 - k0
+        s0 = wv.start[k0]
+        rows = self.rows[first : first + wv.start[k1] - s0]
+        q0, q1 = wv.bounds[3 * k0], wv.bounds[3 * k1]
+        row = wv.row[q0:q1]
+        wave, kind = np.divmod(wv.key[q0:q1], 3)
+        wave -= k0
+        mid, dup = kind == 0, kind > 0  # ending at a jump off the grid, or repeated
+        # each entry's place in the block's call order: of kind 0, its live
+        # row's; else after its wave's live rows, in entry order
+        live_at = np.array(wv.start[k0:k1]) - s0
+        rep_at = live_at + wv.live[k0:k1] - np.array(wv.bounds[3 * k0 + 1 : 3 * k1 : 3])
+        pos = np.where(mid, live_at[wave] + row, rep_at[wave] + np.arange(q0, q1))
+        keep = None
+        if self.any_failed:  # a failed path's sub-step rows are left out
+            keep = np.ones(rows.shape[0], dtype=bool)
+            keep[pos] = ~failed[row]
+        if X is not None:
+            n = wv.live[k0]
+            bad = ~_finite_rows(X[0][:n]) | ~_finite_rows(X[1][:n])
+            bad[row[mid]] = False  # a path fails only at a grid point
+            failed[:n] |= bad
+            self.any_failed = bool(failed.any())
+        if keep is None:
+            val = _stat_values(self.stat_fn, rows)
+        else:
+            val = np.full(rows.shape[0], np.nan)
+            if keep.any():
+                val[keep] = _stat_values(self.stat_fn, rows if keep.all() else rows[keep])
+        # rows that do not count (NaN, inf, left out): -inf
+        val = np.where(np.isfinite(val), val, -np.inf)
+        table, best = _raise_block(self.run, val, wv.start[k0:k1], wv.live[k0:k1],
+                                   self.run.shape[0] * wave[dup] + row[dup], pos[dup],
+                                   failed if self.any_failed else None)
+        hot = (best > self.eps_path) & np.isnan(self.first_t)
+        if hot.any():  # a first violation, at its earliest wave's end time
+            r = np.flatnonzero(hot)
+            kk = (table[:, r] > self.eps_path).argmax(axis=0)
+            # the row's jumps off the grid in the block, by (row, wave):
+            # its grid step at wave kk is k0 + kk - (off less those from kk
+            # on), unless it ends at such a jump
+            jumps = row[mid] * waves + wave[mid]
+            order = np.argsort(jumps)
+            jumps = jumps[order]
+            lo = np.searchsorted(jumps, r * waves + kk)
+            step = k0 + kk - off[r] + np.searchsorted(jumps, r * waves + waves) - lo
+            t = self.grid[step + 1]
+            at_jump = np.append(jumps, -1)[lo] == r * waves + kk
+            t[at_jump] = wv.t_end[q0:q1][mid][order][lo[at_jump]]
+            self.first_t[r] = t
 
 
 def _run_chunk(
@@ -517,7 +661,6 @@ def _run_chunk(
     batches = [_BatchCoefficients(model, K) for model in models]
     X = [np.tile(np.asarray(x0, dtype=float), (K, 1)) for x0 in starts]
     m = X[0].shape[1]  # the models of a problem share m
-    coupled = len(batches) == 2 and stat_fn is not None
     wv = _waves(drivers, grid)
     steps = np.diff(grid)
     roots = np.sqrt(steps)
@@ -525,14 +668,10 @@ def _run_chunk(
     timed = any(bat.affine is None for bat in batches)  # black-box models read t
     off = np.zeros(K, dtype=np.intp)  # jumps off the grid each row has passed
     jumped = False  # any(off): else wave k is grid step k on every row
-
-    failed, any_failed = np.zeros(K, dtype=bool), False
-    first_t = np.full(K, np.nan)
-    if coupled:
-        run = np.array(stat_fn(X[1] - X[0]), dtype=float)
-        first_t[run > eps_path] = grid[0]
-    else:
-        run = np.zeros(K)
+    tally = None
+    if len(batches) == 2 and stat_fn is not None:
+        tally = _Tally(wv, grid, stat_fn, eps_path, X[1] - X[0])
+        k0 = 0  # the block's first wave
 
     # overflow / NaN on exploding paths is expected and handled through the
     # failed flag, not warnings
@@ -559,51 +698,32 @@ def _run_chunk(
                     pj = wv.row[a:e2]
                     Xk[pj] = bat.jump_rows(wv.t_end[a:e2], Xk[pj], wv.atom[a:e2])
                 X[mi] = Xk if n == K else np.concatenate((Xk, X[mi][n:]))
-            mid = wv.row[a:e1]  # the rows that end at a jump off the grid
-            if coupled:
-                # sub-step rows count by the failures at their step's start;
-                # the rows closing a step with a jump are its sub-step rows too
-                dup = wv.row[e1:b]
-                diff = X[1][:n] - X[0][:n]
-                if any_failed:
-                    dup = dup[~failed[dup]]
-                if any_failed and failed[mid].any():  # left out, as failed
-                    keep = np.ones(n, dtype=bool)
-                    keep[mid[failed[mid]]] = False
-                    val = np.full(n, np.nan)
-                    if keep.any():
-                        val[keep] = stat_fn(diff[keep])
-                else:
-                    val = stat_fn(diff)
-                if not np.isfinite(diff).all():  # else both sides are finite
-                    bad = ~_finite_rows(X[0][:n]) | ~_finite_rows(X[1][:n])
-                    bad[mid] = False  # a path fails only at a grid point
-                    failed[:n] |= bad
-                    any_failed = bool(failed.any())
-                # rows that do not count (NaN, inf, failed at the grid
-                # point, left out): -inf
-                ok = np.isfinite(val)
-                if any_failed:
-                    ok &= ~failed[:n]
-                val = np.where(ok, val, -np.inf)
-                hot = (val > eps_path) & np.isnan(first_t[:n])
-                if hot.any():  # a first violation, at its row's end time
-                    r = np.flatnonzero(hot)
-                    first_t[r] = grid[k + 1 - off[r]]
-                    first_t[mid[hot[mid]]] = wv.t_end[a:e1][hot[mid]]
-                _raise_max(run, slice(0, n), val)
-                if dup.size:
-                    val = stat_fn(diff[dup])
-                    val = np.where(np.isfinite(val), val, -np.inf)
-                    r = dup[(val > eps_path) & np.isnan(first_t[dup])]
-                    first_t[r] = grid[k + 1 - off[r]]
-                    _raise_max(run, dup, val)
-            if e1 > a:
-                off[mid] += 1
+            if tally is not None:
+                first = wv.start[k] - wv.start[k0]
+                diff = tally.rows[first : first + n]
+                np.subtract(X[1][:n], X[0][:n], out=diff)
+                if b > e1:  # the rows closing a step with a jump, repeated
+                    np.take(diff, wv.row[e1:b], axis=0, mode="clip",
+                            out=tally.rows[first + n : first + n + b - e1])
+                alone = tally.may_fail(diff)
+                if alone and k > k0:  # the block ends before this wave
+                    tally.judge(k0, k, off)
+            if e1 > a:  # the rows that end at a jump off the grid
+                off[wv.row[a:e1]] += 1
                 jumped = True
+            if tally is not None:
+                if alone:
+                    tally.judge(k, k + 1, off, X, first)
+                    k0 = k + 1
+                elif k + 1 - k0 == tally.block or k + 1 == len(wv.live):
+                    tally.judge(k0, k + 1, off)
+                    k0 = k + 1
 
-    viol = np.maximum(run, 0.0)
-    viol[failed] = np.nan
+    if tally is None:
+        viol, first_t, failed = np.zeros(K), np.full(K, np.nan), np.zeros(K, dtype=bool)
+    else:
+        viol, first_t, failed = np.maximum(tally.run, 0.0), tally.first_t, tally.failed
+        viol[failed] = np.nan
     rows = wv.row_of  # back to path order
     return viol[rows], first_t[rows], failed[rows], [XM[rows] for XM in X]
 
@@ -646,6 +766,12 @@ def mc_comparison(
     violation probability and is deterministic in (problem, paths, h, seed):
     each path's noise is keyed by (seed, path_index), so the split into
     chunks does not change it.
+
+    ``stat_fn`` (default ``componentwise_stat``) is row-wise: it takes an
+    (n, m) array of X2 - X1 rows and returns n floats, each depending on its
+    own row only, since it is called on blocks of rows from many paths and
+    times at once.  The array is a view of a buffer that the kernel reuses
+    after the call.  A result of any other shape raises ValueError.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")

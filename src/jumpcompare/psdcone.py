@@ -523,31 +523,37 @@ def _lambda_max_2x2(rows: np.ndarray) -> np.ndarray:
     range where neither routine rescales, zero rows included, go through
     ``eigvalsh`` itself.
     """
+    # the kernel calls this on blocks of thousands of rows, so each
+    # intermediate array is deleted once spent: fewer live at a time
     a, c = rows[:, 0], rows[:, 1]
     b = rows[:, 2] / math.sqrt(2.0)  # the division _unsvec_rows makes
     abs_a, abs_c = np.abs(a), np.abs(c)
     anrm = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)  # NaN stays NaN
+    rescaled = ~((anrm >= _NO_SCALE_MIN) & (anrm <= _NO_SCALE_MAX))
+    del anrm
     with np.errstate(all="ignore"):  # split, zero or non-finite rows are replaced below
         e2 = b * b
         split = (np.abs(b) <= (np.sqrt(abs_a) * np.sqrt(abs_c)) * _EPS) | (
             e2 <= (_EPS * _EPS) * np.abs(a * c))
+        a_big = abs_a > abs_c
+        del b, abs_a, abs_c
         # dlae2(a, rte, c): dsterf passes a and c in either order, and the
         # arithmetic is symmetric in them; rt1 is the root of larger
         # magnitude and rt2 the other
         rte = np.sqrt(e2)
-        sm = a + c
+        del e2
         adf = np.abs(a - c)
         ab = rte + rte
         big = np.maximum(adf, ab)
         rt = big * np.sqrt(1.0 + (np.minimum(adf, ab) / big) ** 2)
+        del adf, ab, big
+        sm = a + c
         rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))  # 0.5 * rt when sm = 0
-        a_big = abs_a > abs_c
-        acmx, acmn = np.where(a_big, a, c), np.where(a_big, c, a)
-        rt2 = (acmx / rt1) * acmn - (rte / rt1) * rte
+        del sm, rt
+        rt2 = (np.where(a_big, a, c) / rt1) * np.where(a_big, c, a) - (rte / rt1) * rte
         # dlasrt then sorts the pair; two equal values here have equal bits
         # (a zero matrix is among the rescaled rows)
         out = np.where(split, np.maximum(a, c), np.maximum(rt1, rt2))
-    rescaled = ~((anrm >= _NO_SCALE_MIN) & (anrm <= _NO_SCALE_MAX))
     if rescaled.any():
         out[rescaled] = _eigvalsh_max(rows[rescaled], 2)
     return out

@@ -1067,17 +1067,17 @@ class TestWaves:
         viol, _, _, terminals = _run_pair_chunk(problem, [drv], grid, _recording(rows))
         assert terminals[0][0, 0] == 12220199 / 2**22
         assert terminals[1][0, 0] == 3078565 / 2**20
-        # a call at the start, then one per wave (segment), and after each
-        # wave that ends at the grid point of a step holding a jump (1/2,
-        # 3/4 and 1) a second one with that row again, as the step's sub-step
-        # row; a sixth dW row would be out of range, and a skipped last wave
-        # would leave the terminal state off
+        # a call at the start, then one on the block of all five waves: each
+        # wave's row, and after each wave that ends at the grid point of a
+        # step holding a jump (1/2, 3/4 and 1) that row again, as the step's
+        # sub-step row; a sixth dW row would be out of range, and a skipped
+        # last wave would leave the terminal state off
         assert _substeps_per_step(drv, grid).tolist() == [0, 1, 2, 1]
+        assert [r.shape[0] for r in rows] == [1, 8]
         # X2 - X1 at 0, 1/4, 1/2, 5/8, 3/4 and 1: positive only at T
         gaps = [-1 / 2, -17 / 32, -167 / 512, -1009 / 2**14, -41789 / 2**18, 94061 / 2**22]
-        assert [r[:, 0].tolist() for r in rows] == [
-            [gaps[0]], [gaps[1]], [gaps[2]], [gaps[2]], [gaps[3]],
-            [gaps[4]], [gaps[4]], [gaps[5]], [gaps[5]]]
+        assert np.concatenate(rows)[:, 0].tolist() == [
+            gaps[0], gaps[1], gaps[2], gaps[2], gaps[3], gaps[4], gaps[4], gaps[5], gaps[5]]
         assert viol[0] == 94061 / 2**22
 
 
@@ -1134,22 +1134,49 @@ def _scripted_run():
     return {name: (viol[p], first_t[p], failed[p]) for p, name in enumerate(SCRIPTED)}
 
 
+def _closing_segments(drv, grid):
+    """Per segment of one path: 0 if it does not end at the grid point of
+    a step holding a jump, else 1 if a jump sits on that point and 2 if
+    not (the segment after the step's last jump)."""
+    times, jumped = drv.times[1:], drv.jump_atoms >= 0
+    steps = np.searchsorted(grid, times, side="left") - 1
+    closes = np.isin(times, grid) & np.isin(steps, steps[jumped])
+    return np.where(closes, np.where(jumped, 1, 2), 0)
+
+
 def _wave_calls(drivers, grid):
-    """The row count of each statistic call of one chunk, derived from the
-    drivers' time lists: the start, then for each wave k one call on every
-    path with more than k segments and, if any, one on the paths whose
-    segment k ends at the grid point of a step holding a jump."""
-    dups = []  # per path: does segment k close a grid step holding a jump
-    for drv in drivers:
-        times, jumped = drv.times[1:], drv.jump_atoms >= 0
-        steps = np.searchsorted(grid, times, side="left") - 1
-        dups.append((np.isin(times, grid) & np.isin(steps, steps[jumped])).tolist())
+    """The statistic rows of one chunk in groups, counted from the drivers'
+    time lists: the start, then for each wave k every path with more than k
+    segments and, if any, the paths whose segment k ends at the grid point
+    of a step holding a jump."""
+    closing = [_closing_segments(drv, grid) for drv in drivers]
     calls = [len(drivers)]
-    for k in range(max(len(d) for d in dups)):
-        calls.append(sum(k < len(d) for d in dups))
-        n_dup = sum(d[k] for d in dups if k < len(d))
+    for k in range(max(c.shape[0] for c in closing)):
+        calls.append(sum(k < c.shape[0] for c in closing))
+        n_dup = sum(int(c[k] > 0) for c in closing if k < c.shape[0])
         calls += [n_dup] if n_dup else []
     return calls
+
+
+def _wave_rows(drivers, grid, traces):
+    """The rows of ``_wave_calls``' groups, from each path's trace (the
+    statistic rows of a one-path run: its start, then each segment's row,
+    repeated where the segment closes a step holding a jump).  The chunk
+    holds its paths longest first; a wave's repeats follow its rows, those
+    at a jump on a grid point before those after a step's last jump."""
+    closing = [_closing_segments(drv, grid) for drv in drivers]
+    order = np.argsort([-c.shape[0] for c in closing], kind="stable")
+    where = []  # per path: the trace index of each segment's row
+    for c in closing:
+        where.append(1 + np.arange(c.shape[0]) + np.concatenate([[0], np.cumsum(c > 0)[:-1]]))
+    calls = [[traces[p][0] for p in order]]
+    for k in range(max(c.shape[0] for c in closing)):
+        live = [p for p in order if k < closing[p].shape[0]]
+        calls.append([traces[p][where[p][k]] for p in live])
+        dup = [traces[p][where[p][k] + 1] for kind in (1, 2) for p in live
+               if closing[p][k] == kind]
+        calls += [dup] if dup else []
+    return [np.array(c) for c in calls]
 
 
 def _raise_reference(run, waves):
@@ -1163,39 +1190,79 @@ def _raise_reference(run, waves):
     return run
 
 
-class TestWaveStatistic:
-    """The violation statistic is taken once per wave on every live row, and
-    once more on the wave's rows that close a grid step holding a jump.
-    Sub-step rows are judged against the failures at the step's start, the
-    earliest violating row gives the first violation time, and a value
-    equal to the run maximum keeps the old one."""
+def _raise_blocks(run, waves, sizes):
+    """``run`` after the kernel's block update folds in ``waves`` (each a
+    wave's live values and its repeated rows with their values), ``sizes[i]``
+    waves a block, each block in call order."""
+    run, K = run.copy(), run.shape[0]
+    for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+        val, starts, live, cells, at = [], [], [], [], []
+        for i, (main, (rows, rep)) in enumerate(waves[lo:hi]):
+            starts.append(len(val))
+            live.append(main.shape[0])
+            val += main.tolist()
+            cells += (K * i + rows).tolist()
+            at += range(len(val), len(val) + rep.shape[0])
+            val += rep.tolist()
+        engine._raise_block(run, np.array(val), starts, live, np.array(cells, dtype=np.intp),
+                            np.array(at, dtype=np.intp))
+    return run
 
-    def test_one_call_per_wave_sees_every_row(self, monkeypatch):
+
+def _row_by_row(waves):
+    """``waves`` as ``_raise_reference`` takes them: a wave's live rows,
+    then its repeated rows."""
+    return [w for main, rep in waves for w in ((slice(0, main.shape[0]), main), rep)]
+
+
+class TestWaveStatistic:
+    """The violation statistic is taken once per block of waves, on each
+    wave's live rows and then, again, its rows that close a grid step
+    holding a jump.  Sub-step rows are judged against the failures at the
+    step's start, the earliest violating row gives the first violation
+    time, and a value equal to the run maximum changes no reported value."""
+
+    def test_block_calls_see_every_row_of_the_wave_calls(self, monkeypatch):
         problem = dense_jump_problem(2)
         h, seed, paths = 2.0**-4, 4, 12
         grid = uniform_grid(problem.t0, problem.T, h)
         n_steps = grid.shape[0] - 1
         calls = []
 
-        def counting(diff):
-            calls.append(diff.shape[0])
+        def recording(diff):
+            calls.append(diff.copy())
             return engine.componentwise_stat(diff)
 
         monkeypatch.setattr(engine, "_CHUNK", 5)
-        rep = mc_comparison(problem, paths, h, seed, stat_fn=counting)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 15)  # 3 waves a block, 7 at 2 paths
+        rep = mc_comparison(problem, paths, h, seed, stat_fn=recording)
         assert rep.failed == 0
         drivers = [sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
                    for p in range(paths)]
+        traces = []
+        for drv in drivers:
+            rows = []
+            _run_pair_chunk(problem, [drv], grid, _recording(rows))
+            traces.append(np.concatenate(rows))
         per_step = [_substeps_per_step(drv, grid) for drv in drivers]
         assert max(s.max() for s in per_step) >= 3
+        assert 0 not in [c.shape[0] for c in calls]
         for lo in range(0, paths, 5):
             K = min(5, paths - lo)
-            want = _wave_calls(drivers[lo : lo + K], grid)
-            chunk, calls = calls[: len(want)], calls[len(want) :]
-            assert chunk == want
+            sizes = _wave_calls(drivers[lo : lo + K], grid)
+            want = _wave_rows(drivers[lo : lo + K], grid, traces[lo : lo + K])
+            assert [w.shape[0] for w in want] == sizes
+            got = [calls.pop(0)]  # the start
+            while sum(g.shape[0] for g in got) < sum(sizes):
+                got.append(calls.pop(0))
+            assert got[0].shape[0] == K
+            # at most one call per block of 15 // K waves
+            n_waves = max(drv.n_segments for drv in drivers[lo : lo + K])
+            assert len(got) - 1 <= -(-n_waves // (15 // K))
+            assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
             # a row per path at the start and at each grid point, and one
             # per sub-step
-            assert sum(chunk) == K * (n_steps + 1) + np.sum(per_step[lo : lo + K])
+            assert sum(sizes) == K * (n_steps + 1) + np.sum(per_step[lo : lo + K])
         assert calls == []
 
     def test_first_violation_time_is_the_earliest_sub_step(self):
@@ -1215,35 +1282,50 @@ class TestWaveStatistic:
         # stays that of the earlier sub-step row
         assert got["D"] == (1.0, 0.3, False)
 
-    def test_ties_with_the_run_maximum_keep_the_old_value(self):
-        # final violations read max(run, 0.0), which is +0.0 for both zeros,
-        # so the tie rule is checked on the run maximum itself
+    def test_ties_with_the_run_maximum_change_no_violation(self):
+        # final violations read max(run, 0.0), which is +0.0 for both zeros
         run = np.array([0.0, -0.0, -1.0, np.nan, 1.0, 1.0])
         waves = [
-            (slice(0, 6), np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf])),  # -inf: not counted
-            (np.array([2, 4]), np.array([0.0, 2.0])),  # the duplicate rows
-            (slice(0, 3), np.array([-0.0, 0.0, 0.0])),
+            # -inf: not counted; then the wave's repeated rows 2 and 4
+            (np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf]), (np.array([2, 4]), np.array([0.0, 2.0]))),
+            (np.array([-0.0, 0.0, 0.0]), (np.zeros(0, dtype=int), np.zeros(0))),
         ]
-        got = run.copy()
-        for rows, val in waves:
-            engine._raise_max(got, rows, val)
-        want = np.array([0.0, -0.0, -0.0, np.nan, 3.0, 1.0])
-        assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == _raise_reference(run, waves).tobytes()
+        want = np.array([0.0, 0.0, 0.0, np.nan, 3.0, 1.0])
+        assert np.maximum(_raise_reference(run, _row_by_row(waves)), 0.0).tobytes() == want.tobytes()
+        for sizes in ([1, 1], [2]):
+            assert np.maximum(_raise_blocks(run, waves, sizes), 0.0).tobytes() == want.tobytes()
 
-    def test_wave_ties_match_row_by_row_on_signed_zeros(self):
-        rng = np.random.default_rng(5)
+    def test_block_ties_match_row_by_row_on_signed_zeros(self):
+        rng, split = np.random.default_rng(5), np.random.default_rng(6)
         values = np.array([-0.0, 0.0, -1.0, 1.0, 2.0, -np.inf])
         for K in (1, 3, 8):
             for _ in range(200):
                 run = rng.choice(values[:-1], K)
                 waves = []
                 for n in sorted(rng.integers(1, K + 1, 4).tolist(), reverse=True):
-                    # a wave's live rows, then its duplicate rows
-                    waves.append((slice(0, n), rng.choice(values, n)))
+                    # a wave's live rows, then its repeated rows
+                    main = rng.choice(values, n)
                     dup = rng.permutation(n)[: rng.integers(0, n + 1)]
-                    waves.append((dup, rng.choice(values, dup.shape[0])))
-                got = run.copy()
-                for rows, val in waves:
-                    engine._raise_max(got, rows, val)
-                assert got.tobytes() == _raise_reference(run, waves).tobytes()
+                    waves.append((main, (dup, rng.choice(values, dup.shape[0]))))
+                sizes = []  # the waves in blocks of random sizes
+                while sum(sizes) < len(waves):
+                    sizes.append(int(split.integers(1, len(waves) - sum(sizes) + 1)))
+                got = _raise_blocks(run, waves, sizes)
+                want = _raise_reference(run, _row_by_row(waves))
+                assert np.maximum(got, 0.0).tobytes() == np.maximum(want, 0.0).tobytes()
+
+    @pytest.mark.parametrize("bad", [lambda v: v[:, None], lambda v: v[0], lambda v: v[:-1]],
+                             ids=["column", "scalar", "one-short"])
+    def test_a_statistic_of_the_wrong_shape_is_refused(self, bad):
+        problem = dense_jump_problem(2)
+        rows = []
+
+        def stat(diff):  # right at the start, wrong on the first block
+            rows.append(diff.shape[0])
+            val = engine.componentwise_stat(diff)
+            return bad(val) if len(rows) > 1 else val
+
+        with pytest.raises(ValueError) as err:
+            mc_comparison(problem, 5, 2.0**-4, 4, stat_fn=stat)
+        want, got = (rows[-1],), np.shape(bad(np.zeros(rows[-1])))
+        assert f"shape {want}" in str(err.value) and f"not {got}" in str(err.value)

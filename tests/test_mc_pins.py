@@ -16,6 +16,9 @@ counts are pinned as well, so a re-pinned digest shows whether a count moved
 with it.  The dense and exploding cases also run one path a chunk, and with
 the uneven cases 7 paths a chunk, which must give the same digests; the
 exploding case also pins how many rows its violation statistic judges.
+One dense case, the uneven cases and the exploding case also run with the
+statistic taken on blocks of one wave, of three waves and of the default
+size, at each of those chunk sizes, which must give the same rows.
 
 Run as a script, ``PYTHONPATH=src python tests/test_mc_pins.py [CHUNK]``
 prints every case's digest and counts, at CHUNK paths a chunk if given, and
@@ -108,19 +111,21 @@ def exploding_problem() -> ComparisonProblem:
                              t0=0.0, T=1.0, x1=np.array([0.5, 0.5]), x2=np.array([0.0, 0.2]))
 
 
+def _vector_case(name):
+    """(problem, h, seed) of a dense, uneven or exploding case."""
+    if name == "exploding-coupled":
+        return exploding_problem(), DENSE_STEP, 5
+    if name.startswith("uneven-"):
+        return dense_jump_problem(1, kind="jump-row-gap"), float(name[7:]), 1
+    _, seed, kind = name.split("-", 2)
+    return dense_jump_problem(int(seed), kind=None if kind == "pass" else kind), DENSE_STEP, int(seed)
+
+
 def _case(name):
     """(MC report with per-path records, ((model, x0), (model, x0)), t0, T,
     h, seed) of a case."""
     if name.startswith(("dense-", "uneven-", "exploding-")):
-        h = DENSE_STEP
-        if name == "exploding-coupled":
-            problem, seed = exploding_problem(), 5
-        elif name.startswith("uneven-"):
-            problem, seed, h = dense_jump_problem(1, kind="jump-row-gap"), 1, float(name[7:])
-        else:
-            _, seed, kind = name.split("-", 2)
-            problem = dense_jump_problem(int(seed), kind=None if kind == "pass" else kind)
-        seed = int(seed)
+        problem, h, seed = _vector_case(name)
         mc = mc_comparison(problem, PATHS, h, seed, keep_paths=True)
         starts = ((problem.model1, problem.x1), (problem.model2, problem.x2))
         return mc, starts, problem.t0, problem.T, h, seed
@@ -181,6 +186,48 @@ def test_failed_paths_leave_out_their_sub_step_rows(chunk, monkeypatch):
     assert (mc.violating, mc.failed) == PINNED_MC_COUNTS["exploding-coupled"]
     assert sum(rows) == EXPLODING_STAT_ROWS
     assert 0 not in rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+@pytest.mark.parametrize("name", ("dense-1-jump-row-gap",) + UNEVEN_CASES + EXPLODING_CASES)
+def test_blocks_of_waves_give_the_same_rows(name, chunk, monkeypatch):
+    # the statistic taken on blocks of one wave, of three (more in a last,
+    # smaller chunk) and of the default size: every per-path record and
+    # terminal state of the coupled run, bit for bit
+    problem, h, seed = _vector_case(name)
+    paths = 60
+    grid = engine.uniform_grid(problem.t0, problem.T, h)
+    eps = engine.default_eps_path(h, problem.x1, problem.x2)
+    models, starts = (problem.model1, problem.model2), (problem.x1, problem.x2)
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    runs = []
+    for block_rows in (1, 3 * min(chunk, paths), engine._BLOCK_ROWS):
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", block_rows)
+        rows = []
+
+        def counting(diff):
+            rows.append(diff.shape[0])
+            return engine.componentwise_stat(diff)
+
+        chunks = list(engine._chunks(models, starts, grid, paths, h, seed, counting, eps))
+        viol, first_t, failed = (np.concatenate([c[i] for c in chunks]) for i in range(3))
+        X1, X2 = (np.concatenate([c[3][i] for c in chunks]) for i in range(2))
+        runs.append([a.tobytes() for a in (viol, first_t, failed, X1, X2)] + [sum(rows)])
+        # a path fails at a grid point, T included, where its state is not finite
+        assert np.array_equal(failed, ~(np.isfinite(X1).all(axis=1) & np.isfinite(X2).all(axis=1)))
+        assert 0 not in rows
+    assert runs[0] == runs[1] == runs[2]
+    if name == "exploding-coupled":
+        assert 0 < np.count_nonzero(failed) and np.isfinite(first_t[~failed]).sum() >= 2
+    else:
+        # a row per path at the start and at each grid point, and one per sub-step
+        drivers = [engine.sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
+                   for p in range(paths)]
+        substeps = 0
+        for drv in drivers:
+            steps = np.searchsorted(grid, drv.times[1:], side="left") - 1
+            substeps += np.isin(steps, steps[drv.jump_atoms >= 0]).sum()
+        assert sum(rows) == paths * grid.shape[0] + substeps
 
 
 @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
