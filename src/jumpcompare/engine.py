@@ -23,13 +23,13 @@ after which the rows whose segment ends at a jump get their atoms.  A path
 with J jumps off the grid takes n_steps + J waves, so only the last few
 waves run on fewer than all paths.  Each wave writes its rows of X2 - X1
 into a buffer, followed by its rows that close a grid step holding a jump,
-to be judged again as the step's sub-step rows; the violation statistic
-then takes one call per block of waves (about _BLOCK_ROWS rows), and the
-running maxima and first violation times are updated once per block.  A
-path fails at a grid point only, and its other rows are judged by its
-failure at their step's start; a wave that may fail a path is judged on
-its own.  Chunks run in path order, and per-path results are concatenated
-before any reduction.
+repeated as the step's sub-step rows; the violation statistic then takes
+one call per block of waves (about _BLOCK_ROWS rows), and the running
+maxima and first violation times are updated once per block.  Every row
+is judged, and counts where its statistic is finite.  A path fails when
+its terminal state, in either model, is not finite (a state that is not
+finite stays so), and its violation is then NaN.  Chunks run in path
+order, and per-path results are concatenated before any reduction.
 
 A step computes X + drift*dt + sigma dW with the operands, and so the bits,
 of that formula, in few contiguous numpy calls.  The affine constants are
@@ -518,40 +518,34 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
 
 
 def _stat_values(stat_fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """The statistic on ``rows``: one float per row, else ValueError."""
+    """The statistic on ``rows``: one float per row, else ValueError; -inf
+    where it is not finite, as such a row does not count."""
     val = np.asarray(stat_fn(rows), dtype=float)
     if val.shape != rows.shape[:1]:
         raise ValueError(f"the violation statistic must return shape ({rows.shape[0]},) "
                          f"for {rows.shape[0]} rows, not {val.shape}")
-    return val
+    return np.where(np.isfinite(val), val, -np.inf)
 
 
-def _raise_block(run: np.ndarray, val: np.ndarray, starts: Sequence[int], live: Sequence[int],
-                 cells: np.ndarray, at: np.ndarray,
-                 failed: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+def _raise_block(run: np.ndarray, val: np.ndarray, starts: Sequence[int],
+                 live: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Fold a block's statistic values into the run maximum.
 
     ``val`` holds them in call order, -inf where a row does not count: wave
-    i's ``live[i]`` rows from ``starts[i] - starts[0]`` on, and at ``at[j]``
-    a repeat of row ``cells[j] % K`` of wave ``cells[j] // K``.  The live
-    rows of a ``failed`` path do not count; its repeats do.  Returns the
-    (waves, paths) table of each row's greatest value per wave (-inf where
-    it has none) and each row's greatest in the block, which replaces its
-    run maximum where greater: of equal ones, -0.0 and +0.0, a row may keep
-    either, which ``np.maximum(run, 0.0)`` does not show.
+    i's ``live[i]`` rows from ``starts[i] - starts[0]`` on, then the repeats
+    of its rows that close a grid step holding a jump, which are not read.
+    Returns the (waves, paths) table of each row's value per wave (-inf
+    where it has none) and each row's greatest in the block, which replaces
+    its run maximum where greater: of equal ones, -0.0 and +0.0, a row may
+    keep either, which ``np.maximum(run, 0.0)`` does not show.
     """
     K, waves = run.shape[0], len(live)
-    if not cells.size and val.shape[0] == waves * K:  # each wave on every row
+    if live[-1] == K and val.shape[0] == waves * K:  # each wave on every row, no repeats
         table = val.reshape(waves, K)
     else:
         table = np.full((waves, K), -np.inf)
         for i, (s, n) in enumerate(zip(starts, live)):
             table[i, :n] = val[s - starts[0] : s - starts[0] + n]
-    if failed is not None:
-        table[:, failed] = -np.inf
-    if cells.size:
-        flat = table.reshape(-1)
-        flat[cells] = np.maximum(flat[cells], val[at])
     best = table.max(axis=0)
     np.copyto(run, best, where=best > run)
     return table, best
@@ -566,79 +560,39 @@ class _Tally:
     jump, into ``rows`` at their places in call order (``_Waves.start``);
     ``judge`` then takes the statistic on the block's rows in one call and
     folds them into each path's running maximum and first violation time.
-    A path fails at a grid point only, where its state is not finite: a
-    wave whose X2 - X1 may fail a path (a row not finite whose path has not
-    failed yet) ends the block before it and is judged alone, with its
-    states.  Within a block, then, the failures do not change, since a
-    state that is not finite stays so.
+    Every row counts where its statistic is finite, the start's too.  A
+    repeat holds the bits of its wave's row, so it is judged alike and only
+    that row is folded in; the statistic still sees it.
     """
 
     def __init__(self, wv: _Waves, grid: np.ndarray, stat_fn, eps_path: float,
                  diff: np.ndarray):
         K, m = diff.shape
         self.wv, self.grid, self.stat_fn, self.eps_path = wv, grid, stat_fn, eps_path
-        self.run = np.array(_stat_values(stat_fn, diff))
+        self.run = _stat_values(stat_fn, diff)
         self.first_t = np.full(K, np.nan)
         self.first_t[self.run > eps_path] = grid[0]
-        self.failed, self.any_failed = np.zeros(K, dtype=bool), False
         self.block = B = min(max(1, _BLOCK_ROWS // K), len(wv.live))
         start = np.array(wv.start)
         self.rows = np.empty((int((start[B:] - start[:-B]).max()), m))
 
-    def may_fail(self, diff: np.ndarray) -> bool:
-        """Whether a wave's X2 - X1 has a row not finite whose path has
-        not failed yet."""
-        if np.isfinite(diff).all():
-            return False
-        return not (self.any_failed and (self.failed[: diff.shape[0]] | _finite_rows(diff)).all())
-
-    def judge(self, k0: int, k1: int, off: np.ndarray, X=None, first: int = 0) -> None:
-        """Judge the waves k0 .. k1 - 1, whose rows fill ``rows`` from
-        ``first`` on, with ``off`` counting their jumps off the grid.  With
-        the states X, of the one wave k0, first mark the paths that fail at
-        its grid point."""
-        wv, failed, waves = self.wv, self.failed, k1 - k0
-        s0 = wv.start[k0]
-        rows = self.rows[first : first + wv.start[k1] - s0]
-        q0, q1 = wv.bounds[3 * k0], wv.bounds[3 * k1]
-        row = wv.row[q0:q1]
-        wave, kind = np.divmod(wv.key[q0:q1], 3)
-        wave -= k0
-        mid, dup = kind == 0, kind > 0  # ending at a jump off the grid, or repeated
-        # each entry's place in the block's call order: of kind 0, its live
-        # row's; else after its wave's live rows, in entry order
-        live_at = np.array(wv.start[k0:k1]) - s0
-        rep_at = live_at + wv.live[k0:k1] - np.array(wv.bounds[3 * k0 + 1 : 3 * k1 : 3])
-        pos = np.where(mid, live_at[wave] + row, rep_at[wave] + np.arange(q0, q1))
-        keep = None
-        if self.any_failed:  # a failed path's sub-step rows are left out
-            keep = np.ones(rows.shape[0], dtype=bool)
-            keep[pos] = ~failed[row]
-        if X is not None:
-            n = wv.live[k0]
-            bad = ~_finite_rows(X[0][:n]) | ~_finite_rows(X[1][:n])
-            bad[row[mid]] = False  # a path fails only at a grid point
-            failed[:n] |= bad
-            self.any_failed = bool(failed.any())
-        if keep is None:
-            val = _stat_values(self.stat_fn, rows)
-        else:
-            val = np.full(rows.shape[0], np.nan)
-            if keep.any():
-                val[keep] = _stat_values(self.stat_fn, rows if keep.all() else rows[keep])
-        # rows that do not count (NaN, inf, left out): -inf
-        val = np.where(np.isfinite(val), val, -np.inf)
-        table, best = _raise_block(self.run, val, wv.start[k0:k1], wv.live[k0:k1],
-                                   self.run.shape[0] * wave[dup] + row[dup], pos[dup],
-                                   failed if self.any_failed else None)
+    def judge(self, k0: int, k1: int, off: np.ndarray) -> None:
+        """Judge the waves k0 .. k1 - 1, whose rows fill ``rows`` from its
+        start, with ``off`` counting each row's jumps off the grid."""
+        wv, waves = self.wv, k1 - k0
+        val = _stat_values(self.stat_fn, self.rows[: wv.start[k1] - wv.start[k0]])
+        table, best = _raise_block(self.run, val, wv.start[k0:k1], wv.live[k0:k1])
         hot = (best > self.eps_path) & np.isnan(self.first_t)
         if hot.any():  # a first violation, at its earliest wave's end time
             r = np.flatnonzero(hot)
             kk = (table[:, r] > self.eps_path).argmax(axis=0)
-            # the row's jumps off the grid in the block, by (row, wave):
-            # its grid step at wave kk is k0 + kk - (off less those from kk
-            # on), unless it ends at such a jump
-            jumps = row[mid] * waves + wave[mid]
+            # the entries that end at a jump off the grid, by (row, wave):
+            # the row's grid step at wave kk is k0 + kk - (off less its
+            # jumps from kk on), unless it ends at such a jump
+            q0, q1 = wv.bounds[3 * k0], wv.bounds[3 * k1]
+            wave, kind = np.divmod(wv.key[q0:q1], 3)
+            mid = kind == 0
+            jumps = wv.row[q0:q1][mid] * waves + wave[mid] - k0
             order = np.argsort(jumps)
             jumps = jumps[order]
             lo = np.searchsorted(jumps, r * waves + kk)
@@ -698,6 +652,9 @@ def _run_chunk(
                     pj = wv.row[a:e2]
                     Xk[pj] = bat.jump_rows(wv.t_end[a:e2], Xk[pj], wv.atom[a:e2])
                 X[mi] = Xk if n == K else np.concatenate((Xk, X[mi][n:]))
+            if e1 > a:  # the rows that end at a jump off the grid
+                off[wv.row[a:e1]] += 1
+                jumped = True
             if tally is not None:
                 first = wv.start[k] - wv.start[k0]
                 diff = tally.rows[first : first + n]
@@ -705,24 +662,15 @@ def _run_chunk(
                 if b > e1:  # the rows closing a step with a jump, repeated
                     np.take(diff, wv.row[e1:b], axis=0, mode="clip",
                             out=tally.rows[first + n : first + n + b - e1])
-                alone = tally.may_fail(diff)
-                if alone and k > k0:  # the block ends before this wave
-                    tally.judge(k0, k, off)
-            if e1 > a:  # the rows that end at a jump off the grid
-                off[wv.row[a:e1]] += 1
-                jumped = True
-            if tally is not None:
-                if alone:
-                    tally.judge(k, k + 1, off, X, first)
-                    k0 = k + 1
-                elif k + 1 - k0 == tally.block or k + 1 == len(wv.live):
+                if k + 1 - k0 == tally.block or k + 1 == len(wv.live):
                     tally.judge(k0, k + 1, off)
                     k0 = k + 1
 
     if tally is None:
         viol, first_t, failed = np.zeros(K), np.full(K, np.nan), np.zeros(K, dtype=bool)
     else:
-        viol, first_t, failed = np.maximum(tally.run, 0.0), tally.first_t, tally.failed
+        failed = ~(_finite_rows(X[0]) & _finite_rows(X[1]))
+        viol, first_t = np.maximum(tally.run, 0.0), tally.first_t
         viol[failed] = np.nan
     rows = wv.row_of  # back to path order
     return viol[rows], first_t[rows], failed[rows], [XM[rows] for XM in X]

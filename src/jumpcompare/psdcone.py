@@ -1,12 +1,12 @@
 """The PSD cone and the matrix-valued comparison condition.
 
 Spectral machinery on one matrix or a stack of them (the LAPACK symmetric
-eigensolver, positive/negative spectral splits, squared distance to the PSD
-cone, its gradient, and the divided-difference Hessian quadratic form), the
-cone ``PsdCone`` that ``geometry.generator`` evaluates the pointwise
-inequality over (Theorem 3.7), the scalar-linear matrix models, the matrix
-probe generator judged by ``conditions.judge_probes``, and the svec-embedded
-Monte Carlo runner.
+eigensolver; at a point, its positive/negative spectral split, squared
+distance to the PSD cone and the divided-difference Hessian quadratic form
+of that distance), the cone ``PsdCone`` that ``geometry.generator``
+evaluates the pointwise inequality over (Theorem 3.7), the scalar-linear
+matrix models, the matrix probe generator judged by
+``conditions.judge_probes``, and the svec-embedded Monte Carlo runner.
 
 The Monte Carlo measures a violation as the largest eigenvalue of the
 coupled difference at every grid step.  For m = 2 that statistic is the
@@ -57,7 +57,6 @@ from .model import (
 
 __all__ = [
     "EigDecomp",
-    "HessQuadForm",
     "PsdCone",
     "MatrixLinearMap",
     "MatrixCoefficients",
@@ -66,10 +65,6 @@ __all__ = [
     "svec",
     "unsvec",
     "eig_sym",
-    "psd_split",
-    "dist2_psd",
-    "grad_dist2_psd",
-    "hess_quadform_psd",
     "eval_theorem37",
     "check_theorem37",
     "mc_matrix_comparison",
@@ -182,8 +177,8 @@ def _dist2(lam: np.ndarray) -> np.ndarray:
 
 
 class _PsdPoint:
-    """dist2_psd data at a symmetric x of shape (..., m, m): one matrix, or a
-    stack of them.
+    """The squared distance to the PSD cone at a symmetric x of shape
+    (..., m, m): one matrix, or a stack of them.
 
     One eigendecomposition, which also validates x, gives the negative
     spectral part x^-, the projection x^+ = x + x^-, dist^2 and the Hessian
@@ -201,7 +196,7 @@ class _PsdPoint:
         self.degenerate = np.min(np.abs(dec.lam), axis=-1) <= _ETA_SEP
 
     def hess(self, H: np.ndarray) -> np.ndarray:
-        """Second-derivative quadratic form of dist2_psd at each x applied to
+        """Second-derivative quadratic form of dist^2 at each x applied to
         (H, H), NaN where x is degenerate.
 
         In the eigenbasis: sum_i phi''(lam_i) Ht_ii^2 plus the off-diagonal
@@ -224,41 +219,6 @@ class _PsdPoint:
 
     def half_hess(self, H: np.ndarray) -> np.ndarray:
         return 0.5 * self.hess(H)
-
-
-def psd_split(y) -> Tuple[np.ndarray, np.ndarray]:
-    """Spectral split y = y_plus - y_minus with both parts PSD."""
-    p = _PsdPoint(y)
-    return p.plus, p.minus
-
-
-def dist2_psd(y) -> float:
-    """Squared Frobenius distance to the PSD cone: sum of squared negative
-    eigenvalue parts."""
-    return _PsdPoint(y).dist2
-
-
-def grad_dist2_psd(y) -> np.ndarray:
-    """Gradient of dist2_psd: -2 times the negative spectral part."""
-    return -2.0 * _PsdPoint(y).minus
-
-
-@dataclass(frozen=True)
-class HessQuadForm:
-    """Quadratic form value of the a.e. second derivative, NaN with the flag
-    set when an eigenvalue sits inside the degeneracy band (arrays for a
-    stack)."""
-
-    value: float
-    degenerate: bool
-
-
-def hess_quadform_psd(y, H) -> HessQuadForm:
-    """Second-derivative quadratic form of dist2_psd at y applied to (H, H);
-    degenerate, with a NaN value, when an eigenvalue of y is within _ETA_SEP
-    of zero.  Each of y and H may be one matrix or a stack."""
-    p = _PsdPoint(y)
-    return HessQuadForm(value=p.hess(_symmetrized(H)), degenerate=p.degenerate)
 
 
 class PsdCone:

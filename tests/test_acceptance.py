@@ -28,12 +28,7 @@ from jumpcompare.model import (
     SdeModel,
     lipschitz_certificate,
 )
-from jumpcompare.psdcone import (
-    dist2_psd,
-    grad_dist2_psd,
-    hess_quadform_psd,
-    psd_split,
-)
+from jumpcompare.psdcone import PsdCone
 
 from suitegen import random_problem
 
@@ -218,7 +213,8 @@ def test_criterion_7_psd_module():
         m = int(rng.integers(1, 9))
         A = rng.uniform(-2, 2, (m, m))
         y = 0.5 * (A + A.T)
-        yp, ym = psd_split(y)
+        point = PsdCone.point(y)
+        yp, ym = point.plus, point.minus
         tol = 1e-10 * (1.0 + np.linalg.norm(y))
         assert np.linalg.norm(yp - ym - y) <= tol
         assert abs(np.trace(yp @ ym)) <= tol
@@ -246,16 +242,17 @@ def test_criterion_7_psd_module():
         # reaches zero under perturbations of size 2s << 0.3)
         s = 1e-3
         fd = (
-            -dist2_psd(y + 2 * s * H)
-            + 16.0 * dist2_psd(y + s * H)
-            - 30.0 * dist2_psd(y)
-            + 16.0 * dist2_psd(y - s * H)
-            - dist2_psd(y - 2 * s * H)
+            -PsdCone.point(y + 2 * s * H).dist2
+            + 16.0 * PsdCone.point(y + s * H).dist2
+            - 30.0 * PsdCone.point(y).dist2
+            + 16.0 * PsdCone.point(y - s * H).dist2
+            - PsdCone.point(y - 2 * s * H).dist2
         ) / (12.0 * s * s)
-        out = hess_quadform_psd(y, H)
-        assert not out.degenerate
-        worst_hess = max(worst_hess, abs(out.value - fd))
-        assert abs(out.value - fd) <= 1e-6, (out.value, fd)
+        point = PsdCone.point(y)
+        assert not point.degenerate
+        hess = point.hess(H)
+        worst_hess = max(worst_hess, abs(hess - fd))
+        assert abs(hess - fd) <= 1e-6, (hess, fd)
         hess_checked += 1
 
     grad_checked = 0
@@ -270,8 +267,8 @@ def test_criterion_7_psd_module():
         H = 0.5 * (H + H.T)
         H /= np.linalg.norm(H)
         s = 1e-5
-        fd = (dist2_psd(y + s * H) - dist2_psd(y - s * H)) / (2 * s)
-        inner = float(np.trace(grad_dist2_psd(y) @ H))
+        fd = (PsdCone.point(y + s * H).dist2 - PsdCone.point(y - s * H).dist2) / (2 * s)
+        inner = float(np.trace(-2.0 * PsdCone.point(y).minus @ H))
         worst_grad = max(worst_grad, abs(inner - fd))
         assert abs(inner - fd) <= 1e-6
         grad_checked += 1

@@ -1180,11 +1180,11 @@ def _wave_rows(drivers, grid, traces):
 
 
 def _raise_reference(run, waves):
-    """One row at a time, in wave order: a value replaces the run maximum
-    only if greater."""
+    """One row at a time, in wave order (each wave the values of its first
+    rows): a value replaces the run maximum only if greater."""
     run = run.copy()
-    for rows, val in waves:
-        for p, value in zip(np.arange(run.shape[0])[rows].tolist(), val.tolist()):
+    for val in waves:
+        for p, value in enumerate(val.tolist()):
             if value > run[p]:
                 run[p] = value
     return run
@@ -1192,35 +1192,23 @@ def _raise_reference(run, waves):
 
 def _raise_blocks(run, waves, sizes):
     """``run`` after the kernel's block update folds in ``waves`` (each a
-    wave's live values and its repeated rows with their values), ``sizes[i]``
-    waves a block, each block in call order."""
-    run, K = run.copy(), run.shape[0]
+    wave's live values), ``sizes[i]`` waves a block, each block in call
+    order."""
+    run = run.copy()
     for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
-        val, starts, live, cells, at = [], [], [], [], []
-        for i, (main, (rows, rep)) in enumerate(waves[lo:hi]):
-            starts.append(len(val))
-            live.append(main.shape[0])
-            val += main.tolist()
-            cells += (K * i + rows).tolist()
-            at += range(len(val), len(val) + rep.shape[0])
-            val += rep.tolist()
-        engine._raise_block(run, np.array(val), starts, live, np.array(cells, dtype=np.intp),
-                            np.array(at, dtype=np.intp))
+        block = waves[lo:hi]
+        starts = np.cumsum([0] + [w.shape[0] for w in block[:-1]]).tolist()
+        engine._raise_block(run, np.concatenate(block), starts, [w.shape[0] for w in block])
     return run
-
-
-def _row_by_row(waves):
-    """``waves`` as ``_raise_reference`` takes them: a wave's live rows,
-    then its repeated rows."""
-    return [w for main, rep in waves for w in ((slice(0, main.shape[0]), main), rep)]
 
 
 class TestWaveStatistic:
     """The violation statistic is taken once per block of waves, on each
     wave's live rows and then, again, its rows that close a grid step
-    holding a jump.  Sub-step rows are judged against the failures at the
-    step's start, the earliest violating row gives the first violation
-    time, and a value equal to the run maximum changes no reported value."""
+    holding a jump.  Every row counts where its statistic is finite, that
+    of a failed path too, the earliest violating row gives the first
+    violation time, and a value equal to the run maximum changes no
+    reported value."""
 
     def test_block_calls_see_every_row_of_the_wave_calls(self, monkeypatch):
         problem = dense_jump_problem(2)
@@ -1274,24 +1262,73 @@ class TestWaveStatistic:
 
     def test_overflow_within_a_step(self):
         got = _scripted_run()
-        # the state overflows at 0.45; its row at 0.3 still counts, since
-        # the path had not failed at the step's start
+        # the state overflows at 0.45, after its row at 0.3 violates: the
+        # path fails, with that first violation time
         viol, first_t, failed = got["C"]
         assert math.isnan(viol) and first_t == 0.3 and failed
         # a statistic row that is not finite is skipped: the run maximum
         # stays that of the earlier sub-step row
         assert got["D"] == (1.0, 0.3, False)
 
+    def test_rows_after_a_failure_count(self):
+        # a black-box m = 2 pair whose states move only at jumps: atom 0
+        # overflows model 1's first coordinate at 0.25, atom 1 moves model
+        # 2's second by 1 at 0.75.  X2 - X1 reads (-inf, 1) from then on,
+        # whose componentwise value is finite and over eps: it sets the
+        # failed path's first violation time, and its violation stays NaN
+        marks = MarkMeasure.from_atoms([([1.0], 1.0), ([2.0], 1.0)])
+
+        def model(jump):
+            def drift(t, x):  # cancels the compensator exactly
+                return np.add(jump(t, x, 0), jump(t, x, 1))
+
+            triple = CoefficientTriple(m=2, d=1, drift=drift, jump=jump,
+                                       diffusion=lambda t, x: np.zeros((2, 1)))
+            return SdeModel(coefficients=triple, marks=marks,
+                            budget=RegularityBudget(mu=1.0, rho=np.ones(2)))
+
+        m1 = model(lambda t, x, j: (1e308 if j == 0 and np.isfinite(x[0]) else 0.0, 0.0))
+        m2 = model(lambda t, x, j: (0.0, float(j == 1)))
+        problem = pair_problem(m1, m2, [1e308, 0.0], [0.0, 0.0])
+        drv = engine.DriverRealization(t0=0.0, T=1.0, h=0.25, jump_times=np.array([0.25, 0.75]),
+                                       jump_marks=np.array([0, 1]), normals=np.zeros((4, 1)))
+        viol, first_t, failed, X = _run_pair_chunk(problem, [drv], uniform_grid(0.0, 1.0, 0.25))
+        assert X[0].tolist() == [[np.inf, 0.0]] and X[1].tolist() == [[0.0, 1.0]]
+        assert failed[0] and math.isnan(viol[0]) and first_t[0] == 0.75
+
+    @pytest.mark.parametrize("start", [np.inf, np.nan])
+    def test_a_start_value_not_finite_does_not_count(self, start):
+        # the start row's value is dropped when it is not finite, as every
+        # later row's is: the run matches one whose start value is -inf
+        cfg = next(c for c in gallery_configs() if c.id == "corollary35-pass")
+        problem = build_problem(cfg)
+
+        def run(value):
+            calls = []
+
+            def stat(diff):
+                calls.append(diff.shape[0])
+                val = engine.componentwise_stat(diff)
+                return np.full(val.shape, value) if len(calls) == 1 else val
+
+            return mc_comparison(problem, 8, cfg.mc.step, cfg.mc.seed, stat_fn=stat,
+                                 keep_paths=True)
+
+        rep, want = run(start), run(-np.inf)
+        assert rep.violating == want.violating == 0
+        assert rep.max_violation == want.max_violation
+        for field in ("violation", "first_violation_time", "failed"):
+            assert getattr(rep.per_path, field).tobytes() == getattr(want.per_path, field).tobytes()
+
     def test_ties_with_the_run_maximum_change_no_violation(self):
         # final violations read max(run, 0.0), which is +0.0 for both zeros
         run = np.array([0.0, -0.0, -1.0, np.nan, 1.0, 1.0])
         waves = [
-            # -inf: not counted; then the wave's repeated rows 2 and 4
-            (np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf]), (np.array([2, 4]), np.array([0.0, 2.0]))),
-            (np.array([-0.0, 0.0, 0.0]), (np.zeros(0, dtype=int), np.zeros(0))),
+            np.array([-0.0, 0.0, -0.0, 5.0, 3.0, -np.inf]),  # -inf: not counted
+            np.array([-0.0, 0.0, 0.0]),
         ]
         want = np.array([0.0, 0.0, 0.0, np.nan, 3.0, 1.0])
-        assert np.maximum(_raise_reference(run, _row_by_row(waves)), 0.0).tobytes() == want.tobytes()
+        assert np.maximum(_raise_reference(run, waves), 0.0).tobytes() == want.tobytes()
         for sizes in ([1, 1], [2]):
             assert np.maximum(_raise_blocks(run, waves, sizes), 0.0).tobytes() == want.tobytes()
 
@@ -1301,17 +1338,13 @@ class TestWaveStatistic:
         for K in (1, 3, 8):
             for _ in range(200):
                 run = rng.choice(values[:-1], K)
-                waves = []
-                for n in sorted(rng.integers(1, K + 1, 4).tolist(), reverse=True):
-                    # a wave's live rows, then its repeated rows
-                    main = rng.choice(values, n)
-                    dup = rng.permutation(n)[: rng.integers(0, n + 1)]
-                    waves.append((main, (dup, rng.choice(values, dup.shape[0]))))
+                waves = [rng.choice(values, n)  # each wave's live rows
+                         for n in sorted(rng.integers(1, K + 1, 4).tolist(), reverse=True)]
                 sizes = []  # the waves in blocks of random sizes
                 while sum(sizes) < len(waves):
                     sizes.append(int(split.integers(1, len(waves) - sum(sizes) + 1)))
                 got = _raise_blocks(run, waves, sizes)
-                want = _raise_reference(run, _row_by_row(waves))
+                want = _raise_reference(run, waves)
                 assert np.maximum(got, 0.0).tobytes() == np.maximum(want, 0.0).tobytes()
 
     @pytest.mark.parametrize("bad", [lambda v: v[:, None], lambda v: v[0], lambda v: v[:-1]],

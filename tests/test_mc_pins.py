@@ -15,7 +15,8 @@ moves one bit of one path fails here.  Each case's violating and failed
 counts are pinned as well, so a re-pinned digest shows whether a count moved
 with it.  The dense and exploding cases also run one path a chunk, and with
 the uneven cases 7 paths a chunk, which must give the same digests; the
-exploding case also pins how many rows its violation statistic judges.
+exploding case also pins how many rows its violation statistic judges,
+which are as many as in any case without failed paths.
 One dense case, the uneven cases and the exploding case also run with the
 statistic taken on blocks of one wave, of three waves and of the default
 size, at each of those chunk sizes, which must give the same rows.
@@ -85,12 +86,6 @@ PINNED_MC_COUNTS = {
     "uneven-0.01": (0, 0),
     "exploding-coupled": (17, 64),
 }
-
-# rows the exploding case's violation statistic judges: a start and a grid
-# point per path and step, and every sub-step of a path that had not failed
-# at its step's start
-EXPLODING_STAT_ROWS = 20827
-
 
 def exploding_problem() -> ComparisonProblem:
     """An m = 2, d = 1 pair with coupled diffusion (V != 0) and one atom of
@@ -173,8 +168,20 @@ def test_partial_chunks_give_the_pinned_rows(name, monkeypatch):
     assert mc_pin(name) == (PINNED_MC_PATHS[name], PINNED_MC_COUNTS[name])
 
 
+def _judged_rows(problem, h, seed, paths):
+    """The rows the violation statistic judges: a row per path at the start
+    and at each grid point, and one per sub-step."""
+    grid = engine.uniform_grid(problem.t0, problem.T, h)
+    substeps = 0
+    for p in range(paths):
+        drv = engine.sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
+        steps = np.searchsorted(grid, drv.times[1:], side="left") - 1
+        substeps += np.isin(steps, steps[drv.jump_atoms >= 0]).sum()
+    return paths * grid.shape[0] + substeps
+
+
 @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
-def test_failed_paths_leave_out_their_sub_step_rows(chunk, monkeypatch):
+def test_failed_paths_have_every_row_judged(chunk, monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rows = []
 
@@ -184,7 +191,7 @@ def test_failed_paths_leave_out_their_sub_step_rows(chunk, monkeypatch):
 
     mc = mc_comparison(exploding_problem(), PATHS, DENSE_STEP, 5, stat_fn=counting)
     assert (mc.violating, mc.failed) == PINNED_MC_COUNTS["exploding-coupled"]
-    assert sum(rows) == EXPLODING_STAT_ROWS
+    assert sum(rows) == _judged_rows(exploding_problem(), DENSE_STEP, 5, PATHS) == 20902
     assert 0 not in rows
 
 
@@ -213,21 +220,11 @@ def test_blocks_of_waves_give_the_same_rows(name, chunk, monkeypatch):
         viol, first_t, failed = (np.concatenate([c[i] for c in chunks]) for i in range(3))
         X1, X2 = (np.concatenate([c[3][i] for c in chunks]) for i in range(2))
         runs.append([a.tobytes() for a in (viol, first_t, failed, X1, X2)] + [sum(rows)])
-        # a path fails at a grid point, T included, where its state is not finite
+        # a path fails where its terminal state is not finite
         assert np.array_equal(failed, ~(np.isfinite(X1).all(axis=1) & np.isfinite(X2).all(axis=1)))
         assert 0 not in rows
     assert runs[0] == runs[1] == runs[2]
-    if name == "exploding-coupled":
-        assert 0 < np.count_nonzero(failed) and np.isfinite(first_t[~failed]).sum() >= 2
-    else:
-        # a row per path at the start and at each grid point, and one per sub-step
-        drivers = [engine.sample_drivers(problem.marks, problem.horizon, h, seed, p, d=problem.d)
-                   for p in range(paths)]
-        substeps = 0
-        for drv in drivers:
-            steps = np.searchsorted(grid, drv.times[1:], side="left") - 1
-            substeps += np.isin(steps, steps[drv.jump_atoms >= 0]).sum()
-        assert sum(rows) == paths * grid.shape[0] + substeps
+    assert sum(rows) == _judged_rows(problem, h, seed, paths)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])

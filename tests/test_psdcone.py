@@ -25,15 +25,12 @@ from jumpcompare.psdcone import (
     MatrixLinearMap,
     MatrixModel,
     OrderError,
+    PsdCone,
     check_theorem37,
-    dist2_psd,
     eig_sym,
     eval_theorem37,
-    grad_dist2_psd,
-    hess_quadform_psd,
     matrix_certificate,
     mc_matrix_comparison,
-    psd_split,
     svec,
     unsvec,
 )
@@ -150,19 +147,22 @@ class TestEigSym:
 
 class TestSplit:
     def test_diagonal_split(self):
-        yp, ym = psd_split(np.diag([1.0, -2.0]))
+        point = PsdCone.point(np.diag([1.0, -2.0]))
+        yp, ym = point.plus, point.minus
         assert np.allclose(yp, np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(ym, np.diag([0.0, 2.0]), atol=1e-12)
 
     def test_psd_input_unchanged(self):
         y = np.array([[2.0, 0.5], [0.5, 1.0]])
-        yp, ym = psd_split(y)
+        point = PsdCone.point(y)
+        yp, ym = point.plus, point.minus
         assert np.allclose(yp, y, atol=1e-12)
         assert np.allclose(ym, 0.0, atol=1e-12)
 
     def test_exchange_matrix_by_hand(self):
         # eigenvectors (1, +-1)/sqrt(2)
-        yp, ym = psd_split(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        point = PsdCone.point(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        yp, ym = point.plus, point.minus
         assert np.allclose(yp, 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]), atol=1e-12)
         assert np.allclose(ym, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-12)
 
@@ -171,7 +171,8 @@ class TestSplit:
         rng = np.random.default_rng(100 + seed)
         m = int(rng.integers(1, 9))
         y = rand_sym(rng, m, scale=2.5)
-        yp, ym = psd_split(y)
+        point = PsdCone.point(y)
+        yp, ym = point.plus, point.minus
         tol = 1e-10 * (1.0 + np.linalg.norm(y))
         assert np.linalg.norm(yp - ym - y) <= tol
         assert abs(np.trace(yp @ ym)) <= tol
@@ -181,10 +182,11 @@ class TestSplit:
 
 class TestDist2:
     def test_psd_zero(self):
-        assert dist2_psd(np.array([[2.0, 0.3], [0.3, 1.0]])) == pytest.approx(0.0, abs=1e-14)
+        y = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert PsdCone.point(y).dist2 == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal(self):
-        assert dist2_psd(np.diag([1.0, -2.0])) == pytest.approx(4.0, abs=1e-12)
+        assert PsdCone.point(np.diag([1.0, -2.0])).dist2 == pytest.approx(4.0, abs=1e-12)
 
     def test_grid_projection_oracle_m2(self):
         # brute force over PSD candidates parametrized by rotation + eigenvalues
@@ -201,26 +203,26 @@ class TestDist2:
             b = (L1 - L2) * c * s
             dist = (a - y[0, 0]) ** 2 + (d - y[1, 1]) ** 2 + 2.0 * (b - y[0, 1]) ** 2
             best = min(best, float(dist.min()))
-        assert dist2_psd(y) == pytest.approx(best, abs=2e-3)
+        assert PsdCone.point(y).dist2 == pytest.approx(best, abs=2e-3)
 
     def test_equals_residual_to_positive_part(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             m = int(rng.integers(1, 6))
             y = rand_sym(rng, m, 2.0)
-            yp, _ = psd_split(y)
-            assert dist2_psd(y) == pytest.approx(
+            yp = PsdCone.point(y).plus
+            assert PsdCone.point(y).dist2 == pytest.approx(
                 np.linalg.norm(y - yp) ** 2, abs=1e-10 * (1 + np.linalg.norm(y))
             )
 
 
 class TestGrad:
     def test_psd_zero(self):
-        g = grad_dist2_psd(np.array([[1.0, 0.2], [0.2, 2.0]]))
+        g = -2.0 * PsdCone.point(np.array([[1.0, 0.2], [0.2, 2.0]])).minus
         assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_closed_form(self):
-        g = grad_dist2_psd(np.diag([1.0, -2.0]))
+        g = -2.0 * PsdCone.point(np.diag([1.0, -2.0])).minus
         assert np.allclose(g, np.diag([0.0, -4.0]), atol=1e-12)
 
     def test_directional_fd(self):
@@ -232,33 +234,33 @@ class TestGrad:
                 continue  # keep eigenvalues away from zero
             H = rand_sym(rng, m, 1.0)
             s = 1e-5
-            fd = (dist2_psd(y + s * H) - dist2_psd(y - s * H)) / (2 * s)
-            inner = float(np.trace(grad_dist2_psd(y) @ H))
+            fd = (PsdCone.point(y + s * H).dist2 - PsdCone.point(y - s * H).dist2) / (2 * s)
+            inner = float(np.trace(-2.0 * PsdCone.point(y).minus @ H))
             assert inner == pytest.approx(fd, abs=1e-6)
 
 
 class TestHessQuadForm:
     def test_fd_oracle_diag(self):
         # s -> dist2(diag(1,-2) + s I) = (2 - s)^2 near 0: second derivative 2
-        out = hess_quadform_psd(np.diag([1.0, -2.0]), np.eye(2))
+        out = PsdCone.point(np.diag([1.0, -2.0]))
         assert not out.degenerate
-        assert out.value == pytest.approx(2.0, abs=1e-12)
+        assert out.hess(np.eye(2)) == pytest.approx(2.0, abs=1e-12)
 
     def test_negative_definite(self):
         rng = np.random.default_rng(37)
         S = rand_sym(rng, 3, 0.2)
         y = -np.eye(3) - S @ S.T
         H = rand_sym(rng, 3, 1.0)
-        out = hess_quadform_psd(y, H)
-        assert out.value == pytest.approx(2.0 * np.linalg.norm(H) ** 2, rel=1e-10)
+        out = PsdCone.point(y)
+        assert out.hess(H) == pytest.approx(2.0 * np.linalg.norm(H) ** 2, rel=1e-10)
 
     def test_positive_definite(self):
         rng = np.random.default_rng(38)
         S = rand_sym(rng, 3, 0.2)
         y = np.eye(3) + S @ S.T
         H = rand_sym(rng, 3, 1.0)
-        out = hess_quadform_psd(y, H)
-        assert out.value == pytest.approx(0.0, abs=1e-12)
+        out = PsdCone.point(y)
+        assert out.hess(H) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_second_differences(self):
         rng = np.random.default_rng(39)
@@ -270,19 +272,20 @@ class TestHessQuadForm:
                 continue
             H = rand_sym(rng, m, 1.0)
             s = 1e-4
-            fd = (dist2_psd(y + s * H) - 2.0 * dist2_psd(y) + dist2_psd(y - s * H)) / (s * s)
-            out = hess_quadform_psd(y, H)
+            out = PsdCone.point(y)
+            fd = (PsdCone.point(y + s * H).dist2 - 2.0 * out.dist2
+                  + PsdCone.point(y - s * H).dist2) / (s * s)
             assert not out.degenerate
-            assert out.value == pytest.approx(fd, abs=max(1e-6, 1e3 * s * s))
+            assert out.hess(H) == pytest.approx(fd, abs=max(1e-6, 1e3 * s * s))
             checked += 1
 
     def test_degenerate_flag(self):
-        out = hess_quadform_psd(np.diag([0.0, 1.0]), np.eye(2))
-        assert out.degenerate and np.isnan(out.value)
+        out = PsdCone.point(np.diag([0.0, 1.0]))
+        assert out.degenerate and np.isnan(out.hess(np.eye(2)))
 
     def test_coincident_eigenvalues(self):
-        out = hess_quadform_psd(-np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert out.value == pytest.approx(2.0 * 2.0, abs=1e-12)  # 2 * fro(H)^2
+        out = PsdCone.point(-np.eye(2)).hess(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert out == pytest.approx(2.0 * 2.0, abs=1e-12)  # 2 * fro(H)^2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rotation_invariance_with_repeated_eigenvalue(self, seed):
@@ -294,10 +297,10 @@ class TestHessQuadForm:
         Q, R = np.linalg.qr(rng.standard_normal((3, 3)))
         Q = Q * np.sign(np.diag(R))
         y_rot, H_rot = Q @ y @ Q.T, Q @ H @ Q.T
-        out, out_rot = hess_quadform_psd(y, H), hess_quadform_psd(y_rot, H_rot)
+        out, out_rot = PsdCone.point(y), PsdCone.point(y_rot)
         assert not out_rot.degenerate
-        assert out_rot.value == pytest.approx(out.value, rel=1e-12)
-        assert dist2_psd(y_rot) == pytest.approx(dist2_psd(y), rel=1e-12)
+        assert out_rot.hess(H_rot) == pytest.approx(out.hess(H), rel=1e-12)
+        assert out_rot.dist2 == pytest.approx(out.dist2, rel=1e-12)
 
 
 class TestEvalTheorem37:
@@ -520,8 +523,9 @@ class TestScalarReduction:
 
     def test_dist2_psd_reduces_to_scalar_hinge(self):
         for v in (-2.5, -0.3, 0.0, 1.7):
-            assert dist2_psd(np.array([[v]])) == pytest.approx(min(v, 0.0) ** 2, abs=1e-14)
-            yp, ym = psd_split(np.array([[v]]))
+            point = PsdCone.point(np.array([[v]]))
+            assert point.dist2 == pytest.approx(min(v, 0.0) ** 2, abs=1e-14)
+            yp, ym = point.plus, point.minus
             assert yp[0, 0] == pytest.approx(max(v, 0.0), abs=1e-14)
             assert ym[0, 0] == pytest.approx(max(-v, 0.0), abs=1e-14)
 
