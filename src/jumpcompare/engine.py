@@ -36,7 +36,8 @@ of that formula, in few contiguous numpy calls.  The affine constants are
 tiled over the chunk's rows once and a per-row dt fills a (paths, m) array
 (a column, on a grid of unequal steps), so each add or multiply is one flat
 loop instead of one short loop per row; the one-term contractions (the d = 1
-noise, the m = 1 diffusion) are products plus 0.0, as einsum returns them.
+noise, the m = 1 diffusion) are products plus 0.0, as einsum returns them,
+and so is a diagonal V's diffusion on a block of finite rows.
 The m = 1 drift is the product that gemm and gemv alike compute, and the
 m >= 2 drift is one gemm per block, a lone row run as the first of two,
 since BLAS runs a one-row product as gemv, which rounds differently.  A row
@@ -331,9 +332,11 @@ class _BatchCoefficients:
     Affine models evaluate in closed form on (paths, m) blocks; black-box
     models through ``_net_drift`` and the triple's row evaluators, calling
     the coefficients at each row's own time.  The affine constants (the net
-    drift's and U) are tiled over ``rows`` rows once: a block adds a leading
-    slice in one flat loop, where adding a length-m vector to a (paths, m)
-    block runs one loop of m per row.
+    drift's, U and a diagonal V's diagonal, see
+    ``AffineCoefficients.row_tiles``) are tiled over ``rows`` rows once: a
+    block adds or multiplies by a leading slice in one flat loop, where
+    adding a length-m vector to a (paths, m) block runs one loop of m per
+    row.
     """
 
     def __init__(self, model: SdeModel, rows: int):
@@ -347,7 +350,7 @@ class _BatchCoefficients:
             # x*M + (d + 0.0): a -0.0 in d only leaves a +0.0 sum as it is
             self._scale = float(self._M[0, 0]) if model.m == 1 else None
             self._d_rows = np.tile(dvec if self._scale is None else dvec + 0.0, (rows, 1))
-            self._U_rows = np.tile(aff.U, (rows, 1, 1))
+            self._diffusion_tiles = aff.row_tiles(rows)
 
     def net_drift_rows(self, t, X: np.ndarray) -> np.ndarray:
         """The net drift at each row of X, a new array, with the bits a row
@@ -367,7 +370,7 @@ class _BatchCoefficients:
 
     def sigma_rows(self, t, X: np.ndarray) -> np.ndarray:
         if self.affine is not None:
-            return self.affine.diffusion_rows(t, X, self._U_rows)
+            return self.affine.diffusion_rows(t, X, self._diffusion_tiles)
         return self.coeffs.sigma_rows(t, X)
 
     def jump_rows(self, t: np.ndarray, X: np.ndarray, atoms: np.ndarray) -> np.ndarray:

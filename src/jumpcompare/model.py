@@ -268,33 +268,70 @@ class AffineCoefficients:
         return self.G[j] @ x + self.g[j]
 
     @functools.cached_property
+    def _U_has_negative_zero(self) -> bool:
+        return bool(np.any(np.signbit(self.U) & (self.U == 0.0)))
+
+    @functools.cached_property
     def _diffusion_is_U(self) -> bool:
         """V = 0, and U holds no -0.0: then einsum(V, X) + U is U bit for bit
         at every finite row (0 * x + (-0.0) can give +0.0).  A non-finite row
         may get inf where the sum gives NaN."""
-        return not self.V.any() and not np.any(np.signbit(self.U) & (self.U == 0.0))
+        return not self.V.any() and not self._U_has_negative_zero
+
+    @functools.cached_property
+    def _diagonal(self) -> Optional[np.ndarray]:
+        """V[k, :, k] as a (d, m) array when V is diagonal (V[k, :, j] = 0
+        for every j != k) and, at m >= 2, U holds no -0.0; else None."""
+        k = np.arange(self.m)
+        off = self.V.copy()
+        off[k, :, k] = 0.0
+        if off.any() or (self.m > 1 and self._U_has_negative_zero):
+            return None
+        return self.V[k, :, k].T.copy()
+
+    def row_tiles(self, rows: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The constants ``diffusion_rows`` applies, tiled over ``rows`` rows
+        so that a block of at most that many rows takes one flat loop per
+        operation: U (plus 0.0 for a diagonal V) as (rows, m, d), and a
+        diagonal V's diagonal as (d, rows, m), else None."""
+        diag = self._diagonal
+        if diag is None:
+            return np.tile(self.U, (rows, 1, 1)), None
+        return np.tile(self.U + 0.0, (rows, 1, 1)), np.tile(diag[:, None, :], (1, rows, 1))
 
     # batch evaluation over rows of X, used by the vectorized engine
     def diffusion_rows(
-        self, t: float, X: np.ndarray, U_rows: Optional[np.ndarray] = None
+        self,
+        t: float,
+        X: np.ndarray,
+        tiles: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None,
     ) -> np.ndarray:
         """einsum("kaj,pj->pka", V, X) + U at every row of X, bit for bit.
 
-        ``U_rows`` is U repeated over at least X's rows, C-contiguous: adding
-        a leading slice of it is one flat loop, where adding U itself runs
-        one short loop per row.  At m = 1 the sum has one term, which einsum
-        returns as 0 + V x: that is ``X * V + 0.0`` (+0.0 for -0.0, NaN and
-        inf as in the product), one multiply by a scalar at d = 1.
+        ``tiles`` is ``row_tiles(rows)`` for some rows >= X's (built here
+        when None).  A diagonal V (see ``_diagonal``) is taken as a product:
+        X times each column of the diagonal, then U + 0.0.  At m = 1 the sum
+        has one term, which einsum returns as 0 + V x, so the product plus
+        (U + 0.0) is its value at every row, NaN and inf as in the product.
+        At m >= 2 the dropped terms are 0 * x_j: on a finite row they are
+        zeros, which leave a nonzero product exact, and a zero sum is settled
+        by U, which then holds no -0.0 (a nonzero U_k gives U_k, and +0.0
+        plus either zero gives +0.0).  On a row that is not finite einsum
+        makes 0 * inf = NaN and spreads it to the other coordinates, so a
+        block holding such a row takes the einsum.
         """
         if self._diffusion_is_U:
             # a constant diffusion: every row is U, a read-only broadcast
             return np.broadcast_to(self.U, (X.shape[0],) + self.U.shape)
-        if self.m == 1:
-            out = X[:, :, None] * self.V[:, :, 0]
-            out += 0.0
+        n = X.shape[0]
+        U_rows, diag_rows = self.row_tiles(n) if tiles is None else tiles
+        if diag_rows is not None and (self.m == 1 or np.isfinite(X).all()):
+            out = np.empty((n,) + self.U.shape)
+            for a in range(self.d):
+                np.multiply(X, diag_rows[a, :n], out=out[:, :, a])
         else:
             out = np.einsum("kaj,pj->pka", self.V, X)
-        out += self.U if U_rows is None else U_rows[: X.shape[0]]
+        out += U_rows[:n]
         return out
 
     def net_drift_blocks(self, marks: MarkMeasure) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,8 @@ The Monte Carlo measures a violation as the largest eigenvalue of the
 coupled difference at every grid step.  For m = 2 that statistic is the
 closed-form arithmetic reference LAPACK applies to a 2 x 2 matrix
 (``dsyevd`` runs ``dsterf``'s split test and ``dlae2``), evaluated on whole
-arrays of rows, without one LAPACK call per row.  Its bits are those of
+arrays of rows, without one LAPACK call per row, in buffers the statistic
+keeps from block to block (one statistic per run).  Its bits are those of
 ``numpy.linalg.eigvalsh`` where numpy links reference LAPACK's ``dsterf``
 and ``dlae2`` as compiled in the OpenBLAS 0.3.31 that numpy 2.4's wheels
 bundle.  Another LAPACK (MKL, Accelerate, or one compiled with FMA
@@ -470,7 +471,7 @@ _NO_SCALE_MAX = 2.0**485
 _EPS = 2.0**-53  # dsterf's eps (relative machine precision)
 
 
-def _lambda_max_2x2(rows: np.ndarray) -> np.ndarray:
+class _LambdaMax2x2:
     """Largest eigenvalue of each 2 x 2 un-svec'd row, with the bits of
     ``eigvalsh`` on a reference LAPACK (see the module docstring); NaN for a
     non-finite row.
@@ -482,41 +483,89 @@ def _lambda_max_2x2(rows: np.ndarray) -> np.ndarray:
     is then sorted ascending.  Rows with their largest |entry| outside the
     range where neither routine rescales, zero rows included, go through
     ``eigvalsh`` itself.
+
+    The kernel calls this on blocks of thousands of rows, so every
+    intermediate array lives in buffers the object keeps, grown to the
+    largest block it has seen: a call allocates its result, which the caller
+    may keep, and nothing else of the block's size.  One object per run; do
+    not share it between threads.
     """
-    # the kernel calls this on blocks of thousands of rows, so each
-    # intermediate array is deleted once spent: fewer live at a time
-    a, c = rows[:, 0], rows[:, 1]
-    b = rows[:, 2] / math.sqrt(2.0)  # the division _unsvec_rows makes
-    abs_a, abs_c = np.abs(a), np.abs(c)
-    anrm = np.maximum(np.maximum(abs_a, np.abs(b)), abs_c)  # NaN stays NaN
-    rescaled = ~((anrm >= _NO_SCALE_MIN) & (anrm <= _NO_SCALE_MAX))
-    del anrm
-    with np.errstate(all="ignore"):  # split, zero or non-finite rows are replaced below
-        e2 = b * b
-        split = (np.abs(b) <= (np.sqrt(abs_a) * np.sqrt(abs_c)) * _EPS) | (
-            e2 <= (_EPS * _EPS) * np.abs(a * c))
-        a_big = abs_a > abs_c
-        del b, abs_a, abs_c
-        # dlae2(a, rte, c): dsterf passes a and c in either order, and the
-        # arithmetic is symmetric in them; rt1 is the root of larger
-        # magnitude and rt2 the other
-        rte = np.sqrt(e2)
-        del e2
-        adf = np.abs(a - c)
-        ab = rte + rte
-        big = np.maximum(adf, ab)
-        rt = big * np.sqrt(1.0 + (np.minimum(adf, ab) / big) ** 2)
-        del adf, ab, big
-        sm = a + c
-        rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))  # 0.5 * rt when sm = 0
-        del sm, rt
-        rt2 = (np.where(a_big, a, c) / rt1) * np.where(a_big, c, a) - (rte / rt1) * rte
-        # dlasrt then sorts the pair; two equal values here have equal bits
-        # (a zero matrix is among the rescaled rows)
-        out = np.where(split, np.maximum(a, c), np.maximum(rt1, rt2))
-    if rescaled.any():
-        out[rescaled] = _eigvalsh_max(rows[rescaled], 2)
-    return out
+
+    def __init__(self) -> None:
+        self._floats = np.empty((4, 0))
+        self._bools = np.empty((4, 0), dtype=bool)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        n = rows.shape[0]
+        if self._floats.shape[1] < n:
+            self._floats = np.empty((4, n))
+            self._bools = np.empty((4, n), dtype=bool)
+        t1, t2, t3, e2 = self._floats[:, :n]
+        rescaled, split, a_big, mask = self._bools[:, :n]
+        a, c = rows[:, 0], rows[:, 1]
+        b = np.divide(rows[:, 2], math.sqrt(2.0), out=t3)  # the division _unsvec_rows makes
+        abs_a, abs_c = np.abs(a, out=t1), np.abs(c, out=t2)
+        anrm = np.abs(b, out=e2)
+        np.maximum(abs_a, anrm, out=anrm)
+        np.maximum(anrm, abs_c, out=anrm)  # NaN stays NaN
+        np.greater_equal(anrm, _NO_SCALE_MIN, out=rescaled)
+        np.less_equal(anrm, _NO_SCALE_MAX, out=mask)
+        np.bitwise_and(rescaled, mask, out=rescaled)
+        np.invert(rescaled, out=rescaled)
+        np.greater(abs_a, abs_c, out=a_big)
+        with np.errstate(all="ignore"):  # split, zero or non-finite rows are replaced below
+            np.multiply(b, b, out=e2)
+            # dsterf's split test, which spends b, abs_a and abs_c
+            abs_b = np.abs(b, out=t3)
+            bound = np.multiply(np.sqrt(abs_a, out=t1), np.sqrt(abs_c, out=t2), out=t1)
+            np.less_equal(abs_b, np.multiply(bound, _EPS, out=t1), out=split)
+            abs_ac = np.abs(np.multiply(a, c, out=t1), out=t1)
+            np.less_equal(e2, np.multiply(_EPS * _EPS, abs_ac, out=t1), out=mask)
+            np.bitwise_or(split, mask, out=split)
+            # dlae2(a, rte, c): dsterf passes a and c in either order, and the
+            # arithmetic is symmetric in them; rt1 is the root of larger
+            # magnitude and rt2 the other
+            rte = np.sqrt(e2, out=e2)
+            adf = np.abs(np.subtract(a, c, out=t1), out=t1)
+            ab = np.add(rte, rte, out=t2)
+            big = np.maximum(adf, ab, out=t3)
+            q = np.minimum(adf, ab, out=t1)
+            np.divide(q, big, out=q)
+            np.square(q, out=q)  # what ``q ** 2`` runs
+            np.add(1.0, q, out=q)
+            np.sqrt(q, out=q)
+            rt = np.multiply(big, q, out=t3)
+            sm = np.add(a, c, out=t1)
+            # the selects below are bit masks on uint64 views, which keep
+            # every bit, NaN included, and take no branch per row (a masked
+            # copy or negate costs two to three times np.where on mixed masks)
+            u1, u2, u3 = (t.view(np.uint64) for t in (t1, t2, t3))
+            # where(sm < 0, -rt, rt): rt with its sign bit flipped where sm < 0
+            np.copyto(u2, np.less(sm, 0.0, out=mask))
+            np.left_shift(u2, 63, out=u2)
+            np.bitwise_xor(rt.view(np.uint64), u2, out=u2)
+            np.add(sm, t2, out=t2)
+            rt1 = np.multiply(0.5, t2, out=t2)  # 0.5 * rt when sm = 0
+            # rt2 = (where(a_big, a, c) / rt1) * where(a_big, c, a) - (rte / rt1) * rte,
+            # with where(a_big, a, c) = c ^ ((a ^ c) & m) for m all ones where a_big
+            a_u, c_u = a.view(np.uint64), c.view(np.uint64)
+            np.copyto(u3, a_big)
+            np.negative(u3, out=u3)  # 1 -> all ones
+            np.bitwise_and(np.bitwise_xor(a_u, c_u, out=u1), u3, out=u3)
+            np.bitwise_xor(c_u, u3, out=u1)
+            np.divide(t1, rt1, out=t1)
+            np.bitwise_xor(a_u, u3, out=u3)
+            np.multiply(t1, t3, out=t1)
+            np.divide(rte, rt1, out=t3)
+            np.multiply(t3, rte, out=t3)
+            rt2 = np.subtract(t1, t3, out=t1)
+            # dlasrt then sorts the pair; two equal values here have equal bits
+            # (a zero matrix is among the rescaled rows)
+            out = np.maximum(rt1, rt2)
+            np.copyto(out, np.maximum(a, c, out=t3), where=split)
+        if rescaled.any():
+            out[rescaled] = _eigvalsh_max(rows[rescaled], 2)
+        return out
 
 
 def spectral_violation_stat(m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -526,11 +575,16 @@ def spectral_violation_stat(m: int) -> Callable[[np.ndarray], np.ndarray]:
     For m = 2 it is computed in closed form with the arithmetic reference
     LAPACK's ``dsyevd`` applies to a 2 x 2 matrix, so on such a LAPACK its
     bits are those of ``numpy.linalg.eigvalsh`` without a LAPACK call per
-    row (see ``_lambda_max_2x2``); for any other m it is ``eigvalsh``.  A
+    row (see ``_LambdaMax2x2``); for any other m it is ``eigvalsh``.  A
     non-finite row gives NaN.
+
+    Each call makes a new statistic.  The m = 2 one keeps its intermediate
+    arrays in buffers of its own, reused from call to call, so make one per
+    run (as ``mc_matrix_comparison`` does) and do not share it between
+    threads; each of its calls returns a new array.
     """
     if m == 2:
-        return _lambda_max_2x2
+        return _LambdaMax2x2()
     return functools.partial(_eigvalsh_max, m=m)
 
 

@@ -1,5 +1,8 @@
 """Model-layer unit tests: validation, certificates, constants."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -309,3 +312,89 @@ class TestComparisonProblem:
     def test_sample_domain_keeps_seeds_in_the_key_range(self):
         assert SampleDomain(seed=0).seed == 0
         assert SampleDomain(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+# every row of three coordinates drawn from these: signed zeros, a
+# subnormal, signs, infinities and NaN
+GRID_VALUES = [0.0, -0.0, 1e-310, 1.5, -1.5, math.inf, -math.inf, math.nan]
+
+
+class TestDiagonalDiffusion:
+    """A V with V[k, :, j] = 0 for j != k is taken as a product; the value
+    must be einsum(V, X) + U bit for bit, sign bits included and NaN where
+    einsum makes NaN, on rows that are not finite too."""
+
+    GRID = np.array(list(itertools.product(GRID_VALUES, repeat=3)))
+
+    @staticmethod
+    def diagonal_V(diag):
+        diag = np.asarray(diag, dtype=float)  # (m, d)
+        m, d = diag.shape
+        V = np.zeros((m, d, m))
+        V[np.arange(m), :, np.arange(m)] = diag
+        return V
+
+    @staticmethod
+    def same_bits(got, want):
+        nan = np.isnan(want)
+        return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+    def einsum_calls(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        return calls
+
+    @pytest.mark.parametrize("diag", [
+        [[0.75], [-0.0], [0.0]],
+        [[-2.0], [1e-310], [3.0]],
+        [[0.75, -0.0], [0.0, -2.0], [1e-310, 1.25]],
+        [[-0.0, 0.0], [0.0, -0.0], [2.0, 2.0]],
+    ], ids=["d1-zeros", "d1", "d2-zeros", "d2-one-nonzero"])
+    @pytest.mark.parametrize("u_zero", [False, True], ids=["U", "U-with-zeros"])
+    def test_product_is_einsum_bit_for_bit(self, diag, u_zero, monkeypatch):
+        V = self.diagonal_V(diag)
+        m, d = V.shape[:2]
+        U = np.linspace(-1.0, 2.0, m * d).reshape(m, d)
+        if u_zero:
+            U[::2, 0] = 0.0
+        aff = AffineCoefficients(B=np.eye(m), c=np.zeros(m), V=V, U=U, G=[], g=[])
+        assert aff._diagonal is not None
+        X = self.GRID
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.einsum("kaj,pj->pka", V, X) + U
+            finite = np.isfinite(X).all(axis=1)
+            assert 0 < finite.sum() < X.shape[0]
+            calls = self.einsum_calls(monkeypatch)
+            # finite rows take the product, whole or a row at a time
+            assert self.same_bits(aff.diffusion_rows(0.0, X[finite]), want[finite])
+            assert self.same_bits(aff.diffusion_rows(0.0, X[finite], aff.row_tiles(600)),
+                                  want[finite])
+            assert calls == []
+            # a block holding a row that is not finite, and each row alone
+            assert self.same_bits(aff.diffusion_rows(0.0, X), want)
+            for p in range(X.shape[0]):
+                got = aff.diffusion_rows(0.0, X[p:p + 1])
+                assert self.same_bits(got[0], want[p]), (X[p], got[0], want[p])
+        assert len(calls) == 1 + np.count_nonzero(~finite)
+
+    @pytest.mark.parametrize("case", ["off-diagonal", "U-negative-zero"])
+    def test_other_models_take_the_einsum(self, case, monkeypatch):
+        V = self.diagonal_V([[0.75, 1.0], [-2.0, 0.5], [1.25, 3.0]])
+        U = np.full((3, 2), 0.5)
+        if case == "off-diagonal":
+            V[0, 1, 2] = 1e-300
+        else:
+            U[1, 1] = -0.0
+        aff = AffineCoefficients(B=np.eye(3), c=np.zeros(3), V=V, U=U, G=[], g=[])
+        assert aff._diagonal is None
+        X = self.GRID[np.isfinite(self.GRID).all(axis=1)]
+        want = np.einsum("kaj,pj->pka", V, X) + U
+        calls = self.einsum_calls(monkeypatch)
+        assert aff.diffusion_rows(0.0, X).tobytes() == want.tobytes()
+        assert calls == ["kaj,pj->pka"]

@@ -1,5 +1,7 @@
 """Spectral geometry and the matrix comparison condition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -645,6 +647,58 @@ class TestSpectralStat:
         rows[9, 0] = np.nan
         stat(rows)
         assert calls == ([2] if m == 2 else [100, 100])
+
+
+class TestSpectralStatWorkspace:
+    """The m = 2 statistic keeps its intermediate arrays from call to call;
+    no call may see another's values, and a repeat call allocates its
+    result only."""
+
+    @staticmethod
+    def buffers(stat):
+        return [stat._floats, stat._bools]
+
+    def test_blocks_of_any_size_match_a_fresh_statistic(self):
+        rng = np.random.default_rng(11)
+        stat = psdcone.spectral_violation_stat(2)
+        kept = []
+        for n in (8192, 100, 8192, 1, 8192):
+            rows = _stress_rows_2x2(rng, n) if n > 1 else rng.standard_normal((1, 3))
+            got = stat(rows)
+            assert got.tobytes() == psdcone.spectral_violation_stat(2)(rows).tobytes(), n
+            kept.append((got, got.copy()))
+        # every returned array is the caller's: later calls leave it as it was
+        for got, copy in kept:
+            assert got.tobytes() == copy.tobytes()
+            assert not any(np.shares_memory(got, buf) for buf in self.buffers(stat))
+
+    def test_two_statistics_share_no_buffer(self):
+        rows = _stress_rows_2x2(np.random.default_rng(12), 512)
+        one, two = psdcone.spectral_violation_stat(2), psdcone.spectral_violation_stat(2)
+        assert one is not two
+        one(rows), two(rows)
+        for x in self.buffers(one):
+            for y in self.buffers(two):
+                assert not np.shares_memory(x, y)
+
+    def test_a_repeat_call_allocates_its_result_only(self):
+        # an intermediate array freed at the top of the heap can go back to
+        # the system and be faulted in again by the next call
+        n = 8192
+        rows = np.random.default_rng(13).standard_normal((n, 3))
+        rows[:4] = [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1e-200, 0.0, 1e-201], [1.0, 1.0, 0.0]]
+        stat = psdcone.spectral_violation_stat(2)
+        stat(rows)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = stat(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,)
+        assert peak - start <= 2 * 8 * n, (peak - start) / (8 * n)
 
 
 class TestMatrixMc:
