@@ -324,13 +324,7 @@ def parse_config(path: str) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    default_id = os.path.splitext(os.path.basename(path))[0]
-    try:
-        return config_from_dict(data, default_id=default_id)
-    except (SchemaError, OrderError):
-        raise
-    except ModelError as exc:
-        raise SchemaError(str(exc)) from exc
+    return config_from_dict(data, default_id=os.path.splitext(os.path.basename(path))[0])
 
 
 # ---------------------------------------------------------------------------

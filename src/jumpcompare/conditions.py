@@ -13,27 +13,29 @@ Two complementary routes are implemented and cross-checked:
   the matrix check (``psdcone``).
 
 On affine coefficient families the battery is decided exactly (verdict
-``holds``); black-box coefficients are only ever sampled, so the strongest
-clean verdict is ``no-violation-found``.
+``holds``), conditions (b) and (c) by one row rule (``_affine_row``);
+black-box coefficients are only ever sampled, so the strongest clean
+verdict is ``no-violation-found``.  The module holds the battery, the
+inequality and the judge; the Corollary 3.3-3.5 reference checker, which no
+command runs, is in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import GeneratorValue, Orthant, _dot, generator
+from .geometry import Orthant, _dot, generator
 from .model import ComparisonProblem
 
 __all__ = [
     "HOLDS",
     "NO_VIOLATION",
     "VIOLATED",
-    "DimensionError",
-    "VariantPreconditionError",
     "Witness",
     "Verdict",
     "Theorem31Report",
@@ -41,11 +43,9 @@ __all__ = [
     "check_condition_a",
     "check_condition_b",
     "check_condition_c",
-    "ii_prime_terms",
     "judge_probes",
     "check_ii_prime",
     "check_theorem31",
-    "check_corollary_1d",
     "combine_statuses",
 ]
 
@@ -54,14 +54,6 @@ NO_VIOLATION = "no-violation-found"
 VIOLATED = "violated"
 
 _MAX_WITNESSES = 8
-
-
-class DimensionError(ValueError):
-    """A one-dimensional checker was applied to a multi-dimensional problem."""
-
-
-class VariantPreconditionError(ValueError):
-    """The jump structure does not match the requested corollary variant."""
 
 
 @dataclass(frozen=True)
@@ -100,8 +92,10 @@ class Verdict:
         return min(w.margin for w in self.witnesses)
 
     @classmethod
-    def exact_holds(cls) -> "Verdict":
-        return cls(status=HOLDS)
+    def exact(cls, witnesses: Sequence[Witness]) -> "Verdict":
+        """An exact reduction's verdict: violated by ``witnesses``, or holds
+        when there are none."""
+        return cls.from_witnesses(witnesses, 0) if witnesses else cls(status=HOLDS)
 
     @classmethod
     def clean(cls, samples: int) -> "Verdict":
@@ -200,6 +194,13 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(flat, flat))
 
 
+def _witnesses(t, x, xp, margin, bad, kind: str, coords=tuple) -> List[Witness]:
+    """A witness at each probe (t[i], x[i], x'[i]) where ``bad`` is True,
+    with its ``margin``, in probe order; ``coords`` writes the points."""
+    return [Witness(float(t[i]), coords(x[i]), coords(xp[i]), None, float(margin[i]), kind)
+            for i in np.flatnonzero(bad)]
+
+
 def _b_expression(problem: ComparisonProblem, t, x, xp, j: int) -> np.ndarray:
     """Rows x_k + gamma1_k(t, x+x', e_j) - gamma2_k(t, x', e_j) over k, one
     per probe of the block (t, x, x')."""
@@ -240,7 +241,7 @@ def check_sigma_equal(problem: ComparisonProblem) -> Verdict:
         dv = float(np.max(np.abs(a1.V - a2.V))) if a1.V.size else 0.0
         du = float(np.max(np.abs(a1.U - a2.U))) if a1.U.size else 0.0
         if max(dv, du) <= eps:
-            return Verdict.exact_holds()
+            return Verdict.exact([])
         # exhibit the gap at a concrete point, the first of the largest gaps
         m = problem.m
         cands = [np.zeros(m)]
@@ -268,10 +269,7 @@ def check_sigma_equal(problem: ComparisonProblem) -> Verdict:
                         rng.uniform(-box, box, (problem.sampling.count // 4, m))])
     t = rng.uniform(problem.t0, problem.T, len(x))
     gaps = _norms(c1.sigma_rows(t, x) - c2.sigma_rows(t, x))
-    witnesses = [Witness(t=float(t[i]), x=tuple(x[i]), x_prime=tuple(x[i]), atom=None,
-                         margin=-float(gaps[i]), kind="sigma-equal")
-                 for i in np.flatnonzero(gaps > eps)]
-    return Verdict.sampled(witnesses, len(x))
+    return Verdict.sampled(_witnesses(t, x, x, -gaps, gaps > eps, "sigma-equal"), len(x))
 
 
 def check_condition_a(problem: ComparisonProblem) -> List[Verdict]:
@@ -295,7 +293,7 @@ def check_condition_a(problem: ComparisonProblem) -> List[Verdict]:
                         t=problem.t0, x=tuple(np.zeros(m)), x_prime=tuple(e),
                         atom=None, margin=-cross, kind=f"cond-a[k={k}]",
                     )
-            out.append(Verdict.exact_holds() if worst is None else Verdict.from_witnesses([worst], 0))
+            out.append(Verdict.exact([] if worst is None else [worst]))
         return out
 
     # per k, j != k, scale s and rep: x from the box, then t; x' = s e_j
@@ -313,9 +311,7 @@ def check_condition_a(problem: ComparisonProblem) -> List[Verdict]:
         witnesses: List[Witness] = []
         if n:
             gaps = _norms(c1.sigma_rows(t, x + e)[:, k] - c1.sigma_rows(t, x)[:, k])
-            witnesses = [Witness(t=float(t[i]), x=tuple(x[i]), x_prime=tuple(e[i]), atom=None,
-                                 margin=-float(gaps[i]), kind=f"cond-a[k={k}]")
-                         for i in np.flatnonzero(gaps > eps)]
+            witnesses = _witnesses(t, x, e, -gaps, gaps > eps, f"cond-a[k={k}]")
         out.append(Verdict.sampled(witnesses, n))
     return out
 
@@ -330,12 +326,37 @@ def _scale_to_expose(base: float, offset: float, coef: float) -> float:
     return max(base, (abs(offset) + 1.0 + abs(coef)) / max(abs(coef), 1e-300))
 
 
+def _affine_row(problem: ComparisonProblem, gap, coefs, const: float, skip: Optional[int],
+                label: str, witness) -> List[Witness]:
+    """The affine rule for row k of two maps, shared by (b) and (c): the rows
+    must agree (``gap``, row 1 less row 2), the coefficients ``coefs`` off
+    column ``skip`` must be nonnegative, and the constants ordered (``const``,
+    constant 1 less constant 2).  ``witness(x, x', kind)`` exhibits a failure
+    at a probe; a row gap is exhibited alone, the other failures each."""
+    eps = problem.tolerances.resolved_eps_check(True)
+    m, box = problem.m, problem.sampling.box
+    zero = np.zeros(m)
+    if np.max(np.abs(gap)) > eps:
+        norm = np.linalg.norm(gap)
+        s = _scale_to_expose(box, const, float(norm))
+        return [witness(zero, -s * (gap / norm), "row-gap")]
+    out = []
+    for i in range(m):
+        if i != skip and coefs[i] < -eps:
+            x = np.zeros(m)
+            x[i] = _scale_to_expose(box, const, float(coefs[i]))
+            out.append(witness(x, zero, f"{label}[i={i}]"))
+    if const < -eps:
+        out.append(witness(zero, zero, "const"))
+    return out
+
+
 def check_condition_b(problem: ComparisonProblem) -> List[Verdict]:
     """Per-coordinate jump monotonicity across the two models (per-k verdicts).
 
-    Affine reduction: for every positively weighted atom, row k of the two
-    jump matrices must agree, the own-coordinate map 1 + G_kk and the cross
-    entries G_ki must be nonnegative, and the constant parts must be ordered.
+    Affine reduction (``_affine_row``): for every positively weighted atom,
+    row k of the post-jump maps x + G x must agree, their coefficients, 1 +
+    G_kk included, must be nonnegative, and the constant parts ordered.
     """
     eps = problem.tolerances.resolved_eps_check(problem.is_affine)
     m = problem.m
@@ -346,34 +367,17 @@ def check_condition_b(problem: ComparisonProblem) -> List[Verdict]:
         a1 = problem.model1.coefficients.affine
         a2 = problem.model2.coefficients.affine
 
-        def witness(x, xp, j, k, kind):
+        def witness(j, k, x, xp, kind):
             val = float(_b_expression(problem, [problem.t0], [x], [xp], j)[0, k])
-            return Witness(problem.t0, tuple(x), tuple(xp), j, val, kind=f"cond-b[k={k}] {kind}")
+            return Witness(problem.t0, tuple(x), tuple(xp), j, val, f"cond-b[k={k}] {kind}")
 
-        out: List[Verdict] = []
-        for k in range(m):
-            witnesses: List[Witness] = []
-            for j in live_atoms:
-                row_gap = a1.G[j][k] - a2.G[j][k]
-                dg = float(a1.g[j][k] - a2.g[j][k])
-                if np.max(np.abs(row_gap)) > eps:
-                    unit = row_gap / np.linalg.norm(row_gap)
-                    s = _scale_to_expose(problem.sampling.box, dg, float(np.linalg.norm(row_gap)))
-                    witnesses.append(witness(np.zeros(m), -s * unit, j, k, "row-gap"))
-                    continue
-                coefs = a1.G[j][k].copy()
-                coefs[k] += 1.0
-                for i in range(m):
-                    if coefs[i] < -eps:
-                        s = _scale_to_expose(problem.sampling.box, dg, float(coefs[i]))
-                        x = np.zeros(m)
-                        x[i] = s
-                        witnesses.append(witness(x, np.zeros(m), j, k, f"coef[i={i}]"))
-                if dg < -eps:
-                    witnesses.append(witness(np.zeros(m), np.zeros(m), j, k, "const"))
-            out.append(Verdict.exact_holds() if not witnesses
-                       else Verdict.from_witnesses(witnesses, 0))
-        return out
+        # the row gap is G1's less G2's, not that of the shifted rows, which
+        # can round differently
+        return [Verdict.exact([w for j in live_atoms for w in _affine_row(
+                    problem, a1.G[j][k] - a2.G[j][k], a1.G[j][k] + np.eye(m)[k],
+                    float(a1.g[j][k] - a2.g[j][k]), None, "coef",
+                    functools.partial(witness, j, k))])
+                for k in range(m)]
 
     # x: the ladder points with reps draws s * U(0, 1)^m per scale s
     rng = _rng_for(problem, 0xB1)
@@ -395,9 +399,9 @@ def check_condition_b(problem: ComparisonProblem) -> List[Verdict]:
 def check_condition_c(problem: ComparisonProblem) -> List[Verdict]:
     """Compensator-adjusted drift order with quasimonotone coupling (per k).
 
-    Affine reduction on M_i = B_i - sum_j w_j G_i[j], d_i = c_i - sum_j w_j g_i[j]:
-    row k of M1 and M2 must agree, M1's off-diagonal row entries must be
-    nonnegative, and d1_k >= d2_k.
+    Affine reduction (``_affine_row``) on M_i = B_i - sum_j w_j G_i[j], d_i =
+    c_i - sum_j w_j g_i[j]: row k of M1 and M2 must agree, M1's off-diagonal
+    row entries must be nonnegative, and d1_k >= d2_k.
     """
     eps = problem.tolerances.resolved_eps_check(problem.is_affine)
     m = problem.m
@@ -409,32 +413,13 @@ def check_condition_c(problem: ComparisonProblem) -> List[Verdict]:
         M1, d1 = a1.net_drift_blocks(marks)
         M2, d2 = a2.net_drift_blocks(marks)
 
-        def witness(delta, xp, k, kind):
+        def witness(k, delta, xp, kind):
             val = float(_c_expression(problem, [problem.t0], [delta], [xp])[0, k])
-            return Witness(problem.t0, tuple(delta), tuple(xp), None, val,
-                           kind=f"cond-c[k={k}] {kind}")
+            return Witness(problem.t0, tuple(delta), tuple(xp), None, val, f"cond-c[k={k}] {kind}")
 
-        out: List[Verdict] = []
-        for k in range(m):
-            witnesses: List[Witness] = []
-            row_gap = M1[k] - M2[k]
-            dd = float(d1[k] - d2[k])
-            if np.max(np.abs(row_gap)) > eps:
-                unit = row_gap / np.linalg.norm(row_gap)
-                s = _scale_to_expose(problem.sampling.box, dd, float(np.linalg.norm(row_gap)))
-                witnesses.append(witness(np.zeros(m), -s * unit, k, "row-gap"))
-            else:
-                for i in range(m):
-                    if i != k and M1[k, i] < -eps:
-                        s = _scale_to_expose(problem.sampling.box, dd, float(M1[k, i]))
-                        delta = np.zeros(m)
-                        delta[i] = s
-                        witnesses.append(witness(delta, np.zeros(m), k, f"offdiag[i={i}]"))
-                if dd < -eps:
-                    witnesses.append(witness(np.zeros(m), np.zeros(m), k, "const"))
-            out.append(Verdict.exact_holds() if not witnesses
-                       else Verdict.from_witnesses(witnesses, 0))
-        return out
+        return [Verdict.exact(_affine_row(problem, M1[k] - M2[k], M1[k], float(d1[k] - d2[k]),
+                                          k, "offdiag", functools.partial(witness, k)))
+                for k in range(m)]
 
     # per k, delta: the ladder points off coordinate k, with reps draws
     # s * U(0, 1)^m per scale s and their entry k zeroed
@@ -449,23 +434,14 @@ def check_condition_c(problem: ComparisonProblem) -> List[Verdict]:
         t, delta, xp = _with_zero_and_drawn_xp(problem, rng,
                                                _ladder_points(scales, others, drawn))
         vals = _c_expression(problem, t, delta, xp)[:, k]
-        out.append(Verdict.sampled(
-            [Witness(float(t[i]), tuple(delta[i]), tuple(xp[i]), None, float(vals[i]),
-                     kind=f"cond-c[k={k}]") for i in np.flatnonzero(vals < -eps)],
-            len(t)))
+        out.append(Verdict.sampled(_witnesses(t, delta, xp, vals, vals < -eps, f"cond-c[k={k}]"),
+                                   len(t)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the pointwise inequality
 # ---------------------------------------------------------------------------
-
-
-def ii_prime_terms(problem: ComparisonProblem, t: float, x, x_prime) -> GeneratorValue:
-    """The pointwise inequality at one probe (t, x, x'): the orthant's
-    generator on a block of one."""
-    return generator(Orthant, problem, [t], Orthant.asarray(x)[None],
-                     Orthant.asarray(x_prime)[None]).probe(0)
 
 
 _BLOCK = 512  # probes drawn and evaluated together by check_ii_prime
@@ -550,11 +526,8 @@ def judge_probes(blocks, eps: float, coords, kind: str) -> Verdict:
     for t, x, xp, val in blocks:
         live = ~np.asarray(val.degenerate, dtype=bool)
         samples += int(np.count_nonzero(live))
-        for i in np.flatnonzero(live & (val.lhs > val.rhs + eps)):
-            witnesses.append(
-                Witness(t=float(t[i]), x=coords(x[i]), x_prime=coords(xp[i]), atom=None,
-                        margin=float(val.rhs[i] - val.lhs[i]), kind=kind)
-            )
+        witnesses += _witnesses(t, x, xp, val.rhs - val.lhs, live & (val.lhs > val.rhs + eps),
+                                kind, coords)
     return Verdict.sampled(witnesses, samples)
 
 
@@ -563,7 +536,7 @@ def check_ii_prime(problem: ComparisonProblem) -> Verdict:
 
     The probes are drawn in the order of ``_ii_prime_probes``, ``_BLOCK`` at
     a time, and the orthant's generator evaluates each block once it is
-    drawn, with the bits each probe gets alone (``ii_prime_terms``).  The
+    drawn, with the bits each probe gets in a block of one.  The
     evaluation draws nothing, so the block size changes neither the stream
     nor the verdict, and memory stays bounded for any ``check.samples``.
     """
@@ -574,7 +547,7 @@ def check_ii_prime(problem: ComparisonProblem) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# the full report and the one-dimensional reductions
+# the full report
 # ---------------------------------------------------------------------------
 
 
@@ -629,130 +602,3 @@ def check_theorem31(problem: ComparisonProblem) -> Theorem31Report:
         overall=VIOLATED if ii.violated else battery,
         battery_agrees_ii_prime=(battery == VIOLATED) == ii.violated,
     )
-
-
-def _jump_sup(problem: ComparisonProblem, rng: np.random.Generator, size, n: int = 64) -> float:
-    """Sampled sup over live atoms and the box of ``size(gamma1, gamma2)``,
-    row by row (structure probe); NaN if any size is NaN, so a jump that is
-    NaN somewhere fails the precondition it probes."""
-    c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-    x, t = _records(problem, rng, n)
-    sizes = [size(c1.gamma_rows(t, x, j), c2.gamma_rows(t, x, j))
-             for j, w in enumerate(problem.marks.weights) if w > 0.0]
-    return float(np.max(sizes, initial=0.0))
-
-
-def _larger_norm(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """``max(norm(g1[i]), norm(g2[i]))`` for each row, NaN if either is."""
-    return np.maximum(_norms(g1), _norms(g2))
-
-
-def check_corollary_1d(problem: ComparisonProblem, variant: str) -> Verdict:
-    """One-dimensional specializations ("3.3", "3.4", "3.5").
-
-    "3.3": diffusions equal, compensator-adjusted drifts ordered, and the
-    post-jump maps ordered across models for ordered starting points.
-    "3.4": shared jump coefficient required; diffusions equal, drifts
-    ordered, post-jump map monotone.
-    "3.5": no jumps allowed; diffusions equal, drifts ordered.
-
-    The verdict must agree with the full checker's overall status on the same
-    problem (specialization consistency, asserted in the test suite).
-    """
-    if problem.m != 1:
-        raise DimensionError(f"one-dimensional checker called with m={problem.m}")
-    if variant not in ("3.3", "3.4", "3.5"):
-        raise ValueError(f"unknown variant {variant!r}")
-    eps = problem.tolerances.resolved_eps_check(problem.is_affine)
-    marks = problem.marks
-    rng = _rng_for(problem, 0x1D)
-
-    # variant preconditions on the jump structure
-    if variant == "3.4":
-        if problem.is_affine:
-            a1 = problem.model1.coefficients.affine
-            a2 = problem.model2.coefficients.affine
-            same = (
-                np.allclose(a1.G, a2.G, rtol=0.0, atol=problem.tolerances.eps_lin)
-                and np.allclose(a1.g, a2.g, rtol=0.0, atol=problem.tolerances.eps_lin)
-            )
-            if not same:
-                raise VariantPreconditionError("variant 3.4 requires gamma1 == gamma2")
-        elif not _jump_sup(problem, rng, lambda g1, g2: _norms(g1 - g2)) <= eps:  # or NaN
-            raise VariantPreconditionError("variant 3.4 requires gamma1 == gamma2")
-    if variant == "3.5":
-        if problem.is_affine:
-            a1 = problem.model1.coefficients.affine
-            a2 = problem.model2.coefficients.affine
-            zero = all(
-                float(np.max(np.abs(arr))) <= problem.tolerances.eps_lin if arr.size else True
-                for arr in (a1.G, a1.g, a2.G, a2.g)
-            )
-            if not zero:
-                raise VariantPreconditionError("variant 3.5 requires gamma == 0")
-        elif not _jump_sup(problem, rng, _larger_norm) <= eps:  # or NaN
-            raise VariantPreconditionError("variant 3.5 requires gamma == 0")
-
-    verdicts: List[Verdict] = [check_sigma_equal(problem)]
-
-    if variant == "3.3":
-        verdicts.extend(check_condition_b(problem))  # the ordered post-jump line
-        verdicts.extend(_drift_line_1d(problem, compensated=True))
-    elif variant == "3.4":
-        verdicts.extend(check_condition_b(problem))  # reduces to monotonicity of x+gamma
-        verdicts.extend(_drift_line_1d(problem, compensated=False))
-    else:  # "3.5"
-        verdicts.extend(_drift_line_1d(problem, compensated=False))
-
-    status = combine_statuses([v.status for v in verdicts])
-    witnesses: List[Witness] = []
-    samples = 0
-    for v in verdicts:
-        witnesses.extend(v.witnesses)
-        samples += v.samples_used
-    if status == VIOLATED:
-        return Verdict.from_witnesses(witnesses, samples)
-    return Verdict(status=status, samples_used=samples)
-
-
-def _drift_line_1d(problem: ComparisonProblem, compensated: bool) -> List[Verdict]:
-    """b1 >= b2 pointwise, optionally after subtracting the mark integral."""
-    eps = problem.tolerances.resolved_eps_check(problem.is_affine)
-    marks = problem.marks
-    if problem.is_affine:
-        a1 = problem.model1.coefficients.affine
-        a2 = problem.model2.coefficients.affine
-        if compensated:
-            M1, d1 = a1.net_drift_blocks(marks)
-            M2, d2 = a2.net_drift_blocks(marks)
-        else:
-            M1, d1 = a1.B, a1.c
-            M2, d2 = a2.B, a2.c
-        witnesses: List[Witness] = []
-        slope_gap = float(M1[0, 0] - M2[0, 0])
-        const_gap = float(d1[0] - d2[0])
-        if abs(slope_gap) > eps:
-            s = _scale_to_expose(problem.sampling.box, const_gap, slope_gap)
-            xp = np.array([-np.sign(slope_gap) * s])
-            val = slope_gap * float(xp[0]) + const_gap
-            witnesses.append(Witness(problem.t0, tuple(xp), tuple(xp), None, val,
-                                     kind="drift-line slope-gap"))
-        if const_gap < -eps:
-            witnesses.append(Witness(problem.t0, (0.0,), (0.0,), None, const_gap,
-                                     kind="drift-line const"))
-        return [Verdict.exact_holds() if not witnesses
-                else Verdict.from_witnesses(witnesses, 0)]
-
-    rng = _rng_for(problem, 0xD1)
-    box = problem.sampling.box
-    c1, c2 = problem.model1.coefficients, problem.model2.coefficients
-    x = np.concatenate([np.zeros((1, 1)),
-                        rng.uniform(-box, box, (problem.sampling.count // 2, 1))])
-    t = rng.uniform(problem.t0, problem.T, len(x))
-    gaps = c1.b_rows(t, x)[:, 0] - c2.b_rows(t, x)[:, 0]
-    for j, w in enumerate(marks.weights):
-        if compensated and w != 0.0:
-            gaps = gaps - w * (c1.gamma_rows(t, x, j)[:, 0] - c2.gamma_rows(t, x, j)[:, 0])
-    witnesses = [Witness(float(t[i]), tuple(x[i]), tuple(x[i]), None, float(gaps[i]),
-                         kind="drift-line") for i in np.flatnonzero(gaps < -eps)]
-    return [Verdict.sampled(witnesses, len(x))]

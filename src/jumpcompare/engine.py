@@ -116,20 +116,6 @@ def _jump_slots(grid: np.ndarray, jump_times: np.ndarray) -> Tuple[np.ndarray, n
     return pos + np.cumsum(new) - new, new
 
 
-def _merged_times(grid: np.ndarray, jump_times: np.ndarray) -> np.ndarray:
-    """The grid with the jump times inserted in order, without a sort."""
-    if not jump_times.size:
-        return grid
-    idx, new = _jump_slots(grid, jump_times)
-    idx = idx[new]
-    times = np.empty(grid.shape[0] + idx.shape[0])
-    from_grid = np.ones(times.shape[0], dtype=bool)
-    from_grid[idx] = False
-    times[idx] = jump_times[new]
-    times[from_grid] = grid
-    return times
-
-
 @dataclass(frozen=True)
 class DriverRealization:
     """One realization of the shared noise for one path, stored sparsely.
@@ -154,7 +140,8 @@ class DriverRealization:
 
     @property
     def times(self) -> np.ndarray:
-        return _merged_times(_grid_steps(self.t0, self.T, self.h)[0], self.jump_times)
+        grid = _grid_steps(self.t0, self.T, self.h)[0]
+        return np.union1d(grid, self.jump_times) if self.jump_times.size else grid
 
     @property
     def jump_atoms(self) -> np.ndarray:
@@ -436,7 +423,10 @@ class _Waves:
     it.  Entry q takes row ``row[q]`` from ``t_left[q]`` to ``t_end[q]``,
     over ``dt[q]`` (noise scaled by ``root[q]``), then applies ``atom[q]``
     (-1: none).  Segment k's entries of kind c start at ``bounds[3k + c]``
-    and end at ``bounds[3k + 3]``; ``key[q]`` is 3 * segment + kind.
+    and end at ``bounds[3k + 3]``.  The segments of kind 0 are also listed
+    by row: ``hits`` holds row * waves + segment of each, ascending, and
+    ``jump_end`` its jump's time, each closed by a sentinel (the largest
+    intp, NaN), so ``end_times`` finds any row's segment end.
 
     The statistic takes, wave by wave, the wave's live rows in row order and
     then the rows of its entries of kind 1 and 2 again, in entry order, as
@@ -454,8 +444,18 @@ class _Waves:
     root: np.ndarray
     atom: np.ndarray
     bounds: List[int]
-    key: np.ndarray
+    hits: np.ndarray
+    jump_end: np.ndarray
     start: List[int]
+
+    def end_times(self, grid: np.ndarray, r, k) -> np.ndarray:
+        """When row r's segment k ends, elementwise: at its jump, if it ends
+        at a jump off the grid, else at the grid point closing its step,
+        which is k less the row's earlier such segments."""
+        first = r * self.normals.shape[0]  # row r's segment 0, in hits' order
+        at = np.searchsorted(self.hits, first + k)
+        step = k - (at - np.searchsorted(self.hits, first))
+        return np.where(self.hits[at] == first + k, self.jump_end[at], grid[step + 1])
 
 
 def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
@@ -492,6 +492,8 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
     added = np.concatenate([[0], np.cumsum(~on)])
     seg = step + added[:-1] - added[np.cumsum(n_jumps) - n_jumps][path]
     close = last & ~on  # then a segment from the last jump to the grid point
+    hits = row_of[path[~on]] * z.shape[0] + seg[~on]
+    by_row = np.argsort(hits)
 
     key = 3 * np.concatenate([seg, seg[close] + 1])
     key += np.concatenate([on, np.full(int(close.sum()), 2)])
@@ -515,7 +517,8 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
         root=np.sqrt(t_end - t_left)[:, None],
         atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[q],
         bounds=bounds.tolist(),
-        key=key,
+        hits=np.append(hits[by_row], np.iinfo(np.intp).max),
+        jump_end=np.append(jt[~on][by_row], np.nan),
         start=start.tolist(),
     )
 
@@ -579,31 +582,17 @@ class _Tally:
         start = np.array(wv.start)
         self.rows = np.empty((int((start[B:] - start[:-B]).max()), m))
 
-    def judge(self, k0: int, k1: int, off: np.ndarray) -> None:
+    def judge(self, k0: int, k1: int) -> None:
         """Judge the waves k0 .. k1 - 1, whose rows fill ``rows`` from its
-        start, with ``off`` counting each row's jumps off the grid."""
-        wv, waves = self.wv, k1 - k0
+        start."""
+        wv = self.wv
         val = _stat_values(self.stat_fn, self.rows[: wv.start[k1] - wv.start[k0]])
         table, best = _raise_block(self.run, val, wv.start[k0:k1], wv.live[k0:k1])
         hot = (best > self.eps_path) & np.isnan(self.first_t)
         if hot.any():  # a first violation, at its earliest wave's end time
             r = np.flatnonzero(hot)
-            kk = (table[:, r] > self.eps_path).argmax(axis=0)
-            # the entries that end at a jump off the grid, by (row, wave):
-            # the row's grid step at wave kk is k0 + kk - (off less its
-            # jumps from kk on), unless it ends at such a jump
-            q0, q1 = wv.bounds[3 * k0], wv.bounds[3 * k1]
-            wave, kind = np.divmod(wv.key[q0:q1], 3)
-            mid = kind == 0
-            jumps = wv.row[q0:q1][mid] * waves + wave[mid] - k0
-            order = np.argsort(jumps)
-            jumps = jumps[order]
-            lo = np.searchsorted(jumps, r * waves + kk)
-            step = k0 + kk - off[r] + np.searchsorted(jumps, r * waves + waves) - lo
-            t = self.grid[step + 1]
-            at_jump = np.append(jumps, -1)[lo] == r * waves + kk
-            t[at_jump] = wv.t_end[q0:q1][mid][order][lo[at_jump]]
-            self.first_t[r] = t
+            k = k0 + (table[:, r] > self.eps_path).argmax(axis=0)
+            self.first_t[r] = wv.end_times(self.grid, r, k)
 
 
 def _run_chunk(
@@ -666,7 +655,7 @@ def _run_chunk(
                     np.take(diff, wv.row[e1:b], axis=0, mode="clip",
                             out=tally.rows[first + n : first + n + b - e1])
                 if k + 1 - k0 == tally.block or k + 1 == len(wv.live):
-                    tally.judge(k0, k + 1, off)
+                    tally.judge(k0, k + 1)
                     k0 = k + 1
 
     if tally is None:

@@ -105,6 +105,9 @@ class MarkMeasure:
             raise ModelError("marks and weights must be finite")
         if np.any(weights < 0.0):
             raise NegativeWeight("mark weights must be nonnegative")
+        with np.errstate(over="ignore"):  # the sum that total_mass takes
+            if not np.isfinite(np.sum(weights)):
+                raise ModelError("the total mark mass must be finite")
         for row in marks:
             if np.all(row == 0.0):
                 raise ZeroMark("mark atoms must be nonzero vectors")
@@ -506,20 +509,16 @@ class Tolerances:
     1e-9 for affine-exact comparisons, 1e-6 for black-box sampling).
     ``eps_path``: pathwise violation threshold (None resolves to the
     step-dependent default 5*sqrt(h)*(1+|x1|+|x2|)).
-    ``eps_lin``: floating-point equality tolerance.
     """
 
     eps_check: Optional[float] = None
     eps_path: Optional[float] = None
-    eps_lin: float = 1e-12
 
     def __post_init__(self) -> None:
         for name in ("eps_check", "eps_path"):
             v = getattr(self, name)
             if v is not None and not (float(v) > 0.0):
                 raise ModelError(f"{name} must be strictly positive when given")
-        if not (self.eps_lin > 0.0):
-            raise ModelError("eps_lin must be strictly positive")
 
     def resolved_eps_check(self, affine: bool) -> float:
         if self.eps_check is not None:

@@ -39,7 +39,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import engine
-from .conditions import Verdict, judge_probes
+from .conditions import Verdict, _rng_for, judge_probes
 from .geometry import GeneratorValue, _dot, generator
 from .model import (
     AffineCoefficients,
@@ -387,7 +387,7 @@ def eval_theorem37(
     generator on a block of one.
 
     Under the trace inner product it has the convention of the vector
-    inequality (``conditions.ii_prime_terms``), which it equals at m = 1.
+    inequality (``generator`` over the orthant), which it equals at m = 1.
     """
     return generator(PsdCone, problem, [t], [np.atleast_2d(x)],
                      [np.atleast_2d(x_prime)]).probe(0)
@@ -440,7 +440,7 @@ def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
     Near-degenerate samples are excluded from the decision and from
     ``samples_used``."""
     eps = problem.tolerances.resolved_eps_check(False)
-    rng = np.random.default_rng((int(problem.sampling.seed) << 8) ^ 0x37)
+    rng = _rng_for(problem, 0x37)
     t, x, xp = zip(*_theorem37_probes(problem, rng))
     # one eval_theorem37 call per probe, judged as one block
     value = GeneratorValue.stack([eval_theorem37(problem, *probe) for probe in zip(t, x, xp)])

@@ -14,12 +14,7 @@ import pytest
 
 from jumpcompare import engine
 from jumpcompare.cli import gallery_configs, main, run_gallery
-from jumpcompare.conditions import (
-    HOLDS,
-    VIOLATED,
-    check_corollary_1d,
-    check_theorem31,
-)
+from jumpcompare.conditions import HOLDS, VIOLATED, check_theorem31
 from jumpcompare.geometry import Orthant
 from jumpcompare.model import (
     AffineCoefficients,
@@ -30,6 +25,7 @@ from jumpcompare.model import (
 )
 from jumpcompare.psdcone import PsdCone
 
+from oracles import check_corollary_1d
 from suitegen import random_problem
 
 PASS_SCENARIOS = ("corollary33-pass", "corollary34-pass", "corollary35-pass", "example36")

@@ -16,14 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpcompare.cli import RunReport, report_to_dict
-from jumpcompare.conditions import (
-    VariantPreconditionError,
-    _jump_sup,
-    _larger_norm,
-    _norms,
-    check_corollary_1d,
-    check_theorem31,
-)
+from jumpcompare.conditions import _norms, check_theorem31
 from jumpcompare.engine import mc_comparison, sample_drivers, uniform_grid
 from jumpcompare.model import (
     AffineCoefficients,
@@ -34,6 +27,7 @@ from jumpcompare.model import (
     lipschitz_certificate,
 )
 
+from oracles import VariantPreconditionError, _jump_sup, _larger_norm, check_corollary_1d
 from suitegen import dense_jump_problem, random_problem, sized_problem, strip_affine
 
 
@@ -167,7 +161,7 @@ def test_corollary_reports_and_calls_are_pinned(variant):
 
 
 def jump_sup_reference(problem, rng, size, n=64):
-    """``conditions._jump_sup`` a point at a time, with single-point calls."""
+    """``oracles._jump_sup`` a point at a time, with single-point calls."""
     c1, c2 = problem.model1.coefficients, problem.model2.coefficients
     box, worst = problem.sampling.box, 0.0
     for _ in range(n):

@@ -8,16 +8,12 @@ from jumpcompare.conditions import (
     HOLDS,
     NO_VIOLATION,
     VIOLATED,
-    DimensionError,
-    VariantPreconditionError,
     check_condition_a,
     check_condition_b,
     check_condition_c,
-    check_corollary_1d,
     check_ii_prime,
     check_sigma_equal,
     check_theorem31,
-    ii_prime_terms,
     judge_probes,
 )
 from jumpcompare import conditions
@@ -34,6 +30,12 @@ from jumpcompare.model import (
     lipschitz_certificate,
 )
 
+from oracles import (
+    DimensionError,
+    VariantPreconditionError,
+    check_corollary_1d,
+    ii_prime_terms,
+)
 from suitegen import random_problem, sized_problem, strip_affine
 
 

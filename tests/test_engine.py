@@ -1032,6 +1032,29 @@ class TestWaves:
             want.append(x)
         assert x_T[:, 0].tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("h", [2.0**-4, 0.3], ids=["dyadic", "non-dividing"])
+    def test_end_times_are_the_drivers_times(self, h, chunk):
+        # mark mass 16, and a path with jumps on grid points, inside a step,
+        # just after a grid point and on T: for every row of a chunk, segment
+        # k ends at the path's time k + 1
+        marks = MarkMeasure.from_atoms([([1.0], 10.0), ([-1.0], 6.0)])
+        grid = uniform_grid(0.0, 1.0, h)
+        drivers = [sample_drivers(marks, (0.0, 1.0), h, 3, p, d=1) for p in range(30)]
+        jt = np.array([grid[1], (grid[1] + grid[2]) / 2, grid[2], np.nextafter(grid[2], 2.0),
+                       grid[-1]])
+        drivers.insert(5, engine.DriverRealization(
+            t0=0.0, T=1.0, h=h, jump_times=jt, jump_marks=np.zeros(5, dtype=np.int64),
+            normals=np.zeros((grid.shape[0] + 1, 1))))
+        assert np.isin(jt, grid).sum() == 3
+        for lo in range(0, len(drivers), chunk):
+            part = drivers[lo : lo + chunk]
+            wv = engine._waves(part, grid)
+            for p, drv in enumerate(part):
+                k = np.arange(drv.n_segments)
+                got = wv.end_times(grid, np.full(k.shape, wv.row_of[p]), k)
+                assert got.tobytes() == drv.times[1:].tobytes(), (lo, p)
+
     def test_jump_on_grid_point_is_merged(self):
         # net drift -3/2 x + d, diffusion 1/2 and jump x -> 3/2 x + g, with
         # (d, g) = (5/8, -1/4) for model 1 and (-1/4, 1/4) for model 2

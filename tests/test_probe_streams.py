@@ -23,12 +23,12 @@ from jumpcompare.conditions import (
     check_condition_a,
     check_condition_b,
     check_condition_c,
-    check_corollary_1d,
     check_ii_prime,
     check_sigma_equal,
 )
 from jumpcompare.model import SampleDomain
 
+from oracles import check_corollary_1d
 from suitegen import (
     _assemble,
     _passing_ingredients,

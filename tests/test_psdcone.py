@@ -7,7 +7,7 @@ import pytest
 
 from jumpcompare import psdcone
 from jumpcompare.cli import build_problem, gallery_configs
-from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime, ii_prime_terms
+from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime
 from jumpcompare.geometry import GeneratorValue, generator
 from jumpcompare.model import (
     AffineCoefficients,
@@ -36,6 +36,8 @@ from jumpcompare.psdcone import (
     svec,
     unsvec,
 )
+
+from oracles import ii_prime_terms
 
 NO_ATOMS = MarkMeasure.from_atoms([], dimension=1)
 
