@@ -14,18 +14,24 @@ the same stream.  A realization is stored sparsely: its jump times, their
 mark atoms and one row of standard normals per segment; the merged time
 list, the per-segment atoms and the Brownian increments are derived on
 access.  The sampler only draws: it counts the segments, the grid's steps
-plus the jumps off its points, and computes no segment length.
+plus the jumps off its points, and computes no segment length; a path
+without jumps shares read-only empty jump arrays.  Marks that expect more
+than _MAX_EXPECTED_JUMPS jumps a path are refused before any draw.
 
 The Monte Carlo kernel advances a chunk of paths in waves: wave k is one
 block Euler step of every path over its own segment k (a jump inside a grid
 step splits it), its normals scaled by the root of the dt the step takes,
-after which the rows whose segment ends at a jump get their atoms.  A path
-with J jumps off the grid takes n_steps + J waves, so only the last few
-waves run on fewer than all paths.  Each wave writes its rows of X2 - X1
-into a buffer, followed by its rows that close a grid step holding a jump,
-repeated as the step's sub-step rows; the violation statistic then takes
-one call per block of waves (about _BLOCK_ROWS rows), and the running
-maxima and first violation times are updated once per block.  Every row
+after which the rows whose segment ends at a jump get their atoms.  What
+does not depend on the state is done once per chunk: the scaled noise of
+every segment next to a jump, and an affine model's jump maps G[atom] and
+g[atom], so a wave overwrites its rows of noise and applies its jumps with
+slices of these.  A path with J jumps off the grid takes n_steps + J waves,
+so only the last few waves run on fewer than all paths.  Each wave writes
+its rows of X2 - X1 into a buffer, followed by its rows that close a grid
+step holding a jump, repeated as the step's sub-step rows; the violation
+statistic then takes one call per block of waves (about _BLOCK_ROWS rows),
+and the running maxima and first violation times are updated once per
+block.  Every row
 is judged, and counts where its statistic is finite.  A path fails when
 its terminal state, in either model, is not finite (a state that is not
 finite stays so), and its violation is then NaN.  Chunks run in path
@@ -55,7 +61,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ComparisonProblem, MarkMeasure, SdeModel, check_seed
+from .model import ComparisonProblem, MarkMeasure, ModelError, SdeModel, check_seed
 
 __all__ = [
     "InvalidStep",
@@ -73,6 +79,10 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _CHUNK = 2048  # paths per chunk; bounds the working memory of one _run_chunk call
 _BLOCK_ROWS = 8192  # rows of X2 - X1 per violation-statistic call, the sub-step repeats aside
+# the most jumps a path may expect, total mark mass * (T - t0): the sampler
+# draws each in a Python loop turn, and a chunk holds a row of normals for
+# each, so this bounds both the time and the memory of a chunk
+_MAX_EXPECTED_JUMPS = 1e4
 
 
 class InvalidStep(ValueError):
@@ -161,6 +171,11 @@ class DriverRealization:
 
 
 _rngs = threading.local()
+# the jump times and marks of every path without jumps
+_NO_TIMES = np.zeros(0)
+_NO_MARKS = np.zeros(0, dtype=np.int64)
+_NO_TIMES.setflags(write=False)
+_NO_MARKS.setflags(write=False)
 
 
 def _path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -169,26 +184,27 @@ def _path_rng(seed: int, path_index: int) -> np.random.Generator:
     Setting the Philox state (key, zero counter, empty buffer) gives the draws
     of ``Generator(Philox(key=(seed, path_index)))`` without building one.
     The state dict is made once per thread and only its key is rewritten: the
-    setter copies the values.  The generator is made on first use, so
-    importing the package does not load ``numpy.random``.
+    setter copies the values.  Its key, counter and buffer are lists of
+    Python ints, which the setter reads faster than uint64 arrays.  The
+    generator is made on first use, so importing the package does not load
+    ``numpy.random``.
     """
     rng = getattr(_rngs, "rng", None)
     if rng is None:
         rng = _rngs.rng = np.random.Generator(np.random.Philox(0))
-        zero4 = np.zeros(4, dtype=np.uint64)
+        _rngs.key = [0, 0]
         _rngs.state = {
             "bit_generator": "Philox",
-            "state": {"counter": zero4, "key": np.zeros(2, dtype=np.uint64)},
-            "buffer": zero4,
+            "state": {"counter": [0, 0, 0, 0], "key": _rngs.key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-    state = _rngs.state
-    key = state["state"]["key"]
+    key = _rngs.key
     key[0] = int(seed) & _MASK64
     key[1] = int(path_index) & _MASK64
-    rng.bit_generator.state = state
+    rng.bit_generator.state = _rngs.state
     return rng
 
 
@@ -208,19 +224,27 @@ def sample_drivers(
     (exponential interarrivals); atoms are categorical with probability
     proportional to their weights.  The stream is keyed by (seed, path_index),
     so two calls with the same key are bit-identical and distinct paths never
-    share randomness regardless of evaluation order.
+    share randomness regardless of evaluation order.  A path without jumps
+    shares the read-only empty ``jump_times`` and ``jump_marks``.  Marks
+    whose expected jumps per path, total mass * (T - t0), exceed
+    ``_MAX_EXPECTED_JUMPS`` raise ModelError before any draw.
     """
     t0, T = float(horizon[0]), float(horizon[1])
     grid, points = _grid_steps(t0, T, float(h))
+    lam = marks.total_mass
+    if lam * (T - t0) > _MAX_EXPECTED_JUMPS:
+        raise ModelError(
+            f"the expected jumps per path, total mark mass * (T - t0) = {lam * (T - t0):g}, "
+            f"exceed the limit of {_MAX_EXPECTED_JUMPS:g}")
     rng = _path_rng(seed, path_index)
 
-    lam = marks.total_mass
     jump_times: List[float] = []
     uniforms: List[float] = []
-    if lam > 0.0 and marks.n_atoms > 0:
+    if lam > 0.0:
+        exponential, uniform = rng.standard_exponential, rng.random
         t = t0
         while True:
-            t = t + rng.standard_exponential() / lam
+            t = t + exponential() / lam
             if t > T:
                 break
             if t == t0:
@@ -229,7 +253,7 @@ def sample_drivers(
                 # large t0) would put the jump on the start; it goes to the
                 # next double, and the arrivals after it count from there
                 t = float(np.nextafter(t0, math.inf))
-            u = rng.random()
+            u = uniform()
             if jump_times and jump_times[-1] == t:
                 # an interarrival too small to move t in floating point
                 # repeats a time; keep one jump there, with the later atom
@@ -238,14 +262,14 @@ def sample_drivers(
                 jump_times.append(t)
                 uniforms.append(u)
 
-    if jump_times:
-        jt = np.array(jump_times)
-        jm = np.searchsorted(marks.atom_cdf, uniforms, side="right")
-    else:
-        jt, jm = np.zeros(0), np.zeros(0, dtype=np.int64)
+    if not jump_times:
+        return DriverRealization(t0=t0, T=T, h=float(h), jump_times=_NO_TIMES,
+                                 jump_marks=_NO_MARKS,
+                                 normals=rng.standard_normal((grid.shape[0] - 1, d)))
     # a segment per grid step, and one more for each jump off the grid
     n_segments = grid.shape[0] - 1 + sum(t not in points for t in jump_times)
-    return DriverRealization(t0=t0, T=T, h=float(h), jump_times=jt, jump_marks=jm,
+    return DriverRealization(t0=t0, T=T, h=float(h), jump_times=np.array(jump_times),
+                             jump_marks=marks.atom_cdf.searchsorted(uniforms, side="right"),
                              normals=rng.standard_normal((n_segments, d)))
 
 
@@ -314,7 +338,8 @@ def _net_drift(model: SdeModel, t, X: np.ndarray) -> np.ndarray:
 
 class _BatchCoefficients:
     """Row-vectorized coefficient evaluation for one model, on blocks of at
-    most ``rows`` rows (one chunk).
+    most ``rows`` rows (one chunk), and its jumps at the chunk's ``jump_t``
+    with atoms ``jump_atom`` (an affine model's maps gathered once).
 
     Affine models evaluate in closed form on (paths, m) blocks; black-box
     models through ``_net_drift`` and the triple's row evaluators, calling
@@ -326,7 +351,8 @@ class _BatchCoefficients:
     row.
     """
 
-    def __init__(self, model: SdeModel, rows: int):
+    def __init__(self, model: SdeModel, rows: int, jump_t: np.ndarray = _NO_TIMES,
+                 jump_atom: np.ndarray = _NO_MARKS):
         self.model = model
         self.coeffs = model.coefficients
         aff = model.coefficients.affine
@@ -338,6 +364,10 @@ class _BatchCoefficients:
             self._scale = float(self._M[0, 0]) if model.m == 1 else None
             self._d_rows = np.tile(dvec if self._scale is None else dvec + 0.0, (rows, 1))
             self._diffusion_tiles = aff.row_tiles(rows)
+            # the chunk's jump maps, gathered once
+            self._G, self._g = aff.G[jump_atom], aff.g[jump_atom]
+        else:
+            self._jump_t, self._jump_atom = jump_t, jump_atom
 
     def net_drift_rows(self, t, X: np.ndarray) -> np.ndarray:
         """The net drift at each row of X, a new array, with the bits a row
@@ -360,9 +390,14 @@ class _BatchCoefficients:
             return self.affine.diffusion_rows(t, X, self._diffusion_tiles)
         return self.coeffs.sigma_rows(t, X)
 
-    def jump_rows(self, t: np.ndarray, X: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-        """Post-jump states X + gamma(t, X, atom), row by row."""
-        return X + self.coeffs.gamma_rows(t, X, atoms)
+    def jump_rows(self, lo: int, hi: int, X: np.ndarray) -> np.ndarray:
+        """Post-jump states X + gamma(t, X, atom) of the chunk's jumps lo ..
+        hi - 1 (the ``jump_t`` and ``jump_atom`` given), X their pre-jump
+        rows: for an affine model ``X + ((G @ X) + g)`` row by row, the
+        association of ``CoefficientTriple.gamma_rows``."""
+        if self.affine is None:
+            return X + self.coeffs.gamma_rows(self._jump_t[lo:hi], X, self._jump_atom[lo:hi])
+        return X + ((self._G[lo:hi] @ X[..., None])[..., 0] + self._g[lo:hi])
 
 
 def componentwise_stat(diff_rows: np.ndarray) -> np.ndarray:
@@ -420,10 +455,13 @@ class _Waves:
     row r's normals of its segment k.  The jump-adjacent segments are sorted
     by (segment, kind, row), kind 0 ending at a jump off the grid, 1 at a
     jump on a grid point, 2 at the grid point after a step's last jump off
-    it.  Entry q takes row ``row[q]`` from ``t_left[q]`` to ``t_end[q]``,
-    over ``dt[q]`` (noise scaled by ``root[q]``), then applies ``atom[q]``
-    (-1: none).  Segment k's entries of kind c start at ``bounds[3k + c]``
-    and end at ``bounds[3k + 3]``.  The segments of kind 0 are also listed
+    it.  Entry q takes row ``row[q]`` from ``t_left[q]`` over ``dt[q]``,
+    with the noise ``noise[q]`` (its normals times the root of ``dt[q]``).
+    Segment k's entries of kind c start at ``bounds[3k + c]`` and end at
+    ``bounds[3k + 3]``.  The entries of kind 0 and 1, in entry order, are
+    the chunk's jumps: jump i applies atom ``jump_atom[i]`` at
+    ``jump_t[i]``, and segment k's are i = ``jump_bounds[k]`` ..
+    ``jump_bounds[k + 1]`` - 1.  The segments of kind 0 are also listed
     by row: ``hits`` holds row * waves + segment of each, ascending, and
     ``jump_end`` its jump's time, each closed by a sentinel (the largest
     intp, NaN), so ``end_times`` finds any row's segment end.
@@ -439,11 +477,12 @@ class _Waves:
     normals: np.ndarray
     row: np.ndarray
     t_left: np.ndarray
-    t_end: np.ndarray
     dt: np.ndarray
-    root: np.ndarray
-    atom: np.ndarray
+    noise: np.ndarray
     bounds: List[int]
+    jump_t: np.ndarray
+    jump_atom: np.ndarray
+    jump_bounds: List[int]
     hits: np.ndarray
     jump_end: np.ndarray
     start: List[int]
@@ -503,6 +542,7 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
     t_left = np.concatenate([prev, jt[close]])[q]
     t_end = np.concatenate([jt, right[close]])[q]
     bounds = np.searchsorted(key, np.arange(3 * z.shape[0] + 1))
+    jumps = q < jt.shape[0]  # the entries of kind 0 and 1, which end at a jump
     # the statistic's rows in call order: each wave's live rows, then its
     # rows of kind 1 and 2, which close a grid step holding a jump
     start = np.concatenate(([0], np.cumsum(live + bounds[3::3] - bounds[1::3])))
@@ -512,11 +552,12 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
         normals=z,
         row=row,
         t_left=t_left,
-        t_end=t_end,
         dt=(t_end - t_left)[:, None],
-        root=np.sqrt(t_end - t_left)[:, None],
-        atom=np.concatenate([atom, np.full(int(close.sum()), -1)])[q],
+        noise=z[key // 3, row] * np.sqrt(t_end - t_left)[:, None],
         bounds=bounds.tolist(),
+        jump_t=jt[q[jumps]],
+        jump_atom=atom[q[jumps]],
+        jump_bounds=np.searchsorted(key[jumps], 3 * np.arange(z.shape[0] + 1)).tolist(),
         hits=np.append(hits[by_row], np.iinfo(np.intp).max),
         jump_end=np.append(jt[~on][by_row], np.nan),
         start=start.tolist(),
@@ -604,16 +645,17 @@ def _run_chunk(
     eps_path: float,
 ):
     K = len(drivers)
-    batches = [_BatchCoefficients(model, K) for model in models]
+    wv = _waves(drivers, grid)
+    batches = [_BatchCoefficients(model, K, wv.jump_t, wv.jump_atom) for model in models]
     X = [np.tile(np.asarray(x0, dtype=float), (K, 1)) for x0 in starts]
     m = X[0].shape[1]  # the models of a problem share m
-    wv = _waves(drivers, grid)
     steps = np.diff(grid)
     roots = np.sqrt(steps)
     uniform = bool((steps == steps[0]).all())
     timed = any(bat.affine is None for bat in batches)  # black-box models read t
-    off = np.zeros(K, dtype=np.intp)  # jumps off the grid each row has passed
-    jumped = False  # any(off): else wave k is grid step k on every row
+    stepped = timed or not uniform  # each row's grid step is read
+    off = np.zeros(K, dtype=np.intp)  # jumps off the grid each row has passed, if stepped
+    jumped = False  # any(off): else wave k is grid step k on every row (or none reads it)
     tally = None
     if len(batches) == 2 and stat_fn is not None:
         tally = _Tally(wv, grid, stat_fn, eps_path, X[1] - X[0])
@@ -626,25 +668,25 @@ def _run_chunk(
             a, e1, e2, b = wv.bounds[3 * k : 3 * k + 4]
             i = k - off[:n] if jumped else k  # each row's grid step
             j = 0 if uniform else i[:, None] if jumped else k  # a column of rows' steps
-            dt, root = steps[j], roots[j]
+            dt = steps[j]
             t = grid[i] if timed else None
+            dW = wv.normals[k, :n] * roots[j]
             if a < b:
                 p = wv.row[a:b]
                 dt = np.full((n, m), dt)
                 dt[p] = wv.dt[a:b]
-                root = np.full((n, 1), root)
-                root[p] = wv.root[a:b]
+                dW[p] = wv.noise[a:b]
                 if timed:
                     t = np.full(n, t)
                     t[p] = wv.t_left[a:b]
-            dW = wv.normals[k, :n] * root
+            lo, hi = wv.jump_bounds[k : k + 2]
+            pj = wv.row[a:e2]  # the rows whose segment ends at a jump, lo .. hi - 1
             for mi, bat in enumerate(batches):
                 Xk = _step_rows(bat, t, X[mi][:n], dt, dW)
-                if e2 > a:  # the rows whose segment ends at a jump
-                    pj = wv.row[a:e2]
-                    Xk[pj] = bat.jump_rows(wv.t_end[a:e2], Xk[pj], wv.atom[a:e2])
+                if hi > lo:
+                    Xk[pj] = bat.jump_rows(lo, hi, Xk[pj])
                 X[mi] = Xk if n == K else np.concatenate((Xk, X[mi][n:]))
-            if e1 > a:  # the rows that end at a jump off the grid
+            if e1 > a and stepped:  # the rows that end at a jump off the grid
                 off[wv.row[a:e1]] += 1
                 jumped = True
             if tally is not None:

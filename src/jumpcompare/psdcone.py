@@ -522,47 +522,50 @@ class _LambdaMax2x2:
             abs_ac = np.abs(np.multiply(a, c, out=t1), out=t1)
             np.less_equal(e2, np.multiply(_EPS * _EPS, abs_ac, out=t1), out=mask)
             np.bitwise_or(split, mask, out=split)
-            # dlae2(a, rte, c): dsterf passes a and c in either order, and the
-            # arithmetic is symmetric in them; rt1 is the root of larger
-            # magnitude and rt2 the other
-            rte = np.sqrt(e2, out=e2)
-            adf = np.abs(np.subtract(a, c, out=t1), out=t1)
-            ab = np.add(rte, rte, out=t2)
-            big = np.maximum(adf, ab, out=t3)
-            q = np.minimum(adf, ab, out=t1)
-            np.divide(q, big, out=q)
-            np.square(q, out=q)  # what ``q ** 2`` runs
-            np.add(1.0, q, out=q)
-            np.sqrt(q, out=q)
-            rt = np.multiply(big, q, out=t3)
-            sm = np.add(a, c, out=t1)
-            # the selects below are bit masks on uint64 views, which keep
-            # every bit, NaN included, and take no branch per row (a masked
-            # copy or negate costs two to three times np.where on mixed masks)
-            u1, u2, u3 = (t.view(np.uint64) for t in (t1, t2, t3))
-            # where(sm < 0, -rt, rt): rt with its sign bit flipped where sm < 0
-            np.copyto(u2, np.less(sm, 0.0, out=mask))
-            np.left_shift(u2, 63, out=u2)
-            np.bitwise_xor(rt.view(np.uint64), u2, out=u2)
-            np.add(sm, t2, out=t2)
-            rt1 = np.multiply(0.5, t2, out=t2)  # 0.5 * rt when sm = 0
-            # rt2 = (where(a_big, a, c) / rt1) * where(a_big, c, a) - (rte / rt1) * rte,
-            # with where(a_big, a, c) = c ^ ((a ^ c) & m) for m all ones where a_big
-            a_u, c_u = a.view(np.uint64), c.view(np.uint64)
-            np.copyto(u3, a_big)
-            np.negative(u3, out=u3)  # 1 -> all ones
-            np.bitwise_and(np.bitwise_xor(a_u, c_u, out=u1), u3, out=u3)
-            np.bitwise_xor(c_u, u3, out=u1)
-            np.divide(t1, rt1, out=t1)
-            np.bitwise_xor(a_u, u3, out=u3)
-            np.multiply(t1, t3, out=t1)
-            np.divide(rte, rt1, out=t3)
-            np.multiply(t3, rte, out=t3)
-            rt2 = np.subtract(t1, t3, out=t1)
-            # dlasrt then sorts the pair; two equal values here have equal bits
-            # (a zero matrix is among the rescaled rows)
-            out = np.maximum(rt1, rt2)
-            np.copyto(out, np.maximum(a, c, out=t3), where=split)
+            if split.all():  # every row keeps its diagonal: no root is read
+                out = np.maximum(a, c)
+            else:
+                # dlae2(a, rte, c): dsterf passes a and c in either order, and the
+                # arithmetic is symmetric in them; rt1 is the root of larger
+                # magnitude and rt2 the other
+                rte = np.sqrt(e2, out=e2)
+                adf = np.abs(np.subtract(a, c, out=t1), out=t1)
+                ab = np.add(rte, rte, out=t2)
+                big = np.maximum(adf, ab, out=t3)
+                q = np.minimum(adf, ab, out=t1)
+                np.divide(q, big, out=q)
+                np.square(q, out=q)  # what ``q ** 2`` runs
+                np.add(1.0, q, out=q)
+                np.sqrt(q, out=q)
+                rt = np.multiply(big, q, out=t3)
+                sm = np.add(a, c, out=t1)
+                # the selects below are bit masks on uint64 views, which keep
+                # every bit, NaN included, and take no branch per row (a masked
+                # copy or negate costs two to three times np.where on mixed masks)
+                u1, u2, u3 = (t.view(np.uint64) for t in (t1, t2, t3))
+                # where(sm < 0, -rt, rt): rt with its sign bit flipped where sm < 0
+                np.copyto(u2, np.less(sm, 0.0, out=mask))
+                np.left_shift(u2, 63, out=u2)
+                np.bitwise_xor(rt.view(np.uint64), u2, out=u2)
+                np.add(sm, t2, out=t2)
+                rt1 = np.multiply(0.5, t2, out=t2)  # 0.5 * rt when sm = 0
+                # rt2 = (where(a_big, a, c) / rt1) * where(a_big, c, a) - (rte / rt1) * rte,
+                # with where(a_big, a, c) = c ^ ((a ^ c) & m) for m all ones where a_big
+                a_u, c_u = a.view(np.uint64), c.view(np.uint64)
+                np.copyto(u3, a_big)
+                np.negative(u3, out=u3)  # 1 -> all ones
+                np.bitwise_and(np.bitwise_xor(a_u, c_u, out=u1), u3, out=u3)
+                np.bitwise_xor(c_u, u3, out=u1)
+                np.divide(t1, rt1, out=t1)
+                np.bitwise_xor(a_u, u3, out=u3)
+                np.multiply(t1, t3, out=t1)
+                np.divide(rte, rt1, out=t3)
+                np.multiply(t3, rte, out=t3)
+                rt2 = np.subtract(t1, t3, out=t1)
+                # dlasrt then sorts the pair; two equal values here have equal bits
+                # (a zero matrix is among the rescaled rows)
+                out = np.maximum(rt1, rt2)
+                np.copyto(out, np.maximum(a, c, out=t3), where=split)
         if rescaled.any():
             out[rescaled] = _eigvalsh_max(rows[rescaled], 2)
         return out

@@ -810,6 +810,22 @@ class TestMainExitCodes:
                              env=dict(os.environ, PYTHONPATH=src), check=True)
         assert out.stdout.strip() == "False"
 
+    def test_a_huge_mark_mass_exits_two(self, tmp_path):
+        # one atom of finite weight 1e308: the jump sampler would draw about
+        # 1e308 jumps a path, so the run is refused before any draw
+        import jumpcompare
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jumpcompare.__file__)))
+        data = gallery_dict("corollary33-pass")
+        data["marks"]["atoms"][0]["w"] = 1e308
+        path = write_config(tmp_path, data)
+        out = subprocess.run([sys.executable, "-m", "jumpcompare.cli", "simulate", path,
+                              "--paths", "16"], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        assert out.returncode == 2
+        assert out.stderr == (
+            "config error: the expected jumps per path, total mark mass * (T - t0) = 1e+308, "
+            "exceed the limit of 10000\n")
+
     def test_gallery_smoke_completes(self, tmp_path):
         code = main(["gallery", "--smoke", "--out", str(tmp_path / "g")])
         assert code in (0, 1)  # agreement not meaningful at 10 paths

@@ -1,8 +1,10 @@
 """Engine tests: drivers, path integration, coupling, Monte Carlo."""
 
+import contextlib
 import hashlib
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from jumpcompare.model import (
     CoefficientTriple,
     ComparisonProblem,
     MarkMeasure,
+    ModelError,
     RegularityBudget,
     SdeModel,
     Tolerances,
@@ -65,6 +68,22 @@ def pair_problem(m1, m2, x1, x2, eps_path=None):
 
 
 ONE_ATOM = MarkMeasure.from_atoms([([1.0], 1.0)])
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the body once ``seconds`` have passed (a run
+    that does not return fails instead of hanging the suite)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _events_repr(drv):
@@ -328,6 +347,65 @@ class TestDrivers:
         assert [len(jt) > 0 for jt, _, _ in rekeyed[0]] == [True, True, True, False]
         monkeypatch.setattr(engine, "_path_rng", fresh)
         assert [realize(*case) for case in cases] == rekeyed
+
+    def test_rekeyed_generator_at_the_top_of_the_key_range(self):
+        # the key is held as Python ints: keys of 2^63 and above, up to
+        # 2^64 - 1, give the stream of a generator built with that key
+        for seed, path in ((2**64 - 3, 0), (0, 2**64 - 3), (2**64 - 1, 2**64 - 1), (2**63, 7)):
+            rng = engine._path_rng(seed, path)
+            want = np.random.Generator(np.random.Philox(
+                key=np.array([seed, path], dtype=np.uint64)))
+            assert rng.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+            assert rng.random() == want.random()
+
+    def test_a_path_without_jumps_has_read_only_empty_jumps(self):
+        # no atoms, and an atom on a key whose path does not jump (see
+        # test_rekeyed_generator_keeps_no_state): the empty jump arrays are
+        # shared, so no caller may write them
+        no_atoms = MarkMeasure.from_atoms([], dimension=1)
+        got = [sample_drivers(no_atoms, (0.0, 1.0), 2.0**-4, 42, 5, d=2),
+               sample_drivers(ONE_ATOM, (0.0, 1.0), 2.0**-5, 2**63 + 11, 2**40, d=2)]
+        for drv in got:
+            assert drv.jump_times.shape == drv.jump_marks.shape == (0,)
+            assert drv.jump_times.dtype == np.float64 and drv.jump_marks.dtype == np.int64
+            for arr in (drv.jump_times, drv.jump_marks):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+            assert drv.jump_atoms.tolist() == [-1] * drv.n_segments
+        assert got[0].normals.shape == (16, 2) and got[1].normals.shape == (32, 2)
+
+    @pytest.mark.parametrize("mass, T", [(1e308, 1.0), (5000.001, 2.0), (1.0, 2.0**14)],
+                             ids=["1e308", "just-over", "long-horizon"])
+    def test_too_many_expected_jumps_are_refused_before_any_draw(self, mass, T,
+                                                                 monkeypatch):
+        # total mark mass * (T - t0) above _MAX_EXPECTED_JUMPS = 1e4: the
+        # sampler would draw that many jumps a path, one a loop turn
+        def no_draw(seed, path):
+            raise AssertionError("a draw before the refusal")
+
+        marks = MarkMeasure.from_atoms([([1.0], mass)])
+        monkeypatch.setattr(engine, "_path_rng", no_draw)
+        with _time_limit(10.0), pytest.raises(ModelError, match="exceed the limit of 10000$"):
+            sample_drivers(marks, (0.0, T), T / 4, 1, 0, d=1)
+
+    def test_the_expected_jump_limit_is_inclusive(self):
+        # mass 5000 over a horizon of 2 expects 1e4 jumps a path, the limit
+        marks = MarkMeasure.from_atoms([([1.0], 5000.0)])
+        with _time_limit(10.0):
+            drv = sample_drivers(marks, (0.0, 2.0), 0.5, 1, 0, d=1)
+        assert abs(drv.jump_times.size - 1e4) < 500  # 5 standard deviations
+
+    def test_a_huge_mark_mass_fails_the_run_at_once(self):
+        # one atom of finite weight 1e308 made every Monte Carlo run hang
+        marks = MarkMeasure.from_atoms([([1.0], 1e308)])
+        model = scalar_model(marks=marks, jumps=[(0.0, 0.0)])
+        problem = pair_problem(model, model, [0.0], [0.0])
+        with _time_limit(10.0):
+            with pytest.raises(ModelError, match="= 1e\\+308, exceed the limit of 10000$"):
+                mc_comparison(problem, 4, 0.25, seed=1)
+            with pytest.raises(ModelError, match="exceed the limit"):
+                sample_terminal_states(model, [0.0], 0.0, 1.0, 4, 0.25, seed=1)
 
     def test_total_mass_is_summed_once(self, monkeypatch):
         marks = MarkMeasure.from_atoms([([1.0], 0.1), ([-1.0], 0.2), ([2.0], 0.7)])
@@ -1054,6 +1132,103 @@ class TestWaves:
                 k = np.arange(drv.n_segments)
                 got = wv.end_times(grid, np.full(k.shape, wv.row_of[p]), k)
                 assert got.tobytes() == drv.times[1:].tobytes(), (lo, p)
+
+    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_jump_plan_is_gamma_rows(self, m, chunk):
+        # each wave's jumps through the chunk's plan are X + gamma_rows(t, X,
+        # atom) bit for bit, with t and the atom read from the drivers' time
+        # lists, for an affine and a black-box model: on rows holding NaN,
+        # +-inf and -0.0, on a lone jump row and on jumps at grid points; the
+        # entries that close a step apply no atom
+        rng = np.random.default_rng(40 + m)
+        model = _special_model(rng, m, 2)
+        aff = model.coefficients.affine
+        blackbox = SdeModel(
+            coefficients=CoefficientTriple(m=m, d=2, drift=aff.drift, diffusion=aff.diffusion,
+                                           jump=aff.jump),
+            marks=model.marks, budget=model.budget)
+        marks = MarkMeasure.from_atoms([([1.0], 10.0), ([-1.0], 6.0)])
+        h = 2.0**-4
+        grid = uniform_grid(0.0, 1.0, h)
+        drivers = [sample_drivers(marks, (0.0, 1.0), h, 3, p, d=2) for p in range(30)]
+        # jumps on grid points, inside a step, just after a grid point and on T
+        jt = np.array([grid[1], (grid[1] + grid[2]) / 2, grid[2], np.nextafter(grid[2], 2.0),
+                       grid[-1]])
+        drivers.insert(5, engine.DriverRealization(
+            t0=0.0, T=1.0, h=h, jump_times=jt, jump_marks=np.array([0, 1, 1, 0, 1]),
+            normals=np.zeros((grid.shape[0] + 1, 2))))
+        lone = on_grid = 0
+        for lo in range(0, len(drivers), chunk):
+            part = drivers[lo : lo + chunk]
+            wv = engine._waves(part, grid)
+            path_of = np.argsort(wv.row_of)  # row r holds path path_of[r]
+            bats = [engine._BatchCoefficients(mdl, len(part), wv.jump_t, wv.jump_atom)
+                    for mdl in (model, blackbox)]
+            for k in range(len(wv.live)):
+                a, e1, e2, b = wv.bounds[3 * k : 3 * k + 4]
+                paths = [part[p] for p in path_of[wv.row[a:b]]]
+                atoms = np.array([drv.jump_atoms[k] for drv in paths], dtype=np.int64)
+                t = np.array([drv.times[k + 1] for drv in paths])
+                assert (atoms[: e2 - a] >= 0).all() and (atoms[e2 - a :] == -1).all()
+                if e2 == a:
+                    continue
+                lone += e2 - a == 1
+                on_grid += e2 - e1
+                X = _special_rows(rng, e2 - a, m)
+                with np.errstate(all="ignore"):
+                    for bat in bats:
+                        want = X + bat.coeffs.gamma_rows(t[: e2 - a], X, atoms[: e2 - a])
+                        got = bat.jump_rows(*wv.jump_bounds[k : k + 2], X)
+                        assert got.tobytes() == want.tobytes(), (lo, k)
+        assert lone and on_grid
+
+    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "blackbox"])
+    def test_kernel_jumps_are_gamma_rows_at_the_drivers_times(self, blackbox, chunk,
+                                                              monkeypatch):
+        # terminal states of a chunk run, path by path: a lone-row Euler step
+        # per segment of the driver's time list, then X + gamma_rows(t, X,
+        # atom) where the segment ends at a jump
+        rng = np.random.default_rng(7)
+        model = _special_model(rng, 3, 2)
+        if blackbox:
+            aff = model.coefficients.affine
+            model = SdeModel(coefficients=CoefficientTriple(
+                m=3, d=2, drift=aff.drift, diffusion=aff.diffusion, jump=aff.jump),
+                marks=model.marks, budget=model.budget)
+        marks = MarkMeasure.from_atoms([([1.0], 10.0), ([-1.0], 6.0)])
+        h = 2.0**-4
+        grid = uniform_grid(0.0, 1.0, h)
+        jt = np.array([grid[1], (grid[1] + grid[2]) / 2, grid[2], np.nextafter(grid[2], 2.0),
+                       grid[-1]])
+        scripted = engine.DriverRealization(
+            t0=0.0, T=1.0, h=h, jump_times=jt, jump_marks=np.array([0, 1, 1, 0, 1]),
+            normals=rng.standard_normal((grid.shape[0] + 1, 2)))
+
+        def drivers(model_marks, horizon, h, seed, p, *, d):  # mark mass 16
+            return scripted if p == 5 else sample_drivers(marks, horizon, h, seed, p, d=d)
+
+        monkeypatch.setattr(engine, "sample_drivers", drivers)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        x0 = np.array([0.5, -0.25, 1.0])
+        with np.errstate(all="ignore"):
+            got = sample_terminal_states(model, x0, 0.0, 1.0, 24, h, seed=3)
+            want = []
+            for p in range(24):
+                drv = drivers(None, (0.0, 1.0), h, 3, p, d=2)
+                bat = engine._BatchCoefficients(model, 1)
+                X, times, atoms, dW = x0[None, :], drv.times, drv.jump_atoms, drv.dW
+                for i in range(drv.n_segments):
+                    X = engine._step_rows(bat, times[i], X, times[i + 1] - times[i],
+                                          dW[i : i + 1])
+                    if atoms[i] >= 0:
+                        X = X + model.coefficients.gamma_rows(times[i + 1 : i + 2], X,
+                                                              atoms[i : i + 1])
+                want.append(X[0])
+        want = np.array(want)
+        want[np.isnan(want)] = np.nan
+        assert got.tobytes() == want.tobytes()
 
     def test_jump_on_grid_point_is_merged(self):
         # net drift -3/2 x + d, diffusion 1/2 and jump x -> 3/2 x + g, with

@@ -628,6 +628,32 @@ class TestSpectralStat:
             n += rows.shape[0]
         assert n >= 10**6
 
+    def test_all_split_blocks_are_eigvalsh_bit_for_bit(self):
+        # a block whose every row dsterf splits (as on matrix-drift-fail)
+        # skips dlae2's roots: signed zeros, a = c and entries either side of
+        # the rescaling limits included; one row that does not split takes
+        # the whole block through the roots
+        rng = np.random.default_rng(21)
+        rows = _stress_rows_2x2(rng, 2**14)
+        rows = rows[np.isfinite(rows).all(axis=1)]
+        n = rows.shape[0]
+        a, c = rows[:, 0], rows[:, 1]
+        # sqrt2 b is +-0, or half dsterf's split bound with either sign
+        bound = np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * 2.0**-53
+        zero = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        half = 0.5 * bound * np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        rows[:, 2] = np.where(rng.random(n) < 0.5, zero, half)
+        assert (np.abs(rows[:, 2] / np.sqrt(2.0)) <= bound).all()  # every row splits
+        assert (a == c).any() and (np.signbit(rows) & (rows == 0.0)).any(axis=0).all()
+        top = np.abs(rows).max(axis=1)
+        assert ((top > 2.0**485) | (top < 2.0**-405)).any()
+        stat = psdcone.spectral_violation_stat(2)
+        assert stat(rows).tobytes() == self.eigvalsh_max(rows, 2).tobytes()
+        rows[17] = [1.0, 1.0, 1.0]  # top eigenvalue 1 + 1/sqrt2, not max(a, c)
+        got = stat(rows)
+        assert got.tobytes() == self.eigvalsh_max(rows, 2).tobytes()
+        assert got[17] > 1.7
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_lapack_calls(self, m, monkeypatch):
         # m = 2 calls eigvalsh only for rows LAPACK would rescale or that are
