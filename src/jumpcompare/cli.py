@@ -454,13 +454,15 @@ class RunReport:
 
 def _section(v: Any) -> Any:
     """A report section as JSON values: a dataclass is a dict of its fields
-    (an McReport's per-path records left out: they go to the CSV), a tuple a
-    list.  Not ``dataclasses.asdict``, which deep-copies the records."""
+    (an McReport's per-path records left out: they go to the CSV, and a
+    verdict's ``degenerate_skipped`` where it is 0), a tuple a list.  Not
+    ``dataclasses.asdict``, which deep-copies the records."""
     if isinstance(v, tuple):
         return [_section(x) for x in v]
     if dataclasses.is_dataclass(v):
         return {f.name: _section(getattr(v, f.name)) for f in dataclasses.fields(v)
-                if f.name != "per_path"}
+                if f.name != "per_path"
+                and not (f.name == "degenerate_skipped" and v.degenerate_skipped == 0)}
     return v
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,12 +74,15 @@ class Verdict:
 
     ``holds`` is only ever produced by the affine-exact oracle; sampling can
     at best report ``no-violation-found``.  A ``violated`` verdict carries at
-    least one witness with a negative margin.
+    least one witness with a negative margin.  ``degenerate_skipped`` counts
+    the degenerate probes a sampled check skipped, which ``samples_used``
+    leaves out; a report writes it only when it is not zero.
     """
 
     status: str
     witnesses: Tuple[Witness, ...] = ()
     samples_used: int = 0
+    degenerate_skipped: int = 0
 
     @property
     def violated(self) -> bool:
@@ -516,19 +519,22 @@ def judge_probes(blocks, eps: float, coords, kind: str) -> Verdict:
     """Judge the pointwise inequality over blocks of probes.
 
     ``blocks`` yields (t, x, x', value): probes indexed along a leading axis
-    and their ``GeneratorValue``.  Degenerate probes are skipped and not
-    counted in ``samples_used``; a probe with lhs > rhs + eps is a witness,
-    its points written by ``coords``.  A probe whose lhs or rhs is NaN is
-    counted and is no witness.  Witnesses are collected in probe order.
+    and their ``GeneratorValue``.  Degenerate probes are skipped, counted in
+    ``degenerate_skipped`` and not in ``samples_used``; a probe with lhs >
+    rhs + eps is a witness, its points written by ``coords``.  A probe whose
+    lhs or rhs is NaN is counted and is no witness.  Witnesses are collected
+    in probe order.
     """
     witnesses: List[Witness] = []
-    samples = 0
+    samples = skipped = 0
     for t, x, xp, val in blocks:
         live = ~np.asarray(val.degenerate, dtype=bool)
-        samples += int(np.count_nonzero(live))
+        n_live = int(np.count_nonzero(live))
+        samples += n_live
+        skipped += live.size - n_live
         witnesses += _witnesses(t, x, xp, val.rhs - val.lhs, live & (val.lhs > val.rhs + eps),
                                 kind, coords)
-    return Verdict.sampled(witnesses, samples)
+    return replace(Verdict.sampled(witnesses, samples), degenerate_skipped=skipped)
 
 
 def check_ii_prime(problem: ComparisonProblem) -> Verdict:

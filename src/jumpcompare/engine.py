@@ -21,18 +21,23 @@ than _MAX_EXPECTED_JUMPS jumps a path are refused before any draw.
 The Monte Carlo kernel advances a chunk of paths in waves: wave k is one
 block Euler step of every path over its own segment k (a jump inside a grid
 step splits it), its normals scaled by the root of the dt the step takes,
-after which the rows whose segment ends at a jump get their atoms.  What
-does not depend on the state is done once per chunk: the scaled noise of
-every segment next to a jump, and an affine model's jump maps G[atom] and
+after which the rows whose segment ends at a jump get their atoms.  A chunk
+holds its normals once, time-major, a row per path in path order: the
+paths are drawn 32 at a time and each block's normals are stacked into the
+buffer as they are drawn, after which only the realizations' jump times,
+marks, segment counts and the few normals past the grid's steps are kept.
+What does not depend on the state is done once per chunk: the scaled noise
+of every segment next to a jump, and an affine model's jump maps G[atom] and
 g[atom], so a wave overwrites its rows of noise and applies its jumps with
-slices of these.  A path with J jumps off the grid takes n_steps + J waves,
-so only the last few waves run on fewer than all paths.  Each wave writes
-its rows of X2 - X1 into a buffer, followed by its rows that close a grid
-step holding a jump, repeated as the step's sub-step rows; the violation
-statistic then takes one call per block of waves (about _BLOCK_ROWS rows),
-and the running maxima and first violation times are updated once per
-block.  Every row
-is judged, and counts where its statistic is finite.  A path fails when
+slices of these.  A path with J jumps off the grid takes n_steps + J waves:
+every wave before the shortest path ends reads one contiguous slice of
+normals and steps every row, and only the last few waves gather the rows of
+the paths still running.  Each wave writes its rows of X2 - X1 into a
+buffer, followed by its rows that close a grid step holding a jump,
+repeated as the step's sub-step rows; the violation statistic then takes
+one call per block of waves (about _BLOCK_ROWS rows), and the running
+maxima and first violation times are updated once per block.  Every row is
+judged, and counts where its statistic is finite.  A path fails when
 its terminal state, in either model, is not finite (a state that is not
 finite stays so), and its violation is then NaN.  Chunks run in path
 order, and per-path results are concatenated before any reduction.
@@ -77,7 +82,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 2048  # paths per chunk; bounds the working memory of one _run_chunk call
+# paths per chunk; bounds the working memory of one _run_chunk call, which
+# holds one buffer of segments x paths x d doubles of normals (8 MiB at 512
+# steps, 2048 paths and d = 1) and rows of a few doubles per path besides
+_CHUNK = 2048
 _BLOCK_ROWS = 8192  # rows of X2 - X1 per violation-statistic call, the sub-step repeats aside
 # the most jumps a path may expect, total mark mass * (T - t0): the sampler
 # draws each in a Python loop turn, and a chunk holds a row of normals for
@@ -449,22 +457,22 @@ def _step_rows(bat: _BatchCoefficients, t, X: np.ndarray, dt, dW: np.ndarray) ->
 
 @dataclass(frozen=True)
 class _Waves:
-    """A chunk's paths laid out for waves.  Rows hold the paths longest
-    first, so the paths with more than k segments, wave k's, are the first
-    ``live[k]`` rows; ``row_of[p]`` is path p's row, and ``normals[k, r]``
-    row r's normals of its segment k.  The jump-adjacent segments are sorted
-    by (segment, kind, row), kind 0 ending at a jump off the grid, 1 at a
-    jump on a grid point, 2 at the grid point after a step's last jump off
-    it.  Entry q takes row ``row[q]`` from ``t_left[q]`` over ``dt[q]``,
-    with the noise ``noise[q]`` (its normals times the root of ``dt[q]``).
-    Segment k's entries of kind c start at ``bounds[3k + c]`` and end at
-    ``bounds[3k + 3]``.  The entries of kind 0 and 1, in entry order, are
-    the chunk's jumps: jump i applies atom ``jump_atom[i]`` at
-    ``jump_t[i]``, and segment k's are i = ``jump_bounds[k]`` ..
-    ``jump_bounds[k + 1]`` - 1.  The segments of kind 0 are also listed
-    by row: ``hits`` holds row * waves + segment of each, ascending, and
-    ``jump_end`` its jump's time, each closed by a sentinel (the largest
-    intp, NaN), so ``end_times`` finds any row's segment end.
+    """A chunk's paths laid out for waves, a row per path in path order.
+    ``normals[k]`` holds wave k's normals, the (paths, d) normals of every
+    row's segment k, and ``live[k]`` its rows: the paths with more than k
+    segments, ascending, the same array for the waves that run on every row.
+    The jump-adjacent segments are sorted by (segment, kind, row), kind 0
+    ending at a jump off the grid, 1 at a jump on a grid point, 2 at the grid
+    point after a step's last jump off it.  Entry q takes row ``row[q]``
+    from ``t_left[q]`` over ``dt[q]``, with the noise ``noise[q]`` (its
+    normals times the root of ``dt[q]``).  Segment k's entries of kind c
+    start at ``bounds[3k + c]`` and end at ``bounds[3k + 3]``.  The entries
+    of kind 0 and 1, in entry order, are the chunk's jumps: jump i applies
+    atom ``jump_atom[i]`` at ``jump_t[i]``, and segment k's are i =
+    ``jump_bounds[k]`` .. ``jump_bounds[k + 1]`` - 1.  The segments of kind
+    0 are also listed by row: ``hits`` holds row * waves + segment of each,
+    ascending, and ``jump_end`` its jump's time, each closed by a sentinel
+    (the largest intp, NaN), so ``end_times`` finds any row's segment end.
 
     The statistic takes, wave by wave, the wave's live rows in row order and
     then the rows of its entries of kind 1 and 2 again, in entry order, as
@@ -472,9 +480,8 @@ class _Waves:
     that sequence.
     """
 
-    row_of: np.ndarray
-    live: List[int]
-    normals: np.ndarray
+    live: List[np.ndarray]
+    normals: List[np.ndarray]
     row: np.ndarray
     t_left: np.ndarray
     dt: np.ndarray
@@ -491,32 +498,53 @@ class _Waves:
         """When row r's segment k ends, elementwise: at its jump, if it ends
         at a jump off the grid, else at the grid point closing its step,
         which is k less the row's earlier such segments."""
-        first = r * self.normals.shape[0]  # row r's segment 0, in hits' order
+        first = r * len(self.normals)  # row r's segment 0, in hits' order
         at = np.searchsorted(self.hits, first + k)
         step = k - (at - np.searchsorted(self.hits, first))
         return np.where(self.hits[at] == first + k, self.jump_end[at], grid[step + 1])
 
 
 def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
-    """Lay out the paths' normals time-major and list the segments that end
-    at a jump, or end at a grid point of a step that holds one."""
-    K = len(drivers)
-    n_seg = np.array([drv.n_segments for drv in drivers])
-    order = np.argsort(-n_seg, kind="stable")  # row r holds path order[r]
-    row_of = np.empty(K, dtype=np.intp)
-    row_of[order] = np.arange(K)
-    n_sorted = n_seg[order]
-    live = np.searchsorted(-n_sorted, -np.arange(n_sorted[0]), side="left")
-    z = np.empty((int(n_sorted[0]), K, drivers[0].normals.shape[1]))
-    # rows of one segment count, in blocks of 32 that a stack copies in cache
-    edges = sorted({0, K, *range(32, K, 32), *(np.flatnonzero(np.diff(n_sorted)) + 1).tolist()})
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        z[: n_sorted[lo], lo:hi] = np.stack([drivers[p].normals for p in order[lo:hi]], axis=1)
+    """Read the paths' drivers and lay out their normals time-major, then
+    list the segments that end at a jump, or end at a grid point of a step
+    that holds one.
 
-    n_jumps = np.array([drv.jump_times.shape[0] for drv in drivers])
-    jt = np.concatenate([drv.jump_times for drv in drivers])
-    atom = np.concatenate([drv.jump_marks for drv in drivers])
-    path = np.repeat(np.arange(K), n_jumps)
+    The drivers are read 32 at a time, and each block's first n_steps rows
+    of normals, one per grid step, which every path has, are stacked into
+    the (n_steps, paths, d) buffer while they are in cache.  A realization is
+    dropped once its block is stacked: what is kept of it is its jump times,
+    marks and segment count, and, for a path with jumps off the grid, its
+    few normals past n_steps, which fill the waves after n_steps once all
+    are read.
+    """
+    K = len(drivers)
+    n_steps = grid.shape[0] - 1
+    n_seg, times, marks, past = [], [], [], []
+    for lo in range(0, K, 32):
+        block = [drivers[p] for p in range(lo, min(lo + 32, K))]
+        if lo == 0:
+            z = np.empty((n_steps, K, block[0].normals.shape[1]))
+        z[:, lo : lo + len(block)] = np.stack([drv.normals[:n_steps] for drv in block], axis=1)
+        n_seg += [drv.n_segments for drv in block]
+        times += [drv.jump_times for drv in block]
+        marks += [drv.jump_marks for drv in block]
+        # copied, so that no realization outlives its block
+        past.append(np.concatenate([drv.normals[n_steps:] for drv in block]))
+    n_seg = np.array(n_seg)
+    W = int(n_seg.max())  # the waves
+    every = np.arange(K)
+    # the normals past n_steps, path after path, into the tail's waves
+    extra = n_seg - n_steps
+    tail = np.empty((W - n_steps, *z.shape[1:]))
+    tail[np.arange(extra.sum()) - np.repeat(np.cumsum(extra) - extra, extra),
+         np.repeat(every, extra)] = np.concatenate(past)
+    k_all = int(n_seg.min())  # waves 0 .. k_all - 1 run on every row
+    live = [every] * k_all + [np.flatnonzero(n_seg > k) for k in range(k_all, W)]
+
+    n_jumps = np.array([jt.shape[0] for jt in times])
+    jt = np.concatenate(times)
+    atom = np.concatenate(marks)
+    path = np.repeat(every, n_jumps)
     step = np.searchsorted(grid, jt, side="left") - 1
     right = grid[step + 1]
     on = jt == right
@@ -531,35 +559,39 @@ def _waves(drivers: Sequence[DriverRealization], grid: np.ndarray) -> _Waves:
     added = np.concatenate([[0], np.cumsum(~on)])
     seg = step + added[:-1] - added[np.cumsum(n_jumps) - n_jumps][path]
     close = last & ~on  # then a segment from the last jump to the grid point
-    hits = row_of[path[~on]] * z.shape[0] + seg[~on]
-    by_row = np.argsort(hits)
 
     key = 3 * np.concatenate([seg, seg[close] + 1])
     key += np.concatenate([on, np.full(int(close.sum()), 2)])
-    row = row_of[np.concatenate([path, path[close]])]
+    row = np.concatenate([path, path[close]])
     q = np.lexsort((row, key))
     key, row = key[q], row[q]
     t_left = np.concatenate([prev, jt[close]])[q]
     t_end = np.concatenate([jt, right[close]])[q]
-    bounds = np.searchsorted(key, np.arange(3 * z.shape[0] + 1))
+    bounds = np.searchsorted(key, np.arange(3 * W + 1))
+    # each entry's normals, from the buffer or the tail, times the root of its dt
+    noise = np.empty((key.shape[0], z.shape[2]))
+    k, in_tail = key // 3, key >= 3 * n_steps
+    noise[~in_tail] = z[k[~in_tail], row[~in_tail]]
+    noise[in_tail] = tail[k[in_tail] - n_steps, row[in_tail]]
+    noise *= np.sqrt(t_end - t_left)[:, None]
     jumps = q < jt.shape[0]  # the entries of kind 0 and 1, which end at a jump
     # the statistic's rows in call order: each wave's live rows, then its
     # rows of kind 1 and 2, which close a grid step holding a jump
-    start = np.concatenate(([0], np.cumsum(live + bounds[3::3] - bounds[1::3])))
+    n_live = np.array([rows.shape[0] for rows in live])
+    start = np.concatenate(([0], np.cumsum(n_live + bounds[3::3] - bounds[1::3])))
     return _Waves(
-        row_of=row_of,
-        live=live.tolist(),
-        normals=z,
+        live=live,
+        normals=[*z, *tail],
         row=row,
         t_left=t_left,
         dt=(t_end - t_left)[:, None],
-        noise=z[key // 3, row] * np.sqrt(t_end - t_left)[:, None],
+        noise=noise,
         bounds=bounds.tolist(),
         jump_t=jt[q[jumps]],
         jump_atom=atom[q[jumps]],
-        jump_bounds=np.searchsorted(key[jumps], 3 * np.arange(z.shape[0] + 1)).tolist(),
-        hits=np.append(hits[by_row], np.iinfo(np.intp).max),
-        jump_end=np.append(jt[~on][by_row], np.nan),
+        jump_bounds=np.searchsorted(key[jumps], 3 * np.arange(W + 1)).tolist(),
+        hits=np.append(path[~on] * W + seg[~on], np.iinfo(np.intp).max),
+        jump_end=np.append(jt[~on], np.nan),
         start=start.tolist(),
     )
 
@@ -575,11 +607,11 @@ def _stat_values(stat_fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) 
 
 
 def _raise_block(run: np.ndarray, val: np.ndarray, starts: Sequence[int],
-                 live: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+                 live: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Fold a block's statistic values into the run maximum.
 
     ``val`` holds them in call order, -inf where a row does not count: wave
-    i's ``live[i]`` rows from ``starts[i] - starts[0]`` on, then the repeats
+    i's rows ``live[i]`` from ``starts[i] - starts[0]`` on, then the repeats
     of its rows that close a grid step holding a jump, which are not read.
     Returns the (waves, paths) table of each row's value per wave (-inf
     where it has none) and each row's greatest in the block, which replaces
@@ -587,12 +619,13 @@ def _raise_block(run: np.ndarray, val: np.ndarray, starts: Sequence[int],
     keep either, which ``np.maximum(run, 0.0)`` does not show.
     """
     K, waves = run.shape[0], len(live)
-    if live[-1] == K and val.shape[0] == waves * K:  # each wave on every row, no repeats
+    if live[-1].shape[0] == K and val.shape[0] == waves * K:  # every row, no repeats
         table = val.reshape(waves, K)
     else:
         table = np.full((waves, K), -np.inf)
-        for i, (s, n) in enumerate(zip(starts, live)):
-            table[i, :n] = val[s - starts[0] : s - starts[0] + n]
+        for i, (s, rows) in enumerate(zip(starts, live)):
+            n = rows.shape[0]  # a wave on every row writes a slice
+            table[i, rows if n < K else slice(None)] = val[s - starts[0] : s - starts[0] + n]
     best = table.max(axis=0)
     np.copyto(run, best, where=best > run)
     return table, best
@@ -664,15 +697,19 @@ def _run_chunk(
     # overflow / NaN on exploding paths is expected and handled through the
     # failed flag, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, n in enumerate(wv.live):
+        for k, rows in enumerate(wv.live):
+            n = rows.shape[0]
+            part = n < K  # some path has ended: the wave gathers its rows
             a, e1, e2, b = wv.bounds[3 * k : 3 * k + 4]
-            i = k - off[:n] if jumped else k  # each row's grid step
+            p = wv.row[a:b]  # the entries' rows, as places among the wave's
+            if part:
+                p = np.searchsorted(rows, p)
+            i = k - (off[rows] if part else off) if jumped else k  # each row's grid step
             j = 0 if uniform else i[:, None] if jumped else k  # a column of rows' steps
             dt = steps[j]
             t = grid[i] if timed else None
-            dW = wv.normals[k, :n] * roots[j]
+            dW = (wv.normals[k][rows] if part else wv.normals[k]) * roots[j]
             if a < b:
-                p = wv.row[a:b]
                 dt = np.full((n, m), dt)
                 dt[p] = wv.dt[a:b]
                 dW[p] = wv.noise[a:b]
@@ -680,21 +717,26 @@ def _run_chunk(
                     t = np.full(n, t)
                     t[p] = wv.t_left[a:b]
             lo, hi = wv.jump_bounds[k : k + 2]
-            pj = wv.row[a:e2]  # the rows whose segment ends at a jump, lo .. hi - 1
+            pj = p[: e2 - a]  # the rows whose segment ends at a jump, lo .. hi - 1
+            Xw = []  # each model's states of the wave's rows
             for mi, bat in enumerate(batches):
-                Xk = _step_rows(bat, t, X[mi][:n], dt, dW)
+                Xk = _step_rows(bat, t, X[mi][rows] if part else X[mi], dt, dW)
                 if hi > lo:
                     Xk[pj] = bat.jump_rows(lo, hi, Xk[pj])
-                X[mi] = Xk if n == K else np.concatenate((Xk, X[mi][n:]))
+                if part:
+                    X[mi][rows] = Xk
+                else:
+                    X[mi] = Xk
+                Xw.append(Xk)
             if e1 > a and stepped:  # the rows that end at a jump off the grid
                 off[wv.row[a:e1]] += 1
                 jumped = True
             if tally is not None:
                 first = wv.start[k] - wv.start[k0]
                 diff = tally.rows[first : first + n]
-                np.subtract(X[1][:n], X[0][:n], out=diff)
+                np.subtract(Xw[1], Xw[0], out=diff)
                 if b > e1:  # the rows closing a step with a jump, repeated
-                    np.take(diff, wv.row[e1:b], axis=0, mode="clip",
+                    np.take(diff, p[e1 - a :], axis=0, mode="clip",
                             out=tally.rows[first + n : first + n + b - e1])
                 if k + 1 - k0 == tally.block or k + 1 == len(wv.live):
                     tally.judge(k0, k + 1)
@@ -706,8 +748,25 @@ def _run_chunk(
         failed = ~(_finite_rows(X[0]) & _finite_rows(X[1]))
         viol, first_t = np.maximum(tally.run, 0.0), tally.first_t
         viol[failed] = np.nan
-    rows = wv.row_of  # back to path order
-    return viol[rows], first_t[rows], failed[rows], [XM[rows] for XM in X]
+    return viol, first_t, failed, X
+
+
+class _Draws(Sequence):
+    """The drivers of paths ``paths`` of a run as a sequence, each drawn by
+    ``sample_drivers`` when read: ``_waves`` reads each path once and keeps
+    what it needs of it, so a chunk holds no list of realizations."""
+
+    def __init__(self, marks: MarkMeasure, horizon: Tuple[float, float], h: float, seed: int,
+                 d: int, paths: range):
+        self.marks, self.horizon, self.h, self.seed, self.d = marks, horizon, h, seed, d
+        self.paths = paths
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, i: int) -> DriverRealization:
+        return sample_drivers(self.marks, self.horizon, self.h, self.seed, self.paths[i],
+                              d=self.d)
 
 
 def _chunks(
@@ -720,14 +779,12 @@ def _chunks(
     stat_fn: Optional[Callable[[np.ndarray], np.ndarray]],
     eps_path: float,
 ) -> Iterator[tuple]:
-    """Yield ``_run_chunk``'s results for paths 0..paths-1, in blocks of _CHUNK."""
+    """Yield ``_run_chunk``'s results for paths 0..paths-1, in blocks of
+    _CHUNK, each block's drivers drawn as the chunk reads them."""
     model = models[0]  # the models of a problem share their marks and d
     horizon = (float(grid[0]), float(grid[-1]))
     for lo in range(0, paths, _CHUNK):
-        drivers = [
-            sample_drivers(model.marks, horizon, h, seed, p, d=model.d)
-            for p in range(lo, min(lo + _CHUNK, paths))
-        ]
+        drivers = _Draws(model.marks, horizon, h, seed, model.d, range(lo, min(lo + _CHUNK, paths)))
         yield _run_chunk(models, starts, drivers, grid, stat_fn, eps_path)
 
 

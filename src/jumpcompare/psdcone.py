@@ -438,7 +438,7 @@ def _theorem37_probes(problem: MatrixComparisonProblem, rng: np.random.Generator
 def check_theorem37(problem: MatrixComparisonProblem) -> Verdict:
     """Sampled check of the matrix inequality over eigenvalue ladders.
     Near-degenerate samples are excluded from the decision and from
-    ``samples_used``."""
+    ``samples_used``, and counted in ``degenerate_skipped``."""
     eps = problem.tolerances.resolved_eps_check(False)
     rng = _rng_for(problem, 0x37)
     t, x, xp = zip(*_theorem37_probes(problem, rng))

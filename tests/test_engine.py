@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1046,6 +1047,26 @@ class TestPerPathRecords:
 
 
 class TestWaves:
+    def test_a_chunk_holds_its_normals_once(self):
+        # one 2048-path chunk of corollary35-pass at step 2^-9, d = 1: its
+        # time-major normals take 512 x 2048 doubles, 8 MiB, and the run's
+        # traced peak stays well below a second copy of them
+        cfg = next(c for c in gallery_configs() if c.id == "corollary35-pass")
+        problem = build_problem(cfg)
+        h = 2.0**-9
+        n_steps = uniform_grid(problem.t0, problem.T, h).shape[0] - 1
+        assert (n_steps, problem.d, engine._CHUNK) == (512, 1, 2048)
+        mc_comparison(problem, 8, h, cfg.mc.seed)  # first-use set-up, untraced
+        normals = n_steps * engine._CHUNK * problem.d * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mc_comparison(problem, engine._CHUNK, h, cfg.mc.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.3 * normals, (peak - start) / normals
+
     @pytest.mark.parametrize("h", [2.0**-4, 0.1], ids=["dyadic", "uneven"])
     @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "blackbox"])
     def test_dense_jumps_one_path_calls_match_the_block(self, blackbox, h):
@@ -1078,7 +1099,7 @@ class TestWaves:
             got = np.concatenate([a[i] if i < 3 else a[3][i - 3] for a in alone])
             assert got.tobytes() == block.tobytes(), i
 
-    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
     @pytest.mark.parametrize("h", [2.0**-4, 0.1, 0.3], ids=["dyadic", "uneven", "non-dividing"])
     def test_kernel_noise_is_the_public_increments(self, h, chunk, monkeypatch):
         # zero net drift, unit diffusion and zero jumps at m = d = 1: X_T is
@@ -1110,7 +1131,7 @@ class TestWaves:
             want.append(x)
         assert x_T[:, 0].tobytes() == np.array(want).tobytes()
 
-    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
     @pytest.mark.parametrize("h", [2.0**-4, 0.3], ids=["dyadic", "non-dividing"])
     def test_end_times_are_the_drivers_times(self, h, chunk):
         # mark mass 16, and a path with jumps on grid points, inside a step,
@@ -1130,10 +1151,10 @@ class TestWaves:
             wv = engine._waves(part, grid)
             for p, drv in enumerate(part):
                 k = np.arange(drv.n_segments)
-                got = wv.end_times(grid, np.full(k.shape, wv.row_of[p]), k)
+                got = wv.end_times(grid, np.full(k.shape, p), k)  # row p holds path p
                 assert got.tobytes() == drv.times[1:].tobytes(), (lo, p)
 
-    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
     @pytest.mark.parametrize("m", [1, 3])
     def test_jump_plan_is_gamma_rows(self, m, chunk):
         # each wave's jumps through the chunk's plan are X + gamma_rows(t, X,
@@ -1162,12 +1183,11 @@ class TestWaves:
         for lo in range(0, len(drivers), chunk):
             part = drivers[lo : lo + chunk]
             wv = engine._waves(part, grid)
-            path_of = np.argsort(wv.row_of)  # row r holds path path_of[r]
             bats = [engine._BatchCoefficients(mdl, len(part), wv.jump_t, wv.jump_atom)
                     for mdl in (model, blackbox)]
             for k in range(len(wv.live)):
                 a, e1, e2, b = wv.bounds[3 * k : 3 * k + 4]
-                paths = [part[p] for p in path_of[wv.row[a:b]]]
+                paths = [part[p] for p in wv.row[a:b]]  # row p holds path p
                 atoms = np.array([drv.jump_atoms[k] for drv in paths], dtype=np.int64)
                 t = np.array([drv.times[k + 1] for drv in paths])
                 assert (atoms[: e2 - a] >= 0).all() and (atoms[e2 - a :] == -1).all()
@@ -1183,7 +1203,7 @@ class TestWaves:
                         assert got.tobytes() == want.tobytes(), (lo, k)
         assert lone and on_grid
 
-    @pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
     @pytest.mark.parametrize("blackbox", [False, True], ids=["affine", "blackbox"])
     def test_kernel_jumps_are_gamma_rows_at_the_drivers_times(self, blackbox, chunk,
                                                               monkeypatch):
@@ -1360,10 +1380,10 @@ def _wave_rows(drivers, grid, traces):
     """The rows of ``_wave_calls``' groups, from each path's trace (the
     statistic rows of a one-path run: its start, then each segment's row,
     repeated where the segment closes a step holding a jump).  The chunk
-    holds its paths longest first; a wave's repeats follow its rows, those
+    holds its paths in path order; a wave's repeats follow its rows, those
     at a jump on a grid point before those after a step's last jump."""
     closing = [_closing_segments(drv, grid) for drv in drivers]
-    order = np.argsort([-c.shape[0] for c in closing], kind="stable")
+    order = range(len(drivers))
     where = []  # per path: the trace index of each segment's row
     for c in closing:
         where.append(1 + np.arange(c.shape[0]) + np.concatenate([[0], np.cumsum(c > 0)[:-1]]))
@@ -1396,7 +1416,8 @@ def _raise_blocks(run, waves, sizes):
     for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
         block = waves[lo:hi]
         starts = np.cumsum([0] + [w.shape[0] for w in block[:-1]]).tolist()
-        engine._raise_block(run, np.concatenate(block), starts, [w.shape[0] for w in block])
+        engine._raise_block(run, np.concatenate(block), starts,
+                            [np.arange(w.shape[0]) for w in block])
     return run
 
 

@@ -19,7 +19,9 @@ exploding case also pins how many rows its violation statistic judges,
 which are as many as in any case without failed paths.
 One dense case, the uneven cases and the exploding case also run with the
 statistic taken on blocks of one wave, of three waves and of the default
-size, at each of those chunk sizes, which must give the same rows.
+size, at each of those chunk sizes and at 33 paths a chunk (one past the
+32-path blocks in which a chunk's normals are laid out), which must give
+the same rows.
 
 Run as a script, ``PYTHONPATH=src python tests/test_mc_pins.py [CHUNK]``
 prints every case's digest and counts, at CHUNK paths a chunk if given, and
@@ -180,7 +182,7 @@ def _judged_rows(problem, h, seed, paths):
     return paths * grid.shape[0] + substeps
 
 
-@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
 def test_failed_paths_have_every_row_judged(chunk, monkeypatch):
     monkeypatch.setattr(engine, "_CHUNK", chunk)
     rows = []
@@ -195,7 +197,7 @@ def test_failed_paths_have_every_row_judged(chunk, monkeypatch):
     assert 0 not in rows
 
 
-@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
 @pytest.mark.parametrize("name", ("dense-1-jump-row-gap",) + UNEVEN_CASES + EXPLODING_CASES)
 def test_blocks_of_waves_give_the_same_rows(name, chunk, monkeypatch):
     # the statistic taken on blocks of one wave, of three (more in a last,
@@ -227,7 +229,7 @@ def test_blocks_of_waves_give_the_same_rows(name, chunk, monkeypatch):
     assert sum(rows) == _judged_rows(problem, h, seed, paths)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, engine._CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 33, engine._CHUNK])
 def test_terminal_nans_are_numpys_nan(chunk, monkeypatch):
     # a NaN's sign from numpy's add loops depends on the rows that share
     # its block; every terminal NaN is written as np.nan

@@ -1,12 +1,13 @@
 """Spectral geometry and the matrix comparison condition."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from jumpcompare import psdcone
-from jumpcompare.cli import build_problem, gallery_configs
+from jumpcompare.cli import RunReport, build_problem, gallery_configs, report_to_dict
 from jumpcompare.conditions import NO_VIOLATION, VIOLATED, check_ii_prime
 from jumpcompare.geometry import GeneratorValue, generator
 from jumpcompare.model import (
@@ -359,6 +360,27 @@ class TestEvalTheorem37:
         assert 0 < degenerate[0] < calls[0]
         assert v.samples_used == calls[0] - degenerate[0] == 72
         assert v.status == NO_VIOLATION
+
+    def test_skipped_degenerate_probes_are_reported(self, monkeypatch):
+        # the matrix-pass config with a ladder down to 1e-9 draws 288 probes
+        # and skips 48 as degenerate: the verdict and its report count them;
+        # the gallery's own ladder skips none, and its report has no such key
+        cfg = next(c for c in gallery_configs() if c.id == "matrix-pass")
+        deep = dataclasses.replace(cfg, check=dataclasses.replace(
+            cfg.check, ladder=[1e-9, 1e-4, 1e-2, 0.1, 1.0]))
+        calls = []
+        real = psdcone.eval_theorem37
+        monkeypatch.setattr(psdcone, "eval_theorem37",
+                            lambda *args: calls.append(1) or real(*args))
+        v = check_theorem37(build_problem(deep))
+        assert (len(calls), v.samples_used, v.degenerate_skipped) == (288, 240, 48)
+        assert v.status == NO_VIOLATION
+        section = report_to_dict(RunReport("x", "matrix", {}, check=v))["check"]["verdict"]
+        assert (section["samples_used"], section["degenerate_skipped"]) == (240, 48)
+        v = check_theorem37(build_problem(cfg))
+        assert (v.samples_used, v.degenerate_skipped) == (288, 0)
+        section = report_to_dict(RunReport("x", "matrix", {}, check=v))["check"]["verdict"]
+        assert sorted(section) == ["samples_used", "status", "witnesses"]
 
     def test_degenerate_probe_has_no_hessian_value(self):
         p = matrix_pair(2, gap=0.4 * np.eye(2), s_scale=0.4)
